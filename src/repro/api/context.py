@@ -36,23 +36,14 @@ in one :class:`~repro.core.options.QueryOptions` — e.g.
 in for the paper's comparison systems (``"sparksql"`` for the stage-wise
 baseline, ``"trino"`` for the spooling pipelined baseline), which is what
 the benchmark harness uses to regenerate the figures.
-
-The pre-redesign surface (``ctx.execute``, ``ctx.execute_reference``,
-``ctx.execute_many``) remains as thin deprecated shims over the same runner
-protocol; see ``docs/API.md`` for the migration table.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from repro.api.runners import OneShotRunner, ReferenceRunner
 from repro.api.systems import SYSTEM_PRESETS, SystemUnderTest, preset
-from repro.cluster.faults import FailurePlan
 from repro.common.config import ClusterConfig, CostModelConfig, EngineConfig
-from repro.core.metrics import QueryResult
-from repro.core.options import QueryOptions
 from repro.core.session import Session
 from repro.data.batch import Batch
 from repro.plan.catalog import Catalog
@@ -64,14 +55,6 @@ __all__ = [
     "SystemUnderTest",
     "SYSTEM_PRESETS",
 ]
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class QuokkaContext:
@@ -213,46 +196,3 @@ class QuokkaContext:
         from repro.optimizer import optimize_plan
 
         return DataFrame(optimize_plan(frame.plan), context=self)
-
-    # -- deprecated execution shims ------------------------------------------------
-    #
-    # The pre-redesign surface.  Each is a thin wrapper over the unified
-    # Runner/QueryOptions/QueryHandle path; prefer the frame verbs.
-
-    def execute(
-        self,
-        frame: DataFrame,
-        system: str = "quokka",
-        failure_plans: Optional[Sequence[FailurePlan]] = None,
-        engine_config: Optional[EngineConfig] = None,
-        query_name: str = "",
-        optimize: bool = False,
-        tracer=None,
-    ) -> QueryResult:
-        """Deprecated: use ``frame.collect()`` or ``frame.submit(...).wait()``."""
-        _warn_deprecated("QuokkaContext.execute(frame)", "frame.collect()/frame.submit()")
-        options = QueryOptions(
-            system=system, engine_config=engine_config, failure_plans=failure_plans,
-            optimize=optimize, tracer=tracer, query_name=query_name,
-        )
-        return OneShotRunner(self).submit(frame, options).wait()
-
-    def execute_reference(self, frame: DataFrame) -> Batch:
-        """Deprecated: use ``frame.collect_reference()``."""
-        _warn_deprecated("QuokkaContext.execute_reference(frame)", "frame.collect_reference()")
-        return ReferenceRunner().submit(frame).wait().batch
-
-    def execute_many(
-        self,
-        frames: Sequence[DataFrame],
-        system: Optional[str] = None,
-        engine_config: Optional[EngineConfig] = None,
-        query_names: Optional[Sequence[str]] = None,
-        failure_plans: Optional[Sequence[FailurePlan]] = None,
-    ) -> List[QueryResult]:
-        """Deprecated: use ``frame.submit(session)`` on a :meth:`session`."""
-        _warn_deprecated("QuokkaContext.execute_many(frames)", "frame.submit(session)")
-        with self.session(system=system, engine_config=engine_config) as session:
-            return session.run_many(
-                frames, query_names=query_names, failure_plans=failure_plans
-            )

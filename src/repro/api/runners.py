@@ -4,7 +4,7 @@ Every way of running a query is an object with one method::
 
     submit(frame, options: QueryOptions) -> QueryHandle
 
-and three implementations cover the engine's execution modes:
+and four implementations cover the engine's execution modes:
 
 * :class:`OneShotRunner` — a fresh single-query cluster per submission (the
   paper's per-experiment methodology; what ``frame.collect()`` uses on a
@@ -31,7 +31,7 @@ from typing import Optional, Protocol, Union, runtime_checkable
 from repro.api.systems import resolve_engine_config
 from repro.common.errors import ConfigError
 from repro.core.metrics import QueryMetrics, QueryResult
-from repro.core.options import QueryOptions
+from repro.core.options import QueryOptions, resolve_planning
 from repro.core.session import QueryHandle, Session
 from repro.plan.dataframe import DataFrame
 from repro.plan.nodes import LogicalPlan
@@ -48,13 +48,19 @@ class Runner(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
+def _reject_set_fields(options: QueryOptions, fields, why: str) -> None:
+    """Raise rather than silently ignore options this backend cannot honor."""
+    unsupported = [field for field in fields if getattr(options, field) is not None]
+    if unsupported:
+        raise ConfigError(f"{why}: it cannot honor QueryOptions fields {unsupported}")
+
+
 class OneShotRunner:
     """Run each submission on a fresh single-query simulated cluster.
 
-    Mirrors the paper's per-experiment methodology (and the old
-    ``ctx.execute``): every query gets its own cluster, no cross-query
-    caches.  The handle owns its private session and closes it after
-    ``wait()``.
+    Mirrors the paper's per-experiment methodology: every query gets its own
+    cluster, no cross-query caches.  The handle owns its private session and
+    closes it after ``wait()``.
     """
 
     def __init__(self, context):
@@ -118,32 +124,15 @@ class ReferenceRunner:
         from repro.plan.interpreter import execute_plan
 
         options = options or QueryOptions()
-        unsupported = [
-            field
-            for field in ("system", "engine_config", "failure_plans", "tracer", "chaos")
-            if getattr(options, field) is not None
-        ]
-        if unsupported:
-            raise ConfigError(
-                "the reference interpreter has no cluster: it cannot honor "
-                f"QueryOptions fields {unsupported}"
-            )
+        _reject_set_fields(
+            options,
+            ("system", "engine_config", "failure_plans", "tracer", "chaos"),
+            "the reference interpreter has no cluster",
+        )
         plan = query.plan if isinstance(query, DataFrame) else query
-        if options.optimize:
-            # An *explicit* optimize=True runs the same cost-based pipeline
-            # the engine uses, honoring the planner knobs rather than
-            # silently ignoring them.
-            from repro.optimizer import (
-                CardinalityEstimator,
-                OptimizerConfig,
-                optimize_plan,
-            )
-
-            plan = optimize_plan(
-                plan,
-                config=OptimizerConfig(join_reorder=options.join_reorder),
-                estimator=CardinalityEstimator(use_table_stats=options.use_table_stats),
-            )
+        # Only an *explicit* optimize=True runs the cost-based pipeline the
+        # engine uses (honoring the planner knobs rather than ignoring them).
+        plan = resolve_planning(plan, options, default_optimize=False)[0]
         batch = execute_plan(plan)
         return QueryHandle.completed(QueryResult(batch, QueryMetrics(), options.query_name))
 
@@ -201,43 +190,22 @@ class ParallelRunner:
         from repro.physical.compiler import compile_plan
 
         options = options or QueryOptions()
-        unsupported = [
-            field
-            for field in ("system", "engine_config", "failure_plans", "tracer", "chaos",
-                          "memory_budget_bytes")
-            if getattr(options, field) is not None
-        ]
-        if unsupported:
-            raise ConfigError(
-                "the parallel backend runs on real processes, not the simulated "
-                f"cluster: it cannot honor QueryOptions fields {unsupported}"
-            )
+        _reject_set_fields(
+            options,
+            ("system", "engine_config", "failure_plans", "tracer", "chaos",
+             "memory_budget_bytes"),
+            "the parallel backend runs on real processes, not the simulated cluster",
+        )
         if options.adaptive:
             raise ConfigError(
                 "the parallel backend executes the static physical plan; "
                 "adaptive=True requires a simulated-cluster runner"
             )
         plan = query.plan if isinstance(query, DataFrame) else query
-        estimator = None
         # Like the engine runners (and unlike the reference interpreter),
         # planning is cost-based unless explicitly disabled.
-        if options.optimize is None or options.optimize:
-            from repro.optimizer import (
-                CardinalityEstimator,
-                OptimizerConfig,
-                optimize_plan,
-            )
-
-            estimator = CardinalityEstimator(use_table_stats=options.use_table_stats)
-            plan = optimize_plan(
-                plan,
-                config=OptimizerConfig(join_reorder=options.join_reorder),
-                estimator=estimator,
-            )
-        runtime_filters = (
-            options.runtime_filters
-            if options.runtime_filters is not None
-            else estimator is not None
+        plan, estimator, _adaptive, runtime_filters = resolve_planning(
+            plan, options, default_optimize=True
         )
         graph = compile_plan(
             plan,

@@ -26,9 +26,9 @@ from repro.common.config import ClusterConfig, CostModelConfig
 from repro.common.errors import ExecutionError, FaultToleranceError
 from repro.core.metrics import QueryMetrics, QueryResult
 from repro.data.batch import Batch, concat_batches
-from repro.data.partition import hash_partition
 from repro.physical.compiler import compile_plan
-from repro.physical.stages import Stage, StageGraph, apply_ops
+from repro.physical.stages import Stage, StageGraph
+from repro.physical.task import drain_operator, finish_output, route_output
 from repro.plan.catalog import Catalog
 from repro.plan.dataframe import DataFrame
 from repro.plan.nodes import LogicalPlan
@@ -254,14 +254,15 @@ class _SparkDriver:
         split_batch = yield from self.cluster.s3.get(("table", stage.table.name, spec.index))
         rows, nbytes = split_batch.num_rows, split_batch.nbytes
         yield self.env.timeout(self._cpu_seconds(rows, nbytes))
-        out = apply_ops(split_batch, stage.post_ops)
-        return out
+        return self._finish(stage, [split_batch])
 
     def _run_reduce_task(self, spec: _TaskSpec, stage: Stage, worker: Worker):
-        operator = stage.make_operator()
-        outputs: List[Batch] = []
+        # Fetch (and pay for) every input piece first; the operator itself
+        # takes no virtual time, so draining it afterwards costs the same.
+        inputs: List[List[Batch]] = []
         for link in stage.upstreams:
             upstream = self.graph.stage(link.upstream_id)
+            fetched: List[Batch] = []
             for producer in self._specs_for_stage(upstream):
                 key = (producer.stage_id, producer.index)
                 output = self.shuffle.get(key)
@@ -279,28 +280,19 @@ class _SparkDriver:
                     owner.worker_id, worker.worker_id, piece_bytes
                 )
                 yield self.env.timeout(self._cpu_seconds(piece.num_rows, piece.nbytes))
-                outputs.extend(operator.on_input(link.upstream_id, piece))
-            outputs.extend(operator.on_upstream_done(link.upstream_id))
-        outputs.extend(operator.finalize())
-        processed = [apply_ops(b, stage.post_ops) for b in outputs if b.num_rows]
-        return concat_batches(processed, schema=stage.output_schema)
+                fetched.append(piece)
+            inputs.append(fetched)
+        return self._finish(stage, drain_operator(stage, stage.make_operator(), inputs))
+
+    def _finish(self, stage: Stage, raw: List[Batch]) -> Batch:
+        """A Spark task materialises its whole output as one batch."""
+        return concat_batches(finish_output(stage, raw), schema=stage.output_schema)
 
     def _write_shuffle(self, spec: _TaskSpec, stage: Stage, worker: Worker, out_batch: Batch):
-        consumer = self.graph.consumer_of(stage.stage_id)
-        if consumer is not None:
-            consumer_stage, link = consumer
-            if link.partition_keys:
-                pieces = dict(
-                    enumerate(
-                        hash_partition(out_batch, link.partition_keys, consumer_stage.num_channels)
-                    )
-                )
-            else:
-                pieces = {0: out_batch}
-                for channel in range(1, consumer_stage.num_channels):
-                    pieces[channel] = out_batch.slice(0, 0)
-        else:
-            pieces = {0: out_batch}
+        # ``spec.index`` is a split for input stages; splits are dealt to
+        # channels round-robin, which is what "aligned" links route by.
+        producer_channel = spec.index % stage.num_channels
+        pieces = route_output(self.graph, stage, producer_channel, out_batch)
         nbytes = self.cost.scaled(out_batch.nbytes)
         yield from worker.disk.write((spec.stage_id, spec.index), pieces, nbytes)
         if not worker.alive:

@@ -26,7 +26,8 @@ from repro.ft.base import FaultToleranceStrategy
 from repro.gcs.naming import Lineage, TaskName
 from repro.gcs.tables import GlobalControlStore, TaskDescriptor
 from repro.memory.manager import MemoryManager
-from repro.physical.stages import Stage, StageGraph, apply_ops, partition_for_link
+from repro.physical.stages import Stage, StageGraph
+from repro.physical.task import finish_output, route_output
 from repro.plan.catalog import Catalog
 from repro.plan.dataframe import DataFrame
 from repro.plan.nodes import LogicalPlan
@@ -408,15 +409,9 @@ class ExecutionContext:
     # -- input-reader tasks ------------------------------------------------------------
 
     def _run_input_task(self, worker: Worker, descriptor: TaskDescriptor, stage: Stage):
-        if self.adaptive is not None and self.adaptive.gated(stage.stage_id):
-            return False  # held back while a runtime plan revision is pending
-        if self.filters is not None and self.filters.gated(stage.stage_id):
-            return False  # held back until every filter aimed here is published
-        runtime = self.runtime_for(worker.worker_id, stage, descriptor.name.channel)
-        if runtime.finalized:
+        runtime = self._startable_runtime(worker, stage, descriptor.name.channel)
+        if runtime is None:
             return False
-        if not self._consumers_reachable(stage):
-            return False  # a downstream worker is dead; wait for the coordinator
         splits = stage.splits_for_channel(descriptor.name.channel)
         split_pos = descriptor.name.seq
         if split_pos >= len(splits):
@@ -432,43 +427,7 @@ class ExecutionContext:
         yield request
         try:
             yield self.env.timeout(self.cost_model.dispatch_seconds())
-            if self.filters is not None and self.filters.split_prunable(
-                stage, split_index
-            ):
-                # Zone-map pruning: no row of this split can survive the
-                # scan's static bounds or a published min/max filter, so the
-                # task's output is the same empty batch a full read would
-                # produce — skip the S3 read (and the cache: the entry would
-                # only ever hold an empty batch this query can make for free).
-                out_batch, _rows, _nbytes = self._apply_post_ops(stage, [])
-                self.metrics.splits_pruned += 1
-            else:
-                cached = None
-                cache_key = None
-                if self.output_cache is not None:
-                    cache_key = scan_task_key(stage, split_index)
-                    if cache_key is not None:
-                        cached = self.output_cache.get(cache_key)
-                if cached is not None:
-                    # Another (or an earlier) query already committed this exact
-                    # scan output: serve it from session memory, skipping the S3
-                    # read and the post-op compute and charging only a copy.
-                    out_batch = cached
-                    self.metrics.cache_hits += 1
-                    yield self.env.timeout(
-                        self.cost_model.cpu_seconds(0, float(out_batch.nbytes))
-                    )
-                else:
-                    split_batch = yield from self._read_split(stage.table.name, split_index)
-                    out_batch, rows, nbytes = self._apply_post_ops(stage, [split_batch])
-                    yield self.env.timeout(self.cost_model.cpu_seconds(rows, nbytes))
-                    if cache_key is not None:
-                        self.metrics.cache_misses += 1
-                        self.output_cache.put(cache_key, out_batch, float(out_batch.nbytes))
-                if self.filters is not None:
-                    # After the cache, so cached scan outputs stay unfiltered
-                    # and shareable with queries running without filters.
-                    out_batch = self.filters.apply(stage, out_batch)
+            out_batch = yield from self._split_output(stage, split_index, use_cache=True)
             record = Lineage(descriptor.name, input_split=split_index, kind="input")
             committed = yield from self._emit_output(
                 worker, stage, runtime, descriptor, out_batch, record, is_final
@@ -484,6 +443,50 @@ class ExecutionContext:
             return True
         finally:
             worker.cpu.release(request)
+
+    def _split_output(self, stage: Stage, split_index: int, use_cache: bool):
+        """Process: the output batch of the input task over ``split_index``.
+
+        The single definition of what an input task computes, run by both the
+        original task and its lineage-driven regeneration — same decisions,
+        same yields, same bytes.  Only the session's scan-output cache is the
+        original's alone (``use_cache``): a regeneration always re-reads.
+        """
+        if self.filters is not None and self.filters.split_prunable(stage, split_index):
+            # Zone-map pruning: no row of this split can survive the scan's
+            # static bounds or a published min/max filter, so the output is
+            # the same empty batch a full read would produce — skip the S3
+            # read (and the cache: the entry would only ever hold an empty
+            # batch this query can make for free).  The decision replays
+            # exactly: filters never change once published, and the original
+            # task only ran gated on them.
+            self.metrics.splits_pruned += 1
+            return Batch.empty(stage.output_schema)
+        cache_key = None
+        if use_cache and self.output_cache is not None:
+            cache_key = scan_task_key(stage, split_index)
+        cached = self.output_cache.get(cache_key) if cache_key is not None else None
+        if cached is not None:
+            # Another (or an earlier) query already committed this exact
+            # scan output: serve it from session memory, skipping the S3
+            # read and the post-op compute and charging only a copy.
+            out_batch = cached
+            self.metrics.cache_hits += 1
+            yield self.env.timeout(
+                self.cost_model.cpu_seconds(0, float(out_batch.nbytes))
+            )
+        else:
+            split_batch = yield from self._read_split(stage.table.name, split_index)
+            out_batch, rows, nbytes = self._apply_post_ops(stage, [split_batch])
+            yield self.env.timeout(self.cost_model.cpu_seconds(rows, nbytes))
+            if cache_key is not None:
+                self.metrics.cache_misses += 1
+                self.output_cache.put(cache_key, out_batch, float(out_batch.nbytes))
+        if self.filters is not None:
+            # After the cache, so cached scan outputs stay unfiltered and
+            # shareable with queries running without filters.
+            out_batch = self.filters.apply(stage, out_batch)
+        return out_batch
 
     def _read_split(self, table_name: str, split_index: int):
         """Process: fetch one base-table split, via the shared-scan pool if any.
@@ -501,16 +504,10 @@ class ExecutionContext:
     # -- stateful channel tasks ----------------------------------------------------------
 
     def _run_channel_task(self, worker: Worker, descriptor: TaskDescriptor, stage: Stage):
-        if self.adaptive is not None and self.adaptive.gated(stage.stage_id):
-            return False  # held back while a runtime plan revision is pending
-        if self.filters is not None and self.filters.gated(stage.stage_id):
-            return False  # held back until every filter aimed here is published
         channel = descriptor.name.channel
-        runtime = self.runtime_for(worker.worker_id, stage, channel)
-        if runtime.finalized:
+        runtime = self._startable_runtime(worker, stage, channel)
+        if runtime is None:
             return False
-        if not self._consumers_reachable(stage):
-            return False  # a downstream worker is dead; wait for the coordinator
         lineage = self.gcs.lineage.get(descriptor.name) if descriptor.prescribed else None
         if lineage is not None:
             action = self._action_from_lineage(worker, runtime, stage, lineage)
@@ -586,6 +583,17 @@ class ExecutionContext:
             return True
         finally:
             worker.cpu.release(request)
+
+    def _startable_runtime(self, worker: Worker, stage: Stage, channel: int):
+        """The channel's runtime if one of its tasks may start now, else None."""
+        if self.adaptive is not None and self.adaptive.gated(stage.stage_id):
+            return None  # held back while a runtime plan revision is pending
+        if self.filters is not None and self.filters.gated(stage.stage_id):
+            return None  # held back until every filter aimed here is published
+        runtime = self.runtime_for(worker.worker_id, stage, channel)
+        if runtime.finalized or not self._consumers_reachable(stage):
+            return None  # done, or a downstream worker is dead (coordinator's turn)
+        return runtime
 
     def _consumers_reachable(self, stage: Stage) -> bool:
         """True if every worker hosting a consumer channel of ``stage`` is alive.
@@ -756,19 +764,11 @@ class ExecutionContext:
     # -- output emission (push + persist + commit) ----------------------------------------
 
     def _apply_post_ops(self, stage: Stage, batches: List[Batch]):
-        processed = []
-        rows = 0
-        nbytes = 0
-        for batch in batches:
-            if batch.num_rows == 0:
-                continue
-            rows += batch.num_rows
-            nbytes += batch.nbytes
-            processed.append(apply_ops(batch, stage.post_ops))
-        if processed:
-            out = concat_batches(processed, schema=stage.output_schema)
-        else:
-            out = Batch.empty(stage.output_schema)
+        """One task's single output batch, plus the input rows and bytes its
+        CPU charge is computed from."""
+        out = concat_batches(finish_output(stage, batches), schema=stage.output_schema)
+        rows = sum(batch.num_rows for batch in batches)
+        nbytes = sum(batch.nbytes for batch in batches)
         return out, rows, nbytes
 
     def _emit_output(
@@ -793,15 +793,11 @@ class ExecutionContext:
         # revisions fire at stage boundaries.
         while True:
             epoch = adaptive.epoch if adaptive is not None else None
-            pieces_payload: Dict[int, Batch] = {}
+            pieces_payload = route_output(self.graph, stage, task_name.channel, out_batch)
             stale = False
             if consumer is not None:
-                consumer_stage, link = consumer
-                pieces = self._partition_for_consumer(
-                    out_batch, consumer_stage, link, task_name.channel
-                )
-                for consumer_channel, piece in enumerate(pieces):
-                    pieces_payload[consumer_channel] = piece
+                consumer_stage = consumer[0]
+                for consumer_channel, piece in pieces_payload.items():
                     destination = self.gcs.placement.worker_for(
                         consumer_stage.stage_id, consumer_channel
                     )
@@ -824,8 +820,6 @@ class ExecutionContext:
                     )
                 if stale:
                     continue
-            else:
-                pieces_payload[0] = out_batch
 
             location = yield from self.strategy.persist_output(
                 self, worker, task_name, pieces_payload, float(out_batch.nbytes)
@@ -888,21 +882,6 @@ class ExecutionContext:
             self.finish_query(out_batch)
         return True
 
-    def _partition_for_consumer(
-        self, out_batch: Batch, consumer_stage: Stage, link, producer_channel: int
-    ) -> List[Batch]:
-        """Per-channel pieces of one output under the link's movement mode.
-
-        ``"partition"`` hash-partitions (or gathers to channel 0 without
-        keys); ``"broadcast"`` replicates the full batch to every channel (the
-        build side of a broadcast join); ``"aligned"`` sends everything to the
-        same-index consumer channel, which the default placement makes a
-        worker-local, zero-network push (the probe side of a broadcast join).
-        """
-        return partition_for_link(
-            out_batch, link, consumer_stage.num_channels, producer_channel
-        )
-
     # -- recovery tasks (replay / regenerate) -------------------------------------------------
 
     def _run_replay_task(self, worker: Worker, descriptor: TaskDescriptor):
@@ -947,37 +926,16 @@ class ExecutionContext:
         yield request
         try:
             yield self.env.timeout(self.cost_model.dispatch_seconds())
-            if self.filters is not None and self.filters.split_prunable(
-                stage, lineage.input_split
-            ):
-                # Mirror the original task's pruning decision exactly (the
-                # decision is deterministic: filters never change once
-                # published, and the original task only ran gated on them).
-                out_batch, rows, nbytes = self._apply_post_ops(stage, [])
-                self.metrics.splits_pruned += 1
-            else:
-                split_batch = yield from self._read_split(
-                    stage.table.name, lineage.input_split
-                )
-                out_batch, rows, nbytes = self._apply_post_ops(stage, [split_batch])
-                yield self.env.timeout(self.cost_model.cpu_seconds(rows, nbytes))
-                if self.filters is not None:
-                    out_batch = self.filters.apply(stage, out_batch)
-            consumer = self.graph.consumer_of(stage.stage_id)
+            out_batch = yield from self._split_output(
+                stage, lineage.input_split, use_cache=False
+            )
 
             def refresh():
                 # Re-partition under the *current* links, so a regeneration
                 # racing an adaptive revision still produces the canonical
                 # piece layout (identical to the controller's rewrites).
-                if consumer is None:
-                    return {}
-                consumer_stage, link = consumer
-                return dict(
-                    enumerate(
-                        self._partition_for_consumer(
-                            out_batch, consumer_stage, link, descriptor.name.channel
-                        )
-                    )
+                return route_output(
+                    self.graph, stage, descriptor.name.channel, out_batch
                 )
 
             while True:

@@ -36,14 +36,20 @@ on the compiled graph:
   cached scan outputs stay shareable with filter-less queries);
   :meth:`split_prunable` skips whole scan splits whose zone map cannot
   intersect a published min/max filter or the static predicate bounds.
+
+The coordinator owns *when* (commit-synchronous folds, publication, the gate)
+and the per-filter counters; *what* a fold, a filter application and a prune
+test compute is :mod:`repro.physical.task`, shared with every executor.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.data.batch import Batch
-from repro.kernels.runtimefilter import RuntimeFilter, RuntimeFilterBuilder
+from repro.kernels.runtimefilter import RuntimeFilter
+from repro.physical import task
 from repro.physical.stages import RuntimeFilterSpec, Stage
 
 
@@ -52,17 +58,17 @@ class FilterCoordinator:
 
     def __init__(self, execution):
         self.execution = execution
-        self.specs: List[RuntimeFilterSpec] = list(execution.graph.runtime_filters)
-        self._by_source: Dict[int, List[RuntimeFilterSpec]] = {}
-        self._by_target: Dict[int, List[RuntimeFilterSpec]] = {}
-        for spec in self.specs:
-            self._by_source.setdefault(spec.source_stage_id, []).append(spec)
-            self._by_target.setdefault(spec.target_stage_id, []).append(spec)
-        self._builders: Dict[int, RuntimeFilterBuilder] = {}
+        self.graph = execution.graph
+        self.specs: List[RuntimeFilterSpec] = list(self.graph.runtime_filters)
+        #: Running builder folds by source stage id, dropped at finalization.
+        self._folds: Dict[int, task.FilterFold] = {}
         #: Finalized filters by filter id (content frozen at source completion).
         self.filters: Dict[int, RuntimeFilter] = {}
         #: Filter ids whose shipped bytes have been charged (gate lifted).
         self.published: set = set()
+        #: Not-yet-published filters per target stage id: the gate itself,
+        #: kept as a count because every task attempt asks.
+        self._unpublished = Counter(spec.target_stage_id for spec in self.specs)
         #: Finalized but not yet network-charged, in finalization order.
         self._pending_publish: List[RuntimeFilterSpec] = []
         #: Observed probe traffic per filter id: [rows_tested, rows_dropped].
@@ -74,10 +80,7 @@ class FilterCoordinator:
 
     def gated(self, stage_id: int) -> bool:
         """True while any filter aimed at ``stage_id`` is not yet published."""
-        specs = self._by_target.get(stage_id)
-        if not specs:
-            return False
-        return any(spec.filter_id not in self.published for spec in specs)
+        return self._unpublished.get(stage_id, 0) > 0
 
     # -- accumulation / publication -------------------------------------------------
 
@@ -89,35 +92,24 @@ class FilterCoordinator:
         the same transaction wrote, and every earlier commit's fold already
         ran under the same no-yield discipline.
         """
-        specs = self._by_source.get(stage.stage_id)
-        if not specs:
+        specs = self.graph.filters_from_source(stage.stage_id)
+        # Every filter fed by one source stage finalizes in the same commit,
+        # so the first spec stands for all of them; later re-commits (a
+        # retraced producer) leave the frozen filters untouched.
+        if not specs or specs[0].filter_id in self.filters:
             return
-        live = [spec for spec in specs if spec.filter_id not in self.filters]
-        if not live:
-            return
-        if out_batch.num_rows:
-            for spec in live:
-                self._builder_for(stage, spec).add(
-                    out_batch.column_data(spec.build_key)
-                )
+        fold = self._folds.get(stage.stage_id)
+        if fold is None:
+            fold = self._folds[stage.stage_id] = task.FilterFold(stage, specs)
+        fold.add(out_batch)
         gcs = self.execution.gcs
         if all(
             gcs.channel_done.is_done(stage.stage_id, channel)
             for channel in range(stage.num_channels)
         ):
-            for spec in live:
-                builder = self._builder_for(stage, spec)
-                self.filters[spec.filter_id] = builder.finalize()
-                self._builders.pop(spec.filter_id, None)
+            for spec, rf in self._folds.pop(stage.stage_id).finalize():
+                self.filters[spec.filter_id] = rf
                 self._pending_publish.append(spec)
-
-    def _builder_for(self, stage: Stage, spec: RuntimeFilterSpec) -> RuntimeFilterBuilder:
-        builder = self._builders.get(spec.filter_id)
-        if builder is None:
-            dtype = stage.output_schema.field(spec.build_key).dtype
-            builder = RuntimeFilterBuilder(dtype)
-            self._builders[spec.filter_id] = builder
-        return builder
 
     def publish_ready(self, worker):
         """Process: charge the network for newly finalized filters.
@@ -146,6 +138,7 @@ class FilterCoordinator:
                     scaled + execution.PIECE_OVERHEAD,
                 )
             self.published.add(spec.filter_id)
+            self._unpublished[spec.target_stage_id] -= 1
             execution.metrics.filters_published += 1
             execution.metrics.filter_bytes += float(nbytes)
             if execution.tracer.enabled:
@@ -170,44 +163,23 @@ class FilterCoordinator:
         The gate guarantees every filter aimed at ``stage`` is published by
         the time its tasks run, so lookups are plain dict hits.
         """
-        specs = self._by_target.get(stage.stage_id)
-        if not specs:
-            return batch
         metrics = self.execution.metrics
-        for spec in specs:
-            if batch.num_rows == 0:
-                break
-            rf = self.filters[spec.filter_id]
-            mask = rf.mask(batch.column_data(spec.probe_key))
-            tested = batch.num_rows
-            kept = int(mask.sum())
+        for spec in self.graph.filters_for_target(stage.stage_id):
+            # One filter per call keeps the per-filter counters exact.
+            batch, tested, dropped = task.apply_runtime_filters(
+                batch, [(spec.probe_key, self.filters[spec.filter_id])]
+            )
             metrics.filter_rows_tested += tested
-            metrics.filter_rows_dropped += tested - kept
+            metrics.filter_rows_dropped += dropped
             observed = self._observed[spec.filter_id]
             observed[0] += tested
-            observed[1] += tested - kept
-            if kept < tested:
-                batch = batch.filter(mask)
+            observed[1] += dropped
         return batch
 
     def split_prunable(self, stage: Stage, split_index: int) -> bool:
         """True when no row of the split could survive the scan's filters."""
-        if stage.table is None:
-            return False
-        ready = [
-            (spec.target_raw_column, self.filters[spec.filter_id])
-            for spec in self._by_target.get(stage.stage_id, ())
-            if spec.target_raw_column is not None
-        ]
-        if not ready and not stage.scan_bounds:
-            return False
-        from repro.optimizer.runtime_filters import split_is_prunable
-        from repro.optimizer.statistics import split_zone_maps
-
-        maps = split_zone_maps(stage.table)
-        if maps is None or split_index >= len(maps):
-            return False
-        return split_is_prunable(maps[split_index], stage.scan_bounds, ready)
+        specs = self.graph.filters_for_target(stage.stage_id)
+        return task.split_prunable(stage, split_index, specs, self.filters)
 
     # -- adaptive feedback ------------------------------------------------------------
 
@@ -233,7 +205,7 @@ class FilterCoordinator:
         return scale
 
     def _probe_subtree(self, join_stage_id: int) -> set:
-        graph = self.execution.graph
+        graph = self.graph
         stage = graph.stage(join_stage_id)
         if not stage.join_info:
             return set()

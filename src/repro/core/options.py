@@ -1,6 +1,6 @@
 """Per-query execution options shared by every runner.
 
-Historically each execution path (``ctx.execute``, ``ctx.execute_reference``,
+Historically each execution path (the since-removed ``ctx.execute*``,
 ``Session.submit``, ``Session.run_many``) grew its own kwarg sprawl.
 :class:`QueryOptions` replaces all of them: one frozen dataclass carried from
 the user through a :class:`~repro.api.runners.Runner` down to
@@ -114,3 +114,36 @@ class QueryOptions:
                 f"available: {sorted(field.name for field in fields(self))}"
             )
         return replace(self, **overrides)
+
+
+def resolve_planning(plan, options: QueryOptions, default_optimize: bool):
+    """Resolve ``options``' planner tri-states; plan cost-based if they say so.
+
+    Returns ``(plan, estimator, adaptive, runtime_filters)``.
+    ``default_optimize`` is what ``optimize=None`` means to the calling
+    runner: cost-based for the engine and the parallel backend, as-written
+    for the reference interpreter.  Cost-based planning rewrites the plan
+    through :func:`repro.optimizer.optimize_plan` and returns the estimator
+    that costed it; otherwise the plan comes back untouched with
+    ``estimator=None`` — the seed-era heuristic path (no statistics, no
+    broadcast joins, fixed channel counts).  ``adaptive`` and
+    ``runtime_filters`` default on exactly when an estimator exists; the
+    adaptive controller revises the estimator's stamped estimates, so
+    without one even an explicit ``adaptive=True`` resolves false.
+    """
+    estimator = None
+    if default_optimize if options.optimize is None else options.optimize:
+        from repro.optimizer import CardinalityEstimator, OptimizerConfig, optimize_plan
+
+        estimator = CardinalityEstimator(use_table_stats=options.use_table_stats)
+        plan = optimize_plan(
+            plan,
+            config=OptimizerConfig(join_reorder=options.join_reorder),
+            estimator=estimator,
+        )
+    planned = estimator is not None
+    adaptive = planned and (options.adaptive is None or options.adaptive)
+    runtime_filters = (
+        planned if options.runtime_filters is None else options.runtime_filters
+    )
+    return plan, estimator, adaptive, runtime_filters

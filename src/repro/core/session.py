@@ -48,7 +48,7 @@ from repro.common.errors import ConfigError, ExecutionError
 from repro.core.cache import OutputCache, SharedScanPool, plan_key
 from repro.core.engine import ExecutionContext
 from repro.core.metrics import QueryMetrics, QueryResult
-from repro.core.options import QueryOptions
+from repro.core.options import QueryOptions, resolve_planning
 from repro.core.recovery import RecoveryCoordinator
 from repro.core.runtime import FairShareScheduler
 from repro.data.batch import Batch
@@ -220,9 +220,9 @@ class Session:
         """Submit one query parameterised by ``options`` (the canonical path).
 
         Every public execution surface — ``frame.collect()``,
-        ``frame.submit()``, the one-shot runner behind the deprecated
-        ``ctx.execute`` and this session's own :meth:`submit` / :meth:`run` /
-        :meth:`run_many` wrappers — funnels through here.
+        ``frame.submit()``, the one-shot runner and this session's own
+        :meth:`submit` / :meth:`run` / :meth:`run_many` wrappers — funnels
+        through here.
 
         ``options.failure_plans`` are scheduled relative to the submission
         instant (their ``at_time`` counts virtual seconds from now); a
@@ -256,34 +256,10 @@ class Session:
                 getattr(self.strategy, "durable_spill_target", None) or "local"
             )
         plan = query.plan if isinstance(query, DataFrame) else query
-        # Cost-based planning is default-on for the engine (optimize=None);
-        # an explicit optimize=False submission takes the seed-era heuristic
-        # path: no rewrite, no statistics, no broadcast joins, fixed channel
-        # counts.
-        estimator = None
-        if options.optimize is None or options.optimize:
-            from repro.optimizer import CardinalityEstimator, OptimizerConfig, optimize_plan
-
-            estimator = CardinalityEstimator(use_table_stats=options.use_table_stats)
-            plan = optimize_plan(
-                plan,
-                config=OptimizerConfig(join_reorder=options.join_reorder),
-                estimator=estimator,
-            )
-        # Adaptive (runtime-feedback) execution is default-on whenever the
-        # cost-based estimator planned the query: the controller revises the
-        # estimator's compile-time decisions against observed bytes.  Without
-        # an estimator there is nothing to revise (no stamped estimates), and
-        # an explicit adaptive=False pins the static plan.
-        adaptive = (
-            options.adaptive if options.adaptive is not None else True
-        ) and estimator is not None
-        # Runtime semi-join filters follow the same resolution shape: default
-        # on whenever the query planned cost-based, explicit True/False wins.
-        runtime_filters = (
-            options.runtime_filters
-            if options.runtime_filters is not None
-            else estimator is not None
+        # Cost-based planning (and with it adaptive execution and runtime
+        # filters) is default-on for the engine.
+        plan, estimator, adaptive, runtime_filters = resolve_planning(
+            plan, options, default_optimize=True
         )
         query_name = options.query_name
         failure_plans = options.failure_plans

@@ -9,9 +9,10 @@ worker processes, stage by stage:
    slow split or a hot channel never idles the rest of the pool;
 2. all batch payloads between tasks travel through shared memory
    (:mod:`repro.parallel.shm`) — the queues carry only handles;
-3. stage boundaries repartition through the exact same
-   :func:`~repro.physical.stages.partition_for_link` the in-process and
-   simulated executors use, so hash placement is bit-identical;
+3. every task body is the shared stage-task step of
+   :mod:`repro.physical.task` (post-ops, runtime-filter apply, routing) —
+   the same code the in-process and simulated executors run, so surviving
+   rows and hash placement are bit-identical;
 4. each emitted piece carries a driver-assigned sequence key, and the driver
    sorts every consumer channel's pieces by that key before dispatching the
    consumer — operator input order is a pure function of
@@ -59,7 +60,15 @@ from repro.parallel.shm import (
     write_blob,
 )
 from repro.physical.operators import AggregateOperator
-from repro.physical.stages import Stage, StageGraph, apply_ops, partition_for_link
+from repro.physical.stages import Stage, StageGraph
+from repro.physical.task import (
+    FilterFold,
+    apply_runtime_filters,
+    drain_operator,
+    finish_output,
+    route_output,
+    split_prunable,
+)
 
 #: Unique-per-driver-process counter feeding block name prefixes.
 _query_counter = itertools.count()
@@ -125,27 +134,18 @@ class StageGraphTaskHandler:
     def _run_scan(self, task: ScanTask):
         stage = self.graph.stage(task.stage_id)
         split = stage.table.splits()[task.split_index]
-        sequenced: List[Tuple[tuple, Batch]] = []
-        for morsel_index, chunk in enumerate(split.split(self.morsel_rows)):
-            transformed = apply_ops(chunk, stage.post_ops)
-            if transformed.num_rows:
-                sequenced.append(
-                    ((task.channel, task.split_position, morsel_index, 0), transformed)
-                )
-        sequenced, tested, dropped = self._apply_filters(task.filters, sequenced)
-        return self._route(stage, task.channel, sequenced), tested, dropped
+        return self._emit(
+            stage, task, (task.channel, task.split_position),
+            split.split(self.morsel_rows),
+        )
 
     def _run_channel(self, task: ChannelTask):
         stage = self.graph.stage(task.stage_id)
-        operator = stage.make_operator()
-        emitted: List[Batch] = []
-        for link, refs in zip(stage.upstreams, task.inputs):
-            for ref in refs:
-                batch = read_batch(ref, self.registry)
-                emitted.extend(operator.on_input(link.upstream_id, batch))
-            emitted.extend(operator.on_upstream_done(link.upstream_id))
-        emitted.extend(operator.finalize())
-        return self._route_emitted(stage, task.channel, emitted, task.filters)
+        inputs = [
+            (read_batch(ref, self.registry) for ref in refs) for refs in task.inputs
+        ]
+        emitted = drain_operator(stage, stage.make_operator(), inputs)
+        return self._emit(stage, task, (task.channel,), emitted)
 
     def _run_partial_agg(self, task: PartialAggTask):
         stage = self.graph.stage(task.stage_id)
@@ -160,72 +160,33 @@ class StageGraphTaskHandler:
         operator = stage.make_operator()
         for state in task.states:  # shard order — deterministic group order
             operator._state.merge(state)
-        return self._route_emitted(
-            stage, task.channel, list(operator.finalize()), task.filters
-        )
+        return self._emit(stage, task, (task.channel,), operator.finalize())
 
-    # -- routing ----------------------------------------------------------------
+    # -- the task step, plus transport --------------------------------------------
 
-    def _route_emitted(
-        self, stage: Stage, channel: int, emitted: List[Batch], filters
-    ):
-        sequenced = []
-        for emit_index, batch in enumerate(emitted):
-            out = apply_ops(batch, stage.post_ops)
-            if out.num_rows:
-                sequenced.append(((channel, emit_index), out))
-        sequenced, tested, dropped = self._apply_filters(filters, sequenced)
-        return self._route(stage, channel, sequenced), tested, dropped
+    def _emit(self, stage: Stage, task, seq_prefix: tuple, raw):
+        """Run the shared task step over ``raw`` and write the pieces out.
 
-    def _apply_filters(self, filters, sequenced):
-        """Drop rows no runtime filter keeps from each sequenced output batch.
-
-        Applied at the task's *output* (after the stage's fused post-ops),
-        mirroring where the simulated engine's FilterCoordinator applies —
-        both backends therefore route the exact same surviving row sets.
-        """
-        if not filters:
-            return sequenced, 0, 0
-        tested = dropped = 0
-        filtered: List[Tuple[tuple, Batch]] = []
-        for seq, batch in sequenced:
-            for probe_key, handle in filters:
-                if not batch.num_rows:
-                    break
-                rf = self._filter_cache.get(handle.block)
-                if rf is None:
-                    rf = self._filter_cache[handle.block] = read_blob(handle)
-                mask = rf.mask(batch.column_data(probe_key))
-                kept = int(mask.sum())
-                tested += batch.num_rows
-                dropped += batch.num_rows - kept
-                if kept < batch.num_rows:
-                    batch = batch.filter(mask)
-            if batch.num_rows:
-                filtered.append((seq, batch))
-        return filtered, tested, dropped
-
-    def _route(
-        self, stage: Stage, channel: int, sequenced: List[Tuple[tuple, Batch]]
-    ) -> List[RoutedPiece]:
-        """Partition sequenced output batches for the consumer link.
-
-        Result-stage output (no consumer) routes to pseudo-channel 0; the
+        Returns ``(routed pieces, filter rows tested, filter rows dropped)``.
+        Every surviving output batch gets the sequence key ``seq_prefix +
+        (its index,)``.  Result-stage output routes to pseudo-channel 0; the
         driver lifts it out with copy-mode reads.  Broadcast links repeat the
         same batch object per target channel — it is written to shared memory
         once and the one handle fans out.
         """
-        consumer = self.graph.consumer_of(stage.stage_id)
+        filters = [(key, self._filter(handle)) for key, handle in task.filters]
         routed: List[RoutedPiece] = []
-        if consumer is None:
-            for seq, batch in sequenced:
-                routed.append((0, seq, write_batch(batch, self.block_prefix)))
-            return routed
-        consumer_stage, link = consumer
-        for seq, batch in sequenced:
-            pieces = partition_for_link(batch, link, consumer_stage.num_channels, channel)
+        tested = dropped = 0
+        for index, batch in enumerate(finish_output(stage, raw)):
+            batch, batch_tested, batch_dropped = apply_runtime_filters(batch, filters)
+            tested += batch_tested
+            dropped += batch_dropped
+            if not batch.num_rows:
+                continue
+            seq = seq_prefix + (index,)
             written: Dict[int, ShmBatchRef] = {}
-            for target, piece in enumerate(pieces):
+            pieces = route_output(self.graph, stage, task.channel, batch)
+            for target, piece in pieces.items():
                 if not piece.num_rows:
                     continue
                 ref = written.get(id(piece))
@@ -233,7 +194,13 @@ class StageGraphTaskHandler:
                     ref = write_batch(piece, self.block_prefix)
                     written[id(piece)] = ref
                 routed.append((target, seq, ref))
-        return routed
+        return routed, tested, dropped
+
+    def _filter(self, handle: ShmBlobRef):
+        rf = self._filter_cache.get(handle.block)
+        if rf is None:
+            rf = self._filter_cache[handle.block] = read_blob(handle)
+        return rf
 
 
 class ParallelExecutor:
@@ -332,20 +299,17 @@ class ParallelExecutor:
         # static predicate bounds or a published min/max filter would filter
         # to zero rows — skipping its task routes the exact same (empty)
         # piece set without reading the split.
-        live = [t for t in tasks if not self._split_prunable(stage, t.split_index)]
+        specs = self.graph.filters_for_target(stage.stage_id)
+        live = [
+            t for t in tasks
+            if not split_prunable(stage, t.split_index, specs, self._filters)
+        ]
         self.stats.splits_pruned += len(tasks) - len(live)
         filters = self._filter_handles_for(stage)
         for task in live:
             task.filters = filters
         self.stats.scan_tasks += len(live)
-        payloads = pool.run(live, on_error=on_error)
-        routed: List[RoutedPiece] = []
-        for task in live:
-            pieces, tested, dropped = payloads[task.task_id]
-            self.stats.filter_rows_tested += tested
-            self.stats.filter_rows_dropped += dropped
-            routed.extend(pieces)
-        return routed
+        return self._collect(live, pool.run(live, on_error=on_error))
 
     def _run_inner_stage(
         self, stage, pool, inbox, next_id, on_error
@@ -388,12 +352,7 @@ class ParallelExecutor:
         self.stats.agg_shard_tasks += sum(len(ts) for _, ts in sharded)
         round_one = channel_tasks + [t for _, ts in sharded for t in ts]
         payloads = pool.run(round_one, on_error=on_error)
-        routed = []
-        for t in channel_tasks:
-            pieces, tested, dropped = payloads[t.task_id]
-            self.stats.filter_rows_tested += tested
-            self.stats.filter_rows_dropped += dropped
-            routed.extend(pieces)
+        routed = self._collect(channel_tasks, payloads)
         if sharded:
             merges = [
                 MergeAggTask(
@@ -404,12 +363,18 @@ class ParallelExecutor:
                 for channel, shard_tasks in sharded
             ]
             self.stats.merge_tasks += len(merges)
-            merged = pool.run(merges, on_error=on_error)
-            for t in merges:
-                pieces, tested, dropped = merged[t.task_id]
-                self.stats.filter_rows_tested += tested
-                self.stats.filter_rows_dropped += dropped
-                routed.extend(pieces)
+            routed += self._collect(merges, pool.run(merges, on_error=on_error))
+        return routed
+
+    def _collect(self, tasks, payloads) -> List[RoutedPiece]:
+        """Routed pieces of finished emitting tasks, in task order; their
+        filter counters fold into the stats."""
+        routed: List[RoutedPiece] = []
+        for task in tasks:
+            pieces, tested, dropped = payloads[task.task_id]
+            self.stats.filter_rows_tested += tested
+            self.stats.filter_rows_dropped += dropped
+            routed.extend(pieces)
         return routed
 
     def _register_pieces(
@@ -440,29 +405,16 @@ class ParallelExecutor:
         analogue of the engine folding every committed task output — the
         reductions are idempotent, so duplicates would not even matter.
         """
-        from repro.kernels.runtimefilter import RuntimeFilterBuilder
-
         specs = self.graph.filters_from_source(stage.stage_id)
         if not specs:
             return
-        builders = {
-            spec.filter_id: RuntimeFilterBuilder(
-                stage.output_schema.field(spec.build_key).dtype
-            )
-            for spec in specs
-        }
+        fold = FilterFold(stage, specs)
         seen: set = set()
         for _target, _seq, ref in routed:
-            if ref.block in seen:
-                continue
-            seen.add(ref.block)
-            batch = read_batch(ref, copy=True)
-            if not batch.num_rows:
-                continue
-            for spec in specs:
-                builders[spec.filter_id].add(batch.column_data(spec.build_key))
-        for spec in specs:
-            rf = builders[spec.filter_id].finalize()
+            if ref.block not in seen:
+                seen.add(ref.block)
+                fold.add(read_batch(ref, copy=True))
+        for spec, rf in fold.finalize():
             self._filters[spec.filter_id] = rf
             handle = write_blob(rf, self.block_prefix)
             self._filter_handles[spec.filter_id] = handle
@@ -477,22 +429,6 @@ class ParallelExecutor:
             (spec.probe_key, self._filter_handles[spec.filter_id])
             for spec in self.graph.filters_for_target(stage.stage_id)
         ]
-
-    def _split_prunable(self, stage, split_index: int) -> bool:
-        ready = [
-            (spec.target_raw_column, self._filters[spec.filter_id])
-            for spec in self.graph.filters_for_target(stage.stage_id)
-            if spec.target_raw_column is not None
-        ]
-        if not ready and not stage.scan_bounds:
-            return False
-        from repro.optimizer.runtime_filters import split_is_prunable
-        from repro.optimizer.statistics import split_zone_maps
-
-        maps = split_zone_maps(stage.table)
-        if maps is None or split_index >= len(maps):
-            return False
-        return split_is_prunable(maps[split_index], stage.scan_bounds, ready)
 
 
 def _is_shardable_agg(stage: Stage) -> bool:

@@ -1,10 +1,11 @@
 """In-process execution of a stage graph (no cluster, no fault tolerance).
 
 This executor walks the stage graph in topological order, runs every channel's
-operator over its routed inputs and returns the result stage's output.  It
-exists to test the physical layer (compiler + operators + partitioning +
-link modes) independently of the simulated cluster, and doubles as a second
-correctness oracle alongside the logical-plan interpreter.
+task step (:mod:`repro.physical.task`) over its routed inputs and returns the
+result stage's output.  It exists to test the physical layer (compiler +
+operators + partitioning + link modes) independently of the simulated cluster,
+and doubles as a second correctness oracle alongside the logical-plan
+interpreter.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import Dict, List, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.data.batch import Batch, concat_batches
-from repro.physical.stages import Stage, StageGraph, apply_ops, partition_for_link
+from repro.physical.stages import Stage, StageGraph
+from repro.physical.task import drain_operator, finish_output, route_output
 
 
 def execute_stage_graph_locally(graph: StageGraph, batch_rows: int = 10_000) -> Batch:
@@ -23,74 +25,46 @@ def execute_stage_graph_locally(graph: StageGraph, batch_rows: int = 10_000) -> 
     multi-batch code paths of the operators are exercised.
     """
     graph.validate()
-    # outputs[(stage_id, consumer_channel, upstream_id)] -> batches destined there
-    outputs: Dict[Tuple[int, int, int], List[Batch]] = {}
+    # inbox[(stage_id, consumer_channel, upstream_id)] -> batches destined there
+    inbox: Dict[Tuple[int, int, int], List[Batch]] = {}
 
     for stage_id in graph.topological_order():
         stage = graph.stage(stage_id)
-        produced = _run_stage(graph, stage, outputs, batch_rows)
         consumer = graph.consumer_of(stage_id)
+        result: List[Batch] = []
+        for channel in range(stage.num_channels):
+            raw = _raw_output(stage, channel, inbox, batch_rows)
+            for batch in finish_output(stage, raw):
+                pieces = route_output(graph, stage, channel, batch)
+                if consumer is None:
+                    result.extend(pieces.values())
+                    continue
+                for target, piece in pieces.items():
+                    if piece.num_rows:
+                        inbox.setdefault(
+                            (consumer[0].stage_id, target, stage_id), []
+                        ).append(piece)
         if consumer is None:
-            return concat_batches(
-                [batch for _channel, batch in produced], schema=stage.output_schema
-            )
-        consumer_stage, link = consumer
-        _shuffle(produced, stage, consumer_stage, link, outputs)
+            return concat_batches(result, schema=stage.output_schema)
     raise ExecutionError("stage graph has no result stage")
 
 
-def _run_stage(
-    graph: StageGraph,
+def _raw_output(
     stage: Stage,
-    outputs: Dict[Tuple[int, int, int], List[Batch]],
+    channel: int,
+    inbox: Dict[Tuple[int, int, int], List[Batch]],
     batch_rows: int,
-) -> List[Tuple[int, Batch]]:
-    """Run every channel of ``stage``; returns ``(producer_channel, batch)``."""
+) -> List[Batch]:
+    """What one channel produces before post-ops: scan chunks or operator output."""
     if stage.is_input:
-        return _run_input_stage(stage, batch_rows)
-    produced: List[Tuple[int, Batch]] = []
-    for channel in range(stage.num_channels):
-        operator = stage.make_operator()
-        emitted: List[Batch] = []
-        for link in stage.upstreams:
-            for batch in outputs.pop((stage.stage_id, channel, link.upstream_id), []):
-                emitted.extend(operator.on_input(link.upstream_id, batch))
-            emitted.extend(operator.on_upstream_done(link.upstream_id))
-        emitted.extend(operator.finalize())
-        produced.extend((channel, batch) for batch in emitted)
-    keep_empty = stage.stage_id == graph.result_stage_id
-    return [
-        (channel, apply_ops(batch, stage.post_ops))
-        for channel, batch in produced
-        if batch.num_rows or keep_empty
+        splits = stage.table.splits()
+        return [
+            chunk
+            for split_index in stage.splits_for_channel(channel)
+            for chunk in splits[split_index].split(batch_rows)
+        ]
+    inputs = [
+        inbox.pop((stage.stage_id, channel, link.upstream_id), [])
+        for link in stage.upstreams
     ]
-
-
-def _run_input_stage(stage: Stage, batch_rows: int) -> List[Tuple[int, Batch]]:
-    splits = stage.table.splits()
-    produced: List[Tuple[int, Batch]] = []
-    for channel in range(stage.num_channels):
-        for split_index in stage.splits_for_channel(channel):
-            for chunk in splits[split_index].split(batch_rows):
-                transformed = apply_ops(chunk, stage.post_ops)
-                if transformed.num_rows:
-                    produced.append((channel, transformed))
-    return produced
-
-
-def _shuffle(
-    produced: List[Tuple[int, Batch]],
-    producer: Stage,
-    consumer: Stage,
-    link,
-    outputs: Dict[Tuple[int, int, int], List[Batch]],
-) -> None:
-    for producer_channel, batch in produced:
-        pieces = partition_for_link(
-            batch, link, consumer.num_channels, producer_channel
-        )
-        for channel, piece in enumerate(pieces):
-            if piece.num_rows:
-                outputs.setdefault(
-                    (consumer.stage_id, channel, producer.stage_id), []
-                ).append(piece)
+    return drain_operator(stage, stage.make_operator(), inputs)

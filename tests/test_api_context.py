@@ -39,8 +39,8 @@ def sales_query(ctx):
 class TestQuokkaContext:
     def test_execute_matches_reference(self, ctx):
         query = sales_query(ctx)
-        expected = ctx.execute_reference(query)
-        result = ctx.execute(query, query_name="sales-summary")
+        expected = query.collect_reference()
+        result = query.submit(query_name="sales-summary").wait()
         assert result.query_name == "sales-summary"
         assert result.batch.equals(expected, sort_keys=["region"])
 
@@ -52,13 +52,13 @@ class TestQuokkaContext:
     @pytest.mark.parametrize("system", ["quokka", "sparksql", "trino"])
     def test_each_preset_system_produces_the_same_answer(self, ctx, system):
         query = sales_query(ctx)
-        expected = ctx.execute_reference(query)
-        result = ctx.execute(query, system=system)
+        expected = query.collect_reference()
+        result = query.submit(system=system).wait()
         assert result.batch.equals(expected, sort_keys=["region"])
 
     def test_unknown_system_rejected(self, ctx):
         with pytest.raises(ConfigError):
-            ctx.execute(sales_query(ctx), system="duckdb")
+            sales_query(ctx).collect(system="duckdb")
 
     def test_duplicate_table_rejected(self, ctx):
         with pytest.raises(Exception):

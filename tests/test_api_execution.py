@@ -2,13 +2,10 @@
 
 Covers the redesign's acceptance criteria: every public path is a wrapper
 over ``Runner``/``QueryOptions``/``QueryHandle``, a bound frame's
-``collect()`` equals the deprecated ``ctx.execute(frame).batch``
-(reference-checked on TPC-H Q1/Q3/Q6), and ``QueryOptions`` resolves
-engine configuration with engine_config > system preset > context default
-precedence.
+``collect()`` is reference-checked on TPC-H Q1/Q3/Q6 under both planning
+paths, and ``QueryOptions`` resolves engine configuration with
+engine_config > system preset > context default precedence.
 """
-
-import warnings
 
 import pytest
 
@@ -193,37 +190,25 @@ class TestQueryOptions:
         )
 
 
-class TestDeprecatedShims:
-    """The old surface must keep working, warn, and match the new verbs."""
+class TestVerbsOnTpch:
+    """The verbs agree with the reference under both planning paths."""
 
     @pytest.mark.parametrize("query_number", [1, 3, 6])
-    def test_collect_equals_execute_on_tpch(self, query_number):
+    def test_collect_matches_reference_on_tpch(self, query_number):
         catalog = generate_catalog(scale_factor=0.001, seed=0)
         ctx = QuokkaContext(num_workers=2, cpus_per_worker=2, catalog=catalog)
         frame = build_query(catalog, query_number).bind(ctx)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = ctx.execute(frame).batch
-        new = frame.collect()
+        heuristic = frame.collect(optimize=False)
+        cost_based = frame.collect()
         expected = reference_answer(catalog, query_number)
-        assert new.equals(old)
-        assert new.equals(expected)
+        assert cost_based.equals(heuristic)
+        assert cost_based.equals(expected)
         assert frame.collect_reference().equals(expected)
 
-    def test_shims_warn(self, ctx):
+    def test_session_run_many_names_and_answers(self, ctx):
         frame = sales_query(ctx)
-        with pytest.warns(DeprecationWarning):
-            ctx.execute_reference(frame)
-        with pytest.warns(DeprecationWarning):
-            ctx.execute(frame)
-        with pytest.warns(DeprecationWarning):
-            ctx.execute_many([frame])
-
-    def test_execute_many_matches_session_submits(self, ctx):
-        frame = sales_query(ctx)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            results = ctx.execute_many([frame, frame], query_names=["a", "b"])
+        with ctx.session() as session:
+            results = session.run_many([frame, frame], query_names=["a", "b"])
         expected = frame.collect_reference()
         assert [r.query_name for r in results] == ["a", "b"]
         for result in results:

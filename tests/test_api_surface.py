@@ -166,10 +166,11 @@ def test_query_options_fields_are_stable():
     ]
 
 
-def test_deprecated_shims_still_exported():
-    # The old surface must remain callable (as shims) until a major release.
+def test_context_has_no_execution_methods():
+    # Execution is a verb on the frame; the pre-redesign ctx.execute* shims
+    # are gone and must not grow back.
     for name in ("execute", "execute_reference", "execute_many"):
-        assert callable(getattr(api.QuokkaContext, name))
+        assert not hasattr(api.QuokkaContext, name)
 
 
 #: Snapshot of the cost-annotated EXPLAIN output: every node carries its

@@ -75,9 +75,9 @@ def test_optimized_plan_runs_on_distributed_engine(tpch_catalog):
     from repro.api import QuokkaContext
 
     ctx = QuokkaContext(num_workers=2, catalog=tpch_catalog)
-    frame = build_query(tpch_catalog, 3)
-    plain = ctx.execute(frame).batch
-    optimized = ctx.execute(frame, optimize=True).batch
+    frame = build_query(tpch_catalog, 3).bind(ctx)
+    plain = frame.collect(optimize=False)
+    optimized = frame.collect(optimize=True)
     assert plain.equals(optimized)
 
 

@@ -438,6 +438,6 @@ class TestContextIntegration:
             "SELECT o_custkey, sum(o_totalprice) AS total FROM orders "
             "GROUP BY o_custkey ORDER BY o_custkey"
         )
-        reference = ctx.execute_reference(frame).to_pydict()
-        distributed = ctx.execute(frame).batch.to_pydict()
+        reference = frame.collect_reference().to_pydict()
+        distributed = frame.collect(optimize=False).to_pydict()
         assert distributed == reference
