@@ -5,8 +5,11 @@ with an IN-subquery join) through the full simulated engine twice — once
 with an unlimited budget (``memory_budget_bytes=inf``: resident execution
 plus peak tracking, zero spills) and once with a per-worker budget of 25%
 of the measured resident peak — and records runtimes, spill traffic and
-memory peaks.  Results go to a machine-readable ``BENCH_memory.json`` so
-out-of-core behaviour has a trajectory CI can gate on.
+memory peaks.  Q9 additionally re-runs at 0.5% of its peak: the regime where
+build sides are predicted not to fit even one grace partition, which the
+grace join serves with transient tables and forced grants.  Results go to
+a machine-readable ``BENCH_memory.json`` so out-of-core behaviour has a
+trajectory CI can gate on.
 
 Run standalone for the checked-in trajectory::
 
@@ -49,6 +52,10 @@ QUERIES = (9, 18)
 #: The budget each query re-runs under, as a fraction of its resident peak.
 BUDGET_FRACTION = 0.25
 
+#: The tight cell: queries re-run at this fraction of their resident peak.
+TIGHT_QUERIES = (9,)
+TIGHT_BUDGET_FRACTION = 0.005
+
 #: CI gate: maximum simulated-runtime factor a budgeted run may cost.
 MAX_RUNTIME_FACTOR = 1.5
 
@@ -79,52 +86,74 @@ def _run(catalog, num_workers: int, query_number: int, budget):
         )
 
 
+def _budgeted_cell(catalog, num_workers: int, number: int, resident, fraction) -> dict:
+    """Re-run ``number`` at ``fraction`` of the resident run's memory peak."""
+    peak = resident.metrics.memory_peak_bytes
+    budget = fraction * peak
+    budgeted = _run(catalog, num_workers, number, budget)
+    return {
+        "resident": {
+            "runtime_s": resident.runtime,
+            "memory_peak_bytes": peak,
+        },
+        "budgeted": {
+            "budget_bytes": int(budget),
+            "runtime_s": budgeted.runtime,
+            "memory_peak_bytes": budgeted.metrics.memory_peak_bytes,
+            "spill_writes": budgeted.metrics.spill_writes,
+            "spill_reads": budgeted.metrics.spill_reads,
+            "spill_bytes_written": budgeted.metrics.spill_bytes_written,
+            "spill_bytes_read": budgeted.metrics.spill_bytes_read,
+            "forced_memory_grants": budgeted.metrics.forced_memory_grants,
+        },
+        "bit_exact": _bit_exact(budgeted.batch, resident.batch),
+        "runtime_factor": budgeted.runtime / resident.runtime,
+    }
+
+
 def benchmark_memory(scale_factor: float = 0.005, num_workers: int = 4) -> dict:
-    """Measure resident vs quarter-budget runs; verify exactness of both."""
+    """Measure resident vs budgeted runs; verify exactness of both."""
     catalog = generate_catalog(
         scale_factor=scale_factor, seed=0, splits=BENCHMARK_SPLITS
     )
     queries = {}
+    tight_queries = {}
     for number in QUERIES:
         resident = _run(catalog, num_workers, number, float("inf"))
         assert resident.metrics.spill_writes == 0, f"q{number}: resident run spilled"
-        peak = resident.metrics.memory_peak_bytes
-        budget = BUDGET_FRACTION * peak
-        budgeted = _run(catalog, num_workers, number, budget)
         reference = reference_answer(catalog, number)
         assert batches_match(resident.batch, reference), f"q{number}: resident wrong"
-        queries[f"q{number}"] = {
-            "resident": {
-                "runtime_s": resident.runtime,
-                "memory_peak_bytes": peak,
-            },
-            "budgeted": {
-                "budget_bytes": int(budget),
-                "runtime_s": budgeted.runtime,
-                "memory_peak_bytes": budgeted.metrics.memory_peak_bytes,
-                "spill_writes": budgeted.metrics.spill_writes,
-                "spill_reads": budgeted.metrics.spill_reads,
-                "spill_bytes_written": budgeted.metrics.spill_bytes_written,
-                "spill_bytes_read": budgeted.metrics.spill_bytes_read,
-                "forced_memory_grants": budgeted.metrics.forced_memory_grants,
-            },
-            "bit_exact": _bit_exact(budgeted.batch, resident.batch),
-            "runtime_factor": budgeted.runtime / resident.runtime,
-        }
-    return {
+        queries[f"q{number}"] = _budgeted_cell(
+            catalog, num_workers, number, resident, BUDGET_FRACTION
+        )
+        if number in TIGHT_QUERIES:
+            tight_queries[f"q{number}"] = _budgeted_cell(
+                catalog, num_workers, number, resident, TIGHT_BUDGET_FRACTION
+            )
+    results = {
         "scale_factor": scale_factor,
         "num_workers": num_workers,
         "budget_fraction": BUDGET_FRACTION,
         "queries": queries,
-        "worst_runtime_factor": max(
-            entry["runtime_factor"] for entry in queries.values()
-        ),
+        "tight_budget_fraction": TIGHT_BUDGET_FRACTION,
+        "tight_queries": tight_queries,
     }
+    results["worst_runtime_factor"] = max(
+        entry["runtime_factor"] for _name, entry in _cells(results)
+    )
+    return results
+
+
+def _cells(results: dict):
+    """Every budgeted cell as ``(label, entry)``: the 25% ones, then the tight ones."""
+    yield from results["queries"].items()
+    for name, entry in results["tight_queries"].items():
+        yield f"{name}@{results['tight_budget_fraction'] * 100:g}%", entry
 
 
 def render_results(results: dict) -> str:
     rows = []
-    for name, entry in results["queries"].items():
+    for name, entry in _cells(results):
         rows.append(
             {
                 "query": name,
@@ -133,6 +162,7 @@ def render_results(results: dict) -> str:
                 "runtime_factor": entry["runtime_factor"],
                 "peak_kb": entry["resident"]["memory_peak_bytes"] / 1e3,
                 "budget_kb": entry["budgeted"]["budget_bytes"] / 1e3,
+                "budgeted_peak_kb": entry["budgeted"]["memory_peak_bytes"] / 1e3,
                 "spilled_kb": entry["budgeted"]["spill_bytes_written"] / 1e3,
                 "bit_exact": entry["bit_exact"],
             }
@@ -141,18 +171,19 @@ def render_results(results: dict) -> str:
         rows,
         [
             "query", "resident_s", "budgeted_s", "runtime_factor",
-            "peak_kb", "budget_kb", "spilled_kb", "bit_exact",
+            "peak_kb", "budget_kb", "budgeted_peak_kb", "spilled_kb", "bit_exact",
         ],
     )
     return (
         table
         + f"\n\nbudget fraction      : {results['budget_fraction'] * 100:.0f}% of resident peak"
+        + f" (tight cells: {results['tight_budget_fraction'] * 100:g}%)"
         + f"\nworst runtime factor : {results['worst_runtime_factor']:.3f}"
     )
 
 
 def _assert_gates(results: dict) -> None:
-    for name, entry in results["queries"].items():
+    for name, entry in _cells(results):
         budgeted = entry["budgeted"]
         assert budgeted["spill_writes"] > 0, f"{name}: budgeted run never spilled"
         assert budgeted["spill_reads"] > 0, f"{name}: spilled state never re-read"
@@ -168,7 +199,7 @@ def _assert_gates(results: dict) -> None:
         )
 
 
-def test_quarter_budget_runs_are_exact_and_bounded():
+def test_budgeted_runs_are_exact_and_bounded():
     """Memory-smoke gate: out-of-core execution must not regress."""
     scale = float(os.environ.get("BENCH_MEMORY_SCALE", "0.005"))
     results = benchmark_memory(scale_factor=scale)

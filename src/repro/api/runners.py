@@ -168,7 +168,6 @@ class ParallelRunner:
         workers: Optional[int] = None,
         morsel_rows: Optional[int] = None,
         num_channels: Optional[int] = None,
-        seed: int = 0,
     ):
         """``workers=None`` uses the machine's CPU count; ``workers=0`` runs
         every task inline in the driver process (debugging).  ``num_channels``
@@ -181,7 +180,6 @@ class ParallelRunner:
         self.workers = os.cpu_count() or 1 if workers is None else workers
         self.morsel_rows = DEFAULT_MORSEL_ROWS if morsel_rows is None else morsel_rows
         self.num_channels = num_channels or max(1, self.workers)
-        self.seed = seed
 
     def submit(self, query: Query, options: Optional[QueryOptions] = None) -> QueryHandle:
         import time
@@ -216,7 +214,7 @@ class ParallelRunner:
         )
         started = time.perf_counter()
         batch, stats = execute_graph_parallel(
-            graph, workers=self.workers, morsel_rows=self.morsel_rows, seed=self.seed
+            graph, workers=self.workers, morsel_rows=self.morsel_rows
         )
         metrics = QueryMetrics(
             runtime_seconds=time.perf_counter() - started,

@@ -624,6 +624,10 @@ def run_systems(args) -> int:  # noqa: ARG001 - uniform handler signature
             f"  {name:<14} execution={config.execution_mode:<10} "
             f"scheduling={config.scheduling:<8} ft={config.ft_strategy}"
         )
+    print(
+        "note: the `sparksql` preset is stage-wise Quokka; the paper-figure "
+        "benchmarks' `sparksql` is baselines.SparkLikeEngine"
+    )
     return 0
 
 

@@ -13,9 +13,8 @@ from repro.common.config import (
     ClusterConfig,
     CostModelConfig,
     EngineConfig,
-    RunConfig,
 )
-from repro.common.rng import DeterministicRNG, derive_seed, stable_hash, worker_stream
+from repro.common.rng import DeterministicRNG, derive_seed, stable_hash
 
 __all__ = [
     "ReproError",
@@ -28,9 +27,7 @@ __all__ = [
     "ClusterConfig",
     "CostModelConfig",
     "EngineConfig",
-    "RunConfig",
     "DeterministicRNG",
     "derive_seed",
     "stable_hash",
-    "worker_stream",
 ]

@@ -10,19 +10,17 @@ The configuration is split in three layers:
 
 ``ClusterConfig``
     Shape of the simulated cluster: number of workers, CPU slots per worker,
-    whether the head node is separate.
+    local disk capacity.
 
 ``EngineConfig``
     Query-engine behaviour knobs: execution mode (pipelined / stagewise),
     scheduling strategy (dynamic / static-k), fault-tolerance strategy and
-    target partition sizes.
+    the session's admission and cache limits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
-
+from dataclasses import dataclass, replace
 from repro.common.errors import ConfigError
 
 #: Valid execution modes for the engine.
@@ -42,9 +40,8 @@ FT_STRATEGIES = ("none", "wal", "spool-s3", "spool-hdfs", "checkpoint")
 DEFAULT_BROADCAST_THRESHOLD_BYTES = 8_000_000.0
 
 #: Default number of hash partitions out-of-core operators split their state
-#: into (grace hash join build side, spilling group-by state).  Shared by the
-#: memory subsystem (`repro.memory`), the physical compiler and the per-query
-#: options for the same layering reason as the broadcast threshold above.
+#: into (grace hash join build side).  A constant, not an option;
+#: `SpillContext(partitions=)` lets kernel tests force spill paths.
 DEFAULT_SPILL_PARTITIONS = 16
 
 #: Valid spill targets for out-of-core operators: "auto" resolves to the
@@ -133,7 +130,6 @@ class ClusterConfig:
     cpus_per_worker: int = 4
     task_managers_per_worker: int = 1
     local_disk_capacity_bytes: int = 474 * 10**9
-    separate_head_node: bool = True
     seed: int = 0
 
     def validate(self) -> None:
@@ -163,10 +159,6 @@ class EngineConfig:
     ft_strategy: str = "wal"
     recovery_placement: str = "pipelined"
     checkpoint_interval_tasks: int = 4
-    incremental_checkpoints: bool = True
-    target_partition_rows: int = 50_000
-    max_channels_per_stage: Optional[int] = None
-    verify_against_reference: bool = False
 
     #: Session admission control: at most this many queries execute
     #: concurrently; further submissions wait in a FIFO queue.
@@ -207,10 +199,6 @@ class EngineConfig:
             raise ConfigError("static_batch_size must be at least 1")
         if self.checkpoint_interval_tasks < 1:
             raise ConfigError("checkpoint_interval_tasks must be at least 1")
-        if self.target_partition_rows < 1:
-            raise ConfigError("target_partition_rows must be at least 1")
-        if self.max_channels_per_stage is not None and self.max_channels_per_stage < 1:
-            raise ConfigError("max_channels_per_stage must be at least 1 when set")
         if self.max_concurrent_queries < 1:
             raise ConfigError("max_concurrent_queries must be at least 1")
         if self.fair_share_tasks_per_sweep < 1:
@@ -226,17 +214,3 @@ class EngineConfig:
         updated.validate()
         return updated
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Bundle of the three configuration layers used for a single query run."""
-
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    cost: CostModelConfig = field(default_factory=CostModelConfig)
-    engine: EngineConfig = field(default_factory=EngineConfig)
-
-    def validate(self) -> None:
-        """Validate all three layers."""
-        self.cluster.validate()
-        self.cost.validate()
-        self.engine.validate()

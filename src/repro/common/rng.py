@@ -4,19 +4,6 @@ Every stochastic choice in the package (data generation, channel placement,
 failure injection) flows through :class:`DeterministicRNG` seeded from a
 single root seed, so identical configurations always reproduce identical
 results and identical failure schedules.
-
-Fork safety
------------
-
-A ``numpy.random.Generator`` duplicated across ``fork()`` produces the *same*
-stream in every child — forked workers that draw from an inherited generator
-silently correlate, and any worker-count-dependent interleaving of draws makes
-runs irreproducible.  Multi-process code must therefore never use an inherited
-stream: each worker re-derives its own via :func:`worker_stream`, which mixes
-the worker id into the root seed.  Streams are then (a) distinct across
-workers and (b) a pure function of ``(root_seed, worker_id)`` — independent of
-fork order, scheduling, or how many other workers exist — so parallel runs
-reproduce run-to-run.
 """
 
 from __future__ import annotations
@@ -87,18 +74,6 @@ class DeterministicRNG:
     def child(self, *names: object) -> "DeterministicRNG":
         """Create an independent child stream derived from this stream's seed."""
         return DeterministicRNG(self._seed, *names)
-
-
-def worker_stream(root_seed: int, worker_id: int, *names: object) -> DeterministicRNG:
-    """A per-worker stream for forked/spawned worker processes.
-
-    Derives ``DeterministicRNG(root_seed, "worker", worker_id, *names)``: the
-    worker id is mixed into the seed path, so sibling workers never share a
-    stream and the same ``(root_seed, worker_id)`` pair always reproduces the
-    same draws regardless of process start method or scheduling.  Call this
-    *inside* the worker after fork — never carry a parent generator across.
-    """
-    return DeterministicRNG(root_seed, "worker", worker_id, *names)
 
 
 def stable_hash(value: object, buckets: int) -> int:

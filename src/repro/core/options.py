@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.common.config import (
-    DEFAULT_BROADCAST_THRESHOLD_BYTES,
-    DEFAULT_SPILL_PARTITIONS,
-)
+from repro.common.config import DEFAULT_BROADCAST_THRESHOLD_BYTES
 from repro.common.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,7 +87,7 @@ class QueryOptions:
     #: default) compiles the resident operators — byte-identical plans and
     #: traces to earlier releases.  A finite budget switches every stateful
     #: stage to a spill-capable operator (grace hash join, spilling group-by,
-    #: external sort-merge join) with a fixed per-operator quota;
+    #: spilling collect) with a fixed per-operator quota;
     #: ``float("inf")`` tracks peak memory without ever spilling.
     memory_budget_bytes: Optional[float] = None
     #: Where spilled partitions go: ``"local"`` (worker NVMe, lost with the
@@ -98,8 +95,6 @@ class QueryOptions:
     #: recovery re-read instead of recompute), or ``"auto"`` — the FT
     #: strategy's durable store when it spools to one, local disk otherwise.
     spill_target: str = "auto"
-    #: Number of hash partitions out-of-core operators split their state into.
-    spill_partitions: int = DEFAULT_SPILL_PARTITIONS
 
     def with_overrides(self, **overrides) -> "QueryOptions":
         """Return a copy with the given fields replaced.

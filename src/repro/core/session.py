@@ -246,8 +246,6 @@ class Session:
                 f"unknown spill target {options.spill_target!r}; "
                 f"valid targets: {SPILL_TARGETS}"
             )
-        if options.spill_partitions < 1:
-            raise ConfigError("spill_partitions must be at least 1")
         # "auto" spills where the FT strategy already keeps durable state (so
         # recovery can re-read spilled partitions) and locally otherwise.
         spill_target = options.spill_target
@@ -309,7 +307,6 @@ class Session:
                     options.broadcast_threshold_bytes,
                     options.memory_budget_bytes,
                     spill_target,
-                    options.spill_partitions,
                 ),
             )
         if key is not None:
@@ -321,18 +318,13 @@ class Session:
                 return self._coalesce_with(handle, twin)
         handle._plan_key = key
 
-        num_channels = (
-            self.engine_config.max_channels_per_stage or self.cluster.num_workers
-        )
         graph = compile_plan(
             plan,
-            num_channels=num_channels,
+            num_channels=self.cluster.num_workers,
             stage_base=self._stage_base,
             estimator=estimator,
             broadcast_threshold_bytes=options.broadcast_threshold_bytes,
             memory_budget_bytes=options.memory_budget_bytes,
-            spill_partitions=options.spill_partitions,
-            memory_workers=self.cluster.num_workers,
             runtime_filters=runtime_filters,
         )
         self._stage_base = max(graph.stages) + 1

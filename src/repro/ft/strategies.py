@@ -83,22 +83,17 @@ class CheckpointStrategy(FaultToleranceStrategy):
 
     Mirrors the "custom checkpointing strategies to S3" the paper evaluated in
     Section V-C: every ``interval_tasks`` committed tasks per channel, the
-    channel's operator state is written to S3 — either in full or, with
-    ``incremental=True``, only the growth since the previous snapshot.
+    channel's operator state is written to S3 — incrementally, i.e. only the
+    growth since the previous snapshot (the paper's baseline).
     """
 
     name = "checkpoint"
 
-    def __init__(self, interval_tasks: int = 4, incremental: bool = True):
-        """Snapshot operator state every ``interval_tasks`` committed tasks.
-
-        With ``incremental=True`` only the state growth since the previous
-        snapshot is written; ``False`` persists the full state each time.
-        """
+    def __init__(self, interval_tasks: int = 4):
+        """Snapshot operator state every ``interval_tasks`` committed tasks."""
         if interval_tasks < 1:
             raise ConfigError("checkpoint interval must be at least 1 task")
         self.interval_tasks = interval_tasks
-        self.incremental = incremental
 
     def persist_output(self, engine, worker, task_name, payload, nbytes):
         scaled = engine.cost_model.scaled(nbytes)
@@ -114,10 +109,7 @@ class CheckpointStrategy(FaultToleranceStrategy):
             return
         runtime.tasks_since_checkpoint = 0
         state_bytes = float(runtime.operator.state_nbytes)
-        if self.incremental:
-            delta = max(0.0, state_bytes - runtime.last_checkpoint_bytes)
-        else:
-            delta = state_bytes
+        delta = max(0.0, state_bytes - runtime.last_checkpoint_bytes)
         runtime.last_checkpoint_bytes = state_bytes
         if delta <= 0:
             return
@@ -134,7 +126,7 @@ def make_strategy(config: EngineConfig) -> FaultToleranceStrategy:
 
     Valid names are ``"none"``, ``"wal"``, ``"spool-s3"``, ``"spool-hdfs"``
     and ``"checkpoint"`` (the latter also reads
-    ``config.checkpoint_interval_tasks`` and ``config.incremental_checkpoints``).
+    ``config.checkpoint_interval_tasks``).
     """
     name = config.ft_strategy
     if name == "none":
@@ -146,8 +138,5 @@ def make_strategy(config: EngineConfig) -> FaultToleranceStrategy:
     if name == "spool-hdfs":
         return SpoolingStrategy("hdfs")
     if name == "checkpoint":
-        return CheckpointStrategy(
-            interval_tasks=config.checkpoint_interval_tasks,
-            incremental=config.incremental_checkpoints,
-        )
+        return CheckpointStrategy(interval_tasks=config.checkpoint_interval_tasks)
     raise ConfigError(f"unknown fault-tolerance strategy {name!r}")

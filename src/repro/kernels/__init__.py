@@ -14,11 +14,7 @@ from repro.kernels.aggregate import (
     GroupedAggregationState,
 )
 from repro.kernels.factorize import KeyEncoder, factorize_key, group_sort
-from repro.kernels.outofcore import (
-    ExternalSortMergeJoin,
-    GraceHashJoin,
-    SpillingAggregation,
-)
+from repro.kernels.outofcore import GraceHashJoin, SpillingAggregation
 from repro.kernels.sort import sort_batch, top_k
 
 __all__ = [
@@ -30,7 +26,6 @@ __all__ = [
     "AggregateSpec",
     "GroupedAggregationState",
     "GraceHashJoin",
-    "ExternalSortMergeJoin",
     "SpillingAggregation",
     "KeyEncoder",
     "factorize_key",

@@ -15,8 +15,9 @@ work is proportional to the number of *distinct groups* per batch.  The
 original row-at-a-time implementation is preserved in
 :mod:`repro.kernels.reference` as the property-test oracle.
 
-The state is also *mergeable* (``merge``), which the stagewise baseline uses
-for partial (map-side) aggregation.
+The state is also *mergeable* (``merge``): the parallel backend folds the
+shards of a starved aggregation channel together with it.  Merging
+re-associates float sums, so the out-of-core aggregation never uses it.
 """
 
 from __future__ import annotations

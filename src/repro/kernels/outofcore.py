@@ -1,5 +1,4 @@
-"""Out-of-core operator kernels: grace hash join, spilling aggregation,
-external sort-merge join.
+"""Out-of-core operator kernels: grace hash join and spilling aggregation.
 
 Each kernel wraps the resident kernel it falls back from
 (:class:`~repro.kernels.join.HashJoin`,
@@ -21,11 +20,6 @@ not merely the result multiset):
   partitions are never deferred: the partition's build chunks are re-read
   and probed transiently per probe batch (the repeated reads are the honest
   I/O price of the strategy and are charged through the spill records).
-* ``ExternalSortMergeJoin`` buffers both sides as key-hash-clustered runs and
-  emits at finalize exactly the resident per-batch probe outputs, in order.
-  (The runs are hash-clustered rather than fully key-ordered and the merge is
-  performed with the factorized code-table kernel — the I/O pattern of an
-  external sort-merge join with the matching engine the repo already trusts.)
 * ``SpillingAggregation`` freezes the group table once the quota is hit —
   the prefix state is spilled whole, every later input batch is spilled raw —
   and finalize replays the raw batches sequentially into a copy of the
@@ -41,7 +35,7 @@ the channel partitioning.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -445,146 +439,3 @@ class SpillingAggregation:
         self._state = GroupedAggregationState(self.group_keys, self.aggregates)
         self.spill.note_usage(0)
         return working.finalize(input_schema=input_schema)
-
-
-class ExternalSortMergeJoin:
-    """External sort-merge join: both sides buffered as key-hash-clustered runs.
-
-    Every arriving batch is stable-sorted by its combined key hash (forming a
-    clustered run) alongside a provenance array of global arrival positions;
-    runs are spilled whole under pressure.  Finalize restores all runs,
-    re-assembles each side in exact arrival order via the provenance
-    permutation, and replays the resident build/probe protocol — so the
-    emitted outputs equal the resident join's per-batch outputs exactly.
-    """
-
-    def __init__(
-        self,
-        build_keys: Sequence[str],
-        probe_keys: Sequence[str],
-        join_type: JoinType,
-        build_suffix: str,
-        spill: SpillContext,
-        build_schema: Optional[Schema] = None,
-    ):
-        self.build_keys = list(build_keys)
-        self.probe_keys = list(probe_keys)
-        self.join_type = join_type
-        self.build_suffix = build_suffix
-        self.spill = spill
-        self._build_schema = build_schema
-        self._runs: Dict[str, List[Tuple[Batch, np.ndarray]]] = {
-            "build": [],
-            "probe": [],
-        }
-        self._spilled: Dict[str, List] = {"build": [], "probe": []}
-        self._offsets = {"build": 0, "probe": 0}
-        self._run_nbytes = 0
-        self._probe_boundaries: List[int] = []
-
-    def add(self, side: str, batch: Batch) -> None:
-        """Buffer one batch of ``side`` ("build" or "probe") as a sorted run."""
-        if side == "build" and self._build_schema is None:
-            self._build_schema = batch.schema
-        if batch.num_rows == 0:
-            return
-        if side == "probe":
-            self._probe_boundaries.append(batch.num_rows)
-        keys = self.build_keys if side == "build" else self.probe_keys
-        order = np.argsort(hash_rows(batch, keys), kind="stable")
-        prov = (self._offsets[side] + order).astype(np.int64)
-        self._offsets[side] += batch.num_rows
-        run = (batch.take(order), prov)
-        self._runs[side].append(run)
-        self._run_nbytes += run[0].nbytes + prov.nbytes
-        self._report_and_relieve()
-
-    @property
-    def state_nbytes(self) -> int:
-        """Resident bytes across the in-memory runs of both sides."""
-        return self._run_nbytes
-
-    def _report_and_relieve(self) -> None:
-        self.spill.note_usage(self._run_nbytes)
-        while self.spill.needs_spill(self._run_nbytes):
-            if not self._spill_largest_run():
-                self.spill.note_forced_grant()
-                break
-            self.spill.note_usage(self._run_nbytes)
-
-    def _spill_largest_run(self) -> bool:
-        best: Optional[Tuple[str, int]] = None
-        best_nbytes = 0
-        for side in ("build", "probe"):
-            for i, (run_batch, prov) in enumerate(self._runs[side]):
-                nbytes = run_batch.nbytes + prov.nbytes
-                if nbytes > best_nbytes:
-                    best, best_nbytes = (side, i), nbytes
-        if best is None:
-            return False
-        side, i = best
-        run = self._runs[side].pop(i)
-        key = self.spill.new_key(f"run-{side}")
-        self.spill.spill(key, run, best_nbytes)
-        self._spilled[side].append(key)
-        self._run_nbytes -= best_nbytes
-        return True
-
-    def _reassemble(self, side: str) -> Optional[Batch]:
-        batches: List[Batch] = []
-        provs: List[np.ndarray] = []
-        for key in self._spilled[side]:
-            run_batch, prov = self.spill.restore(key)
-            self.spill.discard(key)
-            batches.append(run_batch)
-            provs.append(prov)
-        self._spilled[side] = []
-        for run_batch, prov in self._runs[side]:
-            batches.append(run_batch)
-            provs.append(prov)
-        self._runs[side] = []
-        if not batches:
-            return None
-        merged = concat_batches(batches, schema=batches[0].schema)
-        prov = np.concatenate(provs)
-        # ``prov`` is a permutation of the arrival positions, so a plain
-        # argsort restores exact arrival order.
-        return merged.take(np.argsort(prov))
-
-    def finalize(self) -> List[Batch]:
-        """Restore the runs and replay the resident build/probe protocol."""
-        build_side = self._reassemble("build")
-        probe_side = self._reassemble("probe")
-        restored = 0
-        if build_side is not None:
-            restored += build_side.nbytes
-        if probe_side is not None:
-            restored += probe_side.nbytes
-        self.spill.note_usage(restored)
-        if self.spill.needs_spill(restored):
-            # The merge phase holds both re-assembled sides at once; this
-            # simplification over a streaming k-way merge is reported as a
-            # forced grant rather than hidden.
-            self.spill.note_forced_grant()
-        join = HashJoin(
-            self.build_keys, self.probe_keys, self.join_type, self.build_suffix
-        )
-        if self._build_schema is not None:
-            join.build(Batch.empty(self._build_schema))
-        elif probe_side is not None:
-            raise ExecutionError("probe rows buffered but no build schema known")
-        if build_side is not None and build_side.num_rows:
-            join.build(build_side)
-        outputs: List[Batch] = []
-        offset = 0
-        if probe_side is not None:
-            for count in self._probe_boundaries:
-                piece = probe_side.slice(offset, count)
-                offset += count
-                out = join.probe(piece)
-                if out.num_rows:
-                    outputs.append(out)
-        self._probe_boundaries = []
-        self._run_nbytes = 0
-        self.spill.note_usage(0)
-        return outputs

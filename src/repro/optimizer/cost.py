@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.config import (
-    DEFAULT_BROADCAST_THRESHOLD_BYTES,
-    DEFAULT_SPILL_PARTITIONS,
-)
+from repro.common.config import DEFAULT_BROADCAST_THRESHOLD_BYTES
 from repro.optimizer.stats import CardinalityEstimator
 from repro.plan.nodes import Aggregate, Join, LogicalPlan
 
@@ -119,40 +116,34 @@ def runtime_filter_decision(join_type) -> bool:
 
 
 def memory_strategy(
-    kind: str,
     predicted_bytes: Optional[float],
     channels: int,
     memory_budget_bytes: Optional[float],
-    spill_partitions: int = DEFAULT_SPILL_PARTITIONS,
 ) -> str:
-    """Pick the memory strategy for one stateful operator.
+    """Predict whether one stateful operator will spill under a budget.
 
-    ``kind`` is ``"join"``, ``"aggregate"`` or ``"collect"``;
-    ``predicted_bytes`` the estimated state the operator holds (build side,
-    group table, row buffer) across ``channels`` channels.  Returns:
+    ``predicted_bytes`` is the estimated state the operator holds (build
+    side, group table) across ``channels`` channels.  Returns:
 
     * ``"resident"`` — no budget, or the per-channel state is predicted to
-      fit it.  (The compiler still emits spill-capable operators whenever a
-      budget is set, so a misestimate degrades to spilling, not to an OOM.)
-    * ``"grace"`` — partition the state and spill cold partitions.
-    * ``"sort-merge"`` — joins only: even a single grace partition is
-      predicted to blow the budget, so fall back to the external sort-merge
-      join whose memory need is one run, not one partition.
+      fit it.
+    * ``"grace"`` — the state is predicted to outgrow the budget, so cold
+      partitions will spill.
 
-    The comparison uses the whole per-channel budget rather than the final
-    per-operator quota because the quota (budget / stateful channels per
-    worker) is only known after the whole graph is built; the budget is the
-    optimistic upper bound of what the operator could be granted.
+    This only annotates ``explain``: the compiler emits the same
+    spill-capable operators whenever a budget is set, so a misestimate
+    degrades to spilling, not to an OOM.  The comparison uses the whole
+    per-channel budget rather than the final per-operator quota because the
+    quota (budget / stateful channels per worker) is only known after the
+    whole graph is built; the budget is the optimistic upper bound of what
+    the operator could be granted.
     """
     if memory_budget_bytes is None or memory_budget_bytes == float("inf"):
         return "resident"
     if predicted_bytes is None:
         return "grace"
-    per_channel = predicted_bytes / max(1, channels)
-    if per_channel <= memory_budget_bytes:
+    if predicted_bytes / max(1, channels) <= memory_budget_bytes:
         return "resident"
-    if kind == "join" and per_channel > memory_budget_bytes * max(1, spill_partitions):
-        return "sort-merge"
     return "grace"
 
 
@@ -173,7 +164,6 @@ def explain_with_estimates(
     broadcast_threshold_bytes: float = DEFAULT_BROADCAST_THRESHOLD_BYTES,
     probe_channels: int = 4,
     memory_budget_bytes: Optional[float] = None,
-    spill_partitions: int = DEFAULT_SPILL_PARTITIONS,
     runtime_filters: bool = False,
 ) -> str:
     """Render ``plan`` with per-node cardinality/cost annotations.
@@ -185,7 +175,7 @@ def explain_with_estimates(
     shows whether it publishes runtime semi-join filters
     (:func:`runtime_filter_decision`).  With a ``memory_budget_bytes``, join and
     aggregate nodes also show the predicted peak state bytes per channel and
-    the chosen memory strategy (``resident`` / ``grace`` / ``sort-merge``).
+    the predicted memory strategy (``resident`` / ``grace``).
     """
     estimator = estimator or CardinalityEstimator()
     cost_model = PlanCostModel(estimator)
@@ -212,8 +202,7 @@ def explain_with_estimates(
             if memory_budget_bytes is not None:
                 build_bytes = estimator.bytes(node.right)
                 mem = memory_strategy(
-                    "join", build_bytes, probe_channels,
-                    memory_budget_bytes, spill_partitions,
+                    build_bytes, probe_channels, memory_budget_bytes
                 )
                 annotation += (
                     f" build_bytes={_fmt(build_bytes / max(1, probe_channels))}"
@@ -222,10 +211,7 @@ def explain_with_estimates(
         elif isinstance(node, Aggregate) and memory_budget_bytes is not None:
             state_bytes = estimator.bytes(node)
             channels = probe_channels if node.group_keys else 1
-            mem = memory_strategy(
-                "aggregate", state_bytes, channels,
-                memory_budget_bytes, spill_partitions,
-            )
+            mem = memory_strategy(state_bytes, channels, memory_budget_bytes)
             annotation += (
                 f" state_bytes={_fmt(state_bytes / max(1, channels))} mem={mem}"
             )

@@ -16,7 +16,7 @@ from repro.parallel.morsel import (
     scan_tasks,
     split_sizes,
 )
-from repro.parallel.pool import WorkerPool, current_worker_id, current_worker_rng
+from repro.parallel.pool import WorkerPool, current_worker_id
 from repro.parallel.runner import (
     ParallelExecutionStats,
     ParallelExecutor,
@@ -44,7 +44,6 @@ __all__ = [
     "split_sizes",
     "WorkerPool",
     "current_worker_id",
-    "current_worker_rng",
     "ParallelExecutor",
     "ParallelExecutionStats",
     "StageGraphTaskHandler",

@@ -23,7 +23,7 @@ Determinism: every piece a task emits carries a *sequence key* — for scans
 scheduling order.  The driver sorts each consumer channel's pieces by that
 key before building the consumer's task, so any interleaving of workers
 replays into the exact same operator input order, and a fixed
-``(plan, workers, morsel_rows, seed)`` configuration is reproducible
+``(plan, workers, morsel_rows)`` configuration is reproducible
 run-to-run.
 """
 

@@ -8,12 +8,6 @@ not picklable) all reach the workers by fork inheritance / copy-on-write
 instead of serialisation; only task descriptors and shared-memory handles
 ever cross the queues.
 
-Fork safety: each worker re-derives its own RNG stream via
-:func:`repro.common.rng.worker_stream` (root seed mixed with the worker id)
-instead of drawing from any generator duplicated by ``fork`` — see the fork
-safety note in :mod:`repro.common.rng`.  The stream is exposed through
-:func:`current_worker_rng` for any stochastic choice made inside a worker.
-
 ``workers=0`` runs every task inline in the driver process (no fork, no
 queues) — the degenerate mode used on platforms without ``fork`` and by
 tests that want parallel-path semantics under a debugger.
@@ -27,15 +21,13 @@ import traceback
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import ExecutionError
-from repro.common.rng import DeterministicRNG, worker_stream
 
 #: Seconds between liveness checks while the driver waits on results.
 _POLL_SECONDS = 0.05
 
-#: The executing worker's id and derived RNG stream (set inside the child;
-#: ``(-1, None)`` in the driver / inline mode until bound).
+#: The executing worker's id (set inside the child; ``-1`` in the driver
+#: until an inline pool binds it).
 _WORKER_ID: int = -1
-_WORKER_RNG: Optional[DeterministicRNG] = None
 
 
 def current_worker_id() -> int:
@@ -43,20 +35,14 @@ def current_worker_id() -> int:
     return _WORKER_ID
 
 
-def current_worker_rng() -> Optional[DeterministicRNG]:
-    """The executing worker's fork-safe RNG stream (``None`` in the driver)."""
-    return _WORKER_RNG
-
-
-def _bind_worker(worker_id: int, seed: int) -> None:
-    global _WORKER_ID, _WORKER_RNG
+def _bind_worker(worker_id: int) -> None:
+    global _WORKER_ID
     _WORKER_ID = worker_id
-    _WORKER_RNG = worker_stream(seed, worker_id)
 
 
-def _worker_main(worker_id: int, seed: int, handler, tasks, results) -> None:
+def _worker_main(worker_id: int, handler, tasks, results) -> None:
     """Pull loop of one worker process."""
-    _bind_worker(worker_id, seed)
+    _bind_worker(worker_id)
     while True:
         task = tasks.get()
         if task is None:
@@ -76,17 +62,16 @@ class WorkerPool:
     tables) into it *before* constructing the pool.
     """
 
-    def __init__(self, workers: int, handler, seed: int = 0):
+    def __init__(self, workers: int, handler):
         if workers < 0:
             raise ExecutionError("worker count must be >= 0")
         self.workers = workers
         self.handler = handler
-        self.seed = seed
         self._procs: List[multiprocessing.Process] = []
         self._closed = False
         if workers == 0:
             self._tasks = self._results = None
-            _bind_worker(0, seed)
+            _bind_worker(0)
             return
         ctx = multiprocessing.get_context("fork")
         self._tasks = ctx.Queue()
@@ -94,7 +79,7 @@ class WorkerPool:
         for worker_id in range(workers):
             proc = ctx.Process(
                 target=_worker_main,
-                args=(worker_id, seed, handler, self._tasks, self._results),
+                args=(worker_id, handler, self._tasks, self._results),
                 daemon=True,
                 name=f"repro-parallel-{worker_id}",
             )

@@ -216,7 +216,6 @@ class ParallelExecutor:
         graph: StageGraph,
         workers: int,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
-        seed: int = 0,
     ):
         if morsel_rows < 1:
             raise ExecutionError("morsel_rows must be >= 1")
@@ -224,7 +223,6 @@ class ParallelExecutor:
         self.graph = graph
         self.workers = workers
         self.morsel_rows = morsel_rows
-        self.seed = seed
         self.block_prefix = f"repro_par_{os.getpid()}_{next(_query_counter)}_"
         self.stats = ParallelExecutionStats(workers=workers, morsel_rows=morsel_rows)
         #: Finalized runtime filters by filter id, and their shipped handles.
@@ -234,7 +232,7 @@ class ParallelExecutor:
     def execute(self) -> Batch:
         """Run the graph to completion and return the result batch."""
         handler = StageGraphTaskHandler(self.graph, self.morsel_rows, self.block_prefix)
-        pool = WorkerPool(self.workers, handler, seed=self.seed)
+        pool = WorkerPool(self.workers, handler)
         try:
             return self._drive(pool)
         finally:
@@ -451,9 +449,8 @@ def execute_graph_parallel(
     graph: StageGraph,
     workers: int,
     morsel_rows: int = DEFAULT_MORSEL_ROWS,
-    seed: int = 0,
 ) -> Tuple[Batch, ParallelExecutionStats]:
     """Convenience wrapper: execute ``graph`` and return (result, stats)."""
-    executor = ParallelExecutor(graph, workers, morsel_rows=morsel_rows, seed=seed)
+    executor = ParallelExecutor(graph, workers, morsel_rows=morsel_rows)
     result = executor.execute()
     return result, executor.stats

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.common.config import DEFAULT_SPILL_PARTITIONS
 from repro.common.errors import PlanError
 from repro.data.schema import Schema
 from repro.expr.nodes import Expr, col
@@ -32,7 +31,6 @@ from repro.physical.operators import (
 )
 from repro.physical.spill_operators import (
     GraceJoinOperator,
-    SortMergeJoinOperator,
     SpillingAggregateOperator,
     SpillingCollectOperator,
 )
@@ -96,8 +94,6 @@ def compile_plan(
     broadcast_threshold_bytes: float = 0.0,
     target_bytes_per_channel: float = DEFAULT_TARGET_BYTES_PER_CHANNEL,
     memory_budget_bytes: Optional[float] = None,
-    spill_partitions: int = DEFAULT_SPILL_PARTITIONS,
-    memory_workers: int = 0,
     runtime_filters: bool = False,
 ) -> StageGraph:
     """Compile ``plan`` into a :class:`StageGraph` with up to ``num_channels``
@@ -117,10 +113,11 @@ def compile_plan(
 
     ``memory_budget_bytes`` (per worker) switches every stateful stage to a
     spill-capable operator variant; after the graph is built a post-pass
-    divides the budget by the worst-case number of stateful channels one of
-    ``memory_workers`` workers hosts, and that fixed per-operator quota
-    drives all spill decisions (see :mod:`repro.memory`).  ``None`` — the
-    default — compiles exactly the resident operators.
+    divides the budget by the worst-case number of stateful channels one
+    worker hosts (callers compile one channel per worker, so one per stateful
+    stage), and that fixed per-operator quota drives all spill decisions
+    (see :mod:`repro.memory`).  ``None`` — the default — compiles exactly
+    the resident operators.
 
     ``runtime_filters`` runs the sideways-information-passing planning pass
     (:func:`repro.optimizer.runtime_filters.plan_runtime_filters`) after the
@@ -139,8 +136,6 @@ def compile_plan(
         broadcast_threshold_bytes=broadcast_threshold_bytes,
         target_bytes_per_channel=target_bytes_per_channel,
         memory_budget_bytes=memory_budget_bytes,
-        spill_partitions=spill_partitions,
-        memory_workers=memory_workers,
         runtime_filters=runtime_filters,
     )
     return compiler.run(plan)
@@ -152,8 +147,6 @@ class _Compiler:
                  broadcast_threshold_bytes: float = 0.0,
                  target_bytes_per_channel: float = DEFAULT_TARGET_BYTES_PER_CHANNEL,
                  memory_budget_bytes: Optional[float] = None,
-                 spill_partitions: int = DEFAULT_SPILL_PARTITIONS,
-                 memory_workers: int = 0,
                  runtime_filters: bool = False):
         self.graph = StageGraph(stage_base=stage_base)
         self.num_channels = num_channels
@@ -163,14 +156,11 @@ class _Compiler:
         self.broadcast_threshold_bytes = broadcast_threshold_bytes
         self.target_bytes_per_channel = max(target_bytes_per_channel, 1.0)
         self.memory_budget_bytes = memory_budget_bytes
-        self.memory_workers = memory_workers
         # Operator factories read the quota out of this shared holder when the
         # engine instantiates them — i.e. after the post-pass in ``run`` has
         # filled it in.  ``None`` keys the resident (no-budget) compilation.
         self._mem: Optional[dict] = (
-            {"quota": None, "partitions": max(1, int(spill_partitions))}
-            if memory_budget_bytes is not None
-            else None
+            {"quota": None} if memory_budget_bytes is not None else None
         )
         self._join_counter = 0
         self._agg_counter = 0
@@ -212,16 +202,12 @@ class _Compiler:
             plan_runtime_filters(self.graph)
         if self._mem is not None:
             # Fixed per-operator quota: the budget divided by the worst-case
-            # number of stateful channels a single worker hosts.  Computed
-            # after the whole graph exists so every stage's channel count is
-            # final; deliberately independent of runtime placement so a
+            # number of stateful channels a single worker hosts.  No stage has
+            # more than ``num_channels`` channels and callers compile one
+            # channel per worker, so that is one channel of every stateful
+            # stage; deliberately independent of runtime placement so a
             # retraced channel reproduces its spill schedule exactly.
-            workers = max(1, self.memory_workers)
-            stateful_channels = sum(
-                -(-stage.num_channels // workers)
-                for stage in self.graph
-                if stage.stateful
-            )
+            stateful_channels = sum(1 for stage in self.graph if stage.stateful)
             # The MemoryManager books integer-exact byte counts; a fractional
             # quota would leak fractions into used/peak accounting, so floor
             # it (an unbounded budget stays the float infinity).
@@ -333,21 +319,8 @@ class _Compiler:
                 build_schema=build_schema,
             )
         else:
-            variant = GraceJoinOperator
-            if self.estimator is not None:
-                from repro.optimizer.cost import memory_strategy
-
-                strategy = memory_strategy(
-                    "join",
-                    self.estimator.bytes(node.right),
-                    channels,
-                    self.memory_budget_bytes,
-                    self._mem["partitions"],
-                )
-                if strategy == "sort-merge":
-                    variant = SortMergeJoinOperator
             mem = self._mem
-            stage.operator_factory = lambda: variant(
+            stage.operator_factory = lambda: GraceJoinOperator(
                 build_upstream_id=build_id,
                 probe_upstream_id=probe_id,
                 build_keys=right_keys,
@@ -356,7 +329,6 @@ class _Compiler:
                 suffix=suffix,
                 build_schema=build_schema,
                 quota=mem["quota"],
-                partitions=mem["partitions"],
             )
         return _Compiled(stage=stage, schema=node.schema)
 
@@ -413,7 +385,6 @@ class _Compiler:
                 output_schema=output_schema,
                 post_projections=post_projections,
                 quota=mem["quota"],
-                partitions=mem["partitions"],
             )
         return _Compiled(stage=stage, schema=node.schema)
 
@@ -492,7 +463,6 @@ class _Compiler:
                 descending=descending,
                 limit=limit,
                 quota=mem["quota"],
-                partitions=mem["partitions"],
             )
         return stage
 

@@ -11,30 +11,21 @@ interpreter, kernel tests) work too — spilled payloads then simply stay in
 the context's staging area.
 
 Output contracts match the resident operators batch-for-batch and
-bit-for-bit, with one exception: the sort-merge join emits everything at
-``finalize()``, so its outputs reach downstream operators as one batch —
-same rows in the same order, but float accumulators downstream may differ
-in final ULPs because per-batch addition order changes.  The grace join and
-the spilling aggregation preserve even that (see
-:mod:`repro.kernels.outofcore`).
+bit-for-bit, so downstream float accumulators see the same per-batch
+addition order (see :mod:`repro.kernels.outofcore`).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.common.config import DEFAULT_SPILL_PARTITIONS
 from repro.common.errors import ExecutionError
 from repro.data.batch import Batch
 from repro.data.schema import Schema
 from repro.expr.nodes import Expr
 from repro.kernels.aggregate import AggregateSpec
 from repro.kernels.join import JoinType
-from repro.kernels.outofcore import (
-    ExternalSortMergeJoin,
-    GraceHashJoin,
-    SpillingAggregation,
-)
+from repro.kernels.outofcore import GraceHashJoin, SpillingAggregation
 from repro.kernels.project import project_batch
 from repro.memory.manager import MemoryManager
 from repro.memory.spill import SpillContext
@@ -64,11 +55,10 @@ class GraceJoinOperator(_SpillBound, Operator):
         suffix: str = "_right",
         build_schema: Optional[Schema] = None,
         quota: Optional[float] = None,
-        partitions: int = DEFAULT_SPILL_PARTITIONS,
     ):
         self.build_upstream_id = build_upstream_id
         self.probe_upstream_id = probe_upstream_id
-        self.spill = SpillContext(-1, -1, quota, partitions)
+        self.spill = SpillContext(-1, -1, quota)
         self._grace = GraceHashJoin(
             build_keys, probe_keys, join_type, suffix, self.spill,
             build_schema=build_schema,
@@ -103,53 +93,6 @@ class GraceJoinOperator(_SpillBound, Operator):
         return self._grace.state_nbytes
 
 
-class SortMergeJoinOperator(_SpillBound, Operator):
-    """Join channel backed by the external sort-merge kernel.
-
-    Chosen by the compiler when the cost model predicts the build side will
-    not fit even one grace partition in the quota; everything is emitted at
-    ``finalize()``.
-    """
-
-    def __init__(
-        self,
-        build_upstream_id: int,
-        probe_upstream_id: int,
-        build_keys: Sequence[str],
-        probe_keys: Sequence[str],
-        join_type: JoinType = JoinType.INNER,
-        suffix: str = "_right",
-        build_schema: Optional[Schema] = None,
-        quota: Optional[float] = None,
-        partitions: int = DEFAULT_SPILL_PARTITIONS,
-    ):
-        self.build_upstream_id = build_upstream_id
-        self.probe_upstream_id = probe_upstream_id
-        self.spill = SpillContext(-1, -1, quota, partitions)
-        self._smj = ExternalSortMergeJoin(
-            build_keys, probe_keys, join_type, suffix, self.spill,
-            build_schema=build_schema,
-        )
-
-    def on_input(self, upstream_id: int, batch: Batch) -> List[Batch]:
-        if upstream_id == self.build_upstream_id:
-            self._smj.add("build", batch)
-            return []
-        if upstream_id == self.probe_upstream_id:
-            self._smj.add("probe", batch)
-            return []
-        raise ExecutionError(
-            f"join received batch from unexpected upstream stage {upstream_id}"
-        )
-
-    def finalize(self) -> List[Batch]:
-        return self._smj.finalize()
-
-    @property
-    def state_nbytes(self) -> int:
-        return self._smj.state_nbytes
-
-
 class SpillingAggregateOperator(_SpillBound, Operator):
     """Aggregation channel backed by partitioned, spillable group state."""
 
@@ -161,14 +104,13 @@ class SpillingAggregateOperator(_SpillBound, Operator):
         output_schema: Schema,
         post_projections: Optional[Sequence[Tuple[str, Expr]]] = None,
         quota: Optional[float] = None,
-        partitions: int = DEFAULT_SPILL_PARTITIONS,
     ):
         self.group_keys = list(group_keys)
         self.specs = list(specs)
         self.input_schema = input_schema
         self.output_schema = output_schema
         self.post_projections = list(post_projections) if post_projections else None
-        self.spill = SpillContext(-1, -1, quota, partitions)
+        self.spill = SpillContext(-1, -1, quota)
         self._state = SpillingAggregation(self.group_keys, self.specs, self.spill)
 
     def on_input(self, upstream_id: int, batch: Batch) -> List[Batch]:
@@ -206,10 +148,9 @@ class SpillingCollectOperator(_SpillBound, CollectOperator):
         limit: Optional[int] = None,
         final_ops: Optional[Sequence] = None,
         quota: Optional[float] = None,
-        partitions: int = DEFAULT_SPILL_PARTITIONS,
     ):
         CollectOperator.__init__(self, schema, sort_keys, descending, limit, final_ops)
-        self.spill = SpillContext(-1, -1, quota, partitions)
+        self.spill = SpillContext(-1, -1, quota)
         self._chunks: List = []
 
     def on_input(self, upstream_id: int, batch: Batch) -> List[Batch]:

@@ -201,9 +201,9 @@ class DataFrame:
         (predicate pushdown, join reordering, column pruning, ...) — the same
         cost-based pipeline the engine applies by default at submission.
         With ``memory_budget_bytes``, join and aggregate nodes additionally
-        show the predicted per-channel peak state bytes and the memory
-        strategy (``resident`` / ``grace`` / ``sort-merge``) the compiler
-        would pick under that per-worker budget.
+        show the predicted per-channel peak state bytes and whether that
+        state is predicted to stay ``resident`` or spill (``grace``) under
+        that per-worker budget.
         """
         from repro.optimizer import (
             CardinalityEstimator,

@@ -99,7 +99,7 @@ EXPECTED_SIGNATURES = {
     "ParallelRunner.__init__": (
         "(self, workers: Optional[int] = None, "
         "morsel_rows: Optional[int] = None, "
-        "num_channels: Optional[int] = None, seed: int = 0)"
+        "num_channels: Optional[int] = None)"
     ),
     "ParallelRunner.submit": (
         "(self, query: Query, options: Optional[QueryOptions] = None) "
@@ -162,7 +162,6 @@ def test_query_options_fields_are_stable():
         "broadcast_threshold_bytes",
         "memory_budget_bytes",
         "spill_target",
-        "spill_partitions",
     ]
 
 
@@ -218,9 +217,9 @@ def test_optimized_explain_keeps_cost_annotations():
 
 
 #: Snapshot of the memory-annotated EXPLAIN: with ``memory_budget_bytes`` each
-#: stateful node carries its predicted per-channel peak state bytes and the
-#: memory strategy the physical compiler will pick (resident / grace /
-#: sort-merge).  Without a budget the plain snapshot above is unchanged.
+#: stateful node carries its predicted per-channel peak state bytes and
+#: whether that state is predicted to stay resident or spill (grace).
+#: Without a budget the plain snapshot above is unchanged.
 EXPECTED_MEMORY_EXPLAIN = """\
 Aggregate(by=['manager'], aggs=['sum->total'])  [est_rows=2.0 est_bytes=37 \
 cost=13 state_bytes=18 mem=resident]
@@ -263,9 +262,9 @@ def _memory_explain_fixture_frame():
 def test_memory_explain_output_matches_snapshot():
     frame = _memory_explain_fixture_frame()
     assert frame.explain(memory_budget_bytes=20) == EXPECTED_MEMORY_EXPLAIN
-    # A tight enough budget escalates the join to sort-merge and the
-    # aggregation to its spilling (grace-labelled) variant.
+    # However tight the budget, both the join and the aggregation are
+    # predicted to spill through the one grace-labelled path.
     tight = frame.explain(memory_budget_bytes=1)
-    assert "mem=sort-merge" in tight and "mem=grace" in tight
+    assert tight.count("mem=grace") == 2 and "mem=resident" not in tight
     # No budget: not a single memory annotation, byte-identical legacy text.
     assert "mem=" not in frame.explain()

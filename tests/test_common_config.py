@@ -1,8 +1,10 @@
 """Tests for configuration dataclasses and validation."""
 
+import dataclasses
+
 import pytest
 
-from repro.common import ClusterConfig, CostModelConfig, EngineConfig, RunConfig
+from repro.common import ClusterConfig, CostModelConfig, EngineConfig
 from repro.common.errors import ConfigError
 
 
@@ -35,9 +37,24 @@ class TestCostModelConfig:
         assert cost.local_disk_write_bps >= cost.network_bps > cost.s3_write_bps
 
 
+def _field_names(config_class):
+    return [field.name for field in dataclasses.fields(config_class)]
+
+
 class TestClusterConfig:
     def test_defaults_validate(self):
         ClusterConfig().validate()
+
+    def test_fields_are_stable(self):
+        # Every field is an independently settable value tests and benchmarks
+        # must cover; adding one is a deliberate act, like the API snapshot.
+        assert _field_names(ClusterConfig) == [
+            "num_workers",
+            "cpus_per_worker",
+            "task_managers_per_worker",
+            "local_disk_capacity_bytes",
+            "seed",
+        ]
 
     def test_total_cpus(self):
         assert ClusterConfig(num_workers=4, cpus_per_worker=8).total_cpus == 32
@@ -59,6 +76,20 @@ class TestClusterConfig:
 class TestEngineConfig:
     def test_defaults_validate(self):
         EngineConfig().validate()
+
+    def test_fields_are_stable(self):
+        assert _field_names(EngineConfig) == [
+            "execution_mode",
+            "scheduling",
+            "static_batch_size",
+            "ft_strategy",
+            "recovery_placement",
+            "checkpoint_interval_tasks",
+            "max_concurrent_queries",
+            "fair_share_tasks_per_sweep",
+            "session_cache_bytes",
+            "result_cache_bytes",
+        ]
 
     def test_unknown_execution_mode(self):
         with pytest.raises(ConfigError):
@@ -93,12 +124,3 @@ class TestEngineConfig:
         for strategy in FT_STRATEGIES:
             EngineConfig(ft_strategy=strategy).validate()
 
-
-class TestRunConfig:
-    def test_defaults_validate(self):
-        RunConfig().validate()
-
-    def test_nested_validation_propagates(self):
-        bad = RunConfig(cluster=ClusterConfig(num_workers=0))
-        with pytest.raises(ConfigError):
-            bad.validate()

@@ -81,32 +81,3 @@ class TestStableHash:
         expected = np.array([stable_hash(v, 8) for v in values])
         np.testing.assert_array_equal(arr, expected)
 
-
-class TestWorkerStream:
-    """Fork-safety contract: per-worker streams are pure functions of
-    (root_seed, worker_id) and never collide across sibling workers."""
-
-    def test_reproducible_per_worker(self):
-        from repro.common.rng import worker_stream
-
-        a = worker_stream(42, 3).integers(0, 10**9, size=16)
-        b = worker_stream(42, 3).integers(0, 10**9, size=16)
-        np.testing.assert_array_equal(a, b)
-
-    def test_distinct_across_workers(self):
-        from repro.common.rng import worker_stream
-
-        draws = [
-            tuple(worker_stream(42, wid).integers(0, 10**9, size=4))
-            for wid in range(8)
-        ]
-        assert len(set(draws)) == 8
-
-    def test_independent_of_root_stream_and_names(self):
-        from repro.common.rng import worker_stream
-
-        base = worker_stream(42, 0).integers(0, 10**9, size=4)
-        named = worker_stream(42, 0, "shuffle").integers(0, 10**9, size=4)
-        assert not np.array_equal(base, named)
-        root = DeterministicRNG(42).integers(0, 10**9, size=4)
-        assert not np.array_equal(base, root)

@@ -2,20 +2,21 @@
 
 Three layers of differential coverage:
 
-* **Kernel properties** (Hypothesis): the grace hash join, the spilling
-  aggregation and the external sort-merge join are compared against the
-  resident kernels they fall back from, over random schemas, key dtypes,
+* **Kernel properties** (Hypothesis): the grace hash join and the spilling
+  aggregation are compared against the resident kernels they fall back
+  from, over random schemas, key dtypes,
   unicode-heavy strings, empty batches and quota fractions down to zero.
   The comparison is *exact* — including float payloads drawn from a messy
   pool — because the out-of-core kernels preserve the resident kernels'
   accumulation and emission order, not merely the result multiset.
 * **Compile path**: a memory budget switches every stateful stage to its
-  spill-capable operator variant; the cost model escalates a join whose
-  predicted build side cannot fit even one grace partition to sort-merge;
-  no budget compiles literally the resident operator classes.
+  spill-capable operator variant — a join always to the grace join, however
+  oversize its predicted build side; no budget compiles literally the
+  resident operator classes.
 * **Engine end-to-end**: TPC-H under a budget of 25% of the measured
-  resident peak completes, spills, and returns bit-identical batches; the
-  chaos differential matrix (worker kills mid-spill) stays reference-exact
+  resident peak completes, spills, and returns bit-identical batches (Q5 at
+  2% only under a static plan — see ``TestExactnessLimit``); the chaos
+  differential matrix (worker kills mid-spill) stays reference-exact
   for both ``wal`` and the durable ``spool-s3`` strategy, whose retraced
   channels re-hit their previous spill writes instead of re-writing them.
 """
@@ -35,7 +36,6 @@ from repro.kernels.aggregate import (
 )
 from repro.kernels.join import HashJoin, JoinType
 from repro.kernels.outofcore import (
-    ExternalSortMergeJoin,
     GraceHashJoin,
     SpillingAggregation,
     spill_partition_indices,
@@ -333,34 +333,6 @@ def test_spilling_aggregation_freeze_preserves_float_association():
     )
 
 
-# -- properties: external sort-merge join vs resident --------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), join_type=st.sampled_from(list(JoinType)), quota=quotas)
-def test_sort_merge_join_matches_resident_bit_for_bit(data, join_type, quota):
-    schema = data.draw(schemas())
-    keys = [f.name for f in schema][: data.draw(st.integers(1, len(schema) - 2))]
-    build_batches = data.draw(batch_lists(schema, max_batches=3))
-    if not build_batches:
-        build_batches = [data.draw(batch_for(schema))]
-    probe_batches = data.draw(batch_lists(schema, max_batches=3))
-
-    resident = HashJoin(keys, keys, join_type, build_suffix="_b")
-    smj = ExternalSortMergeJoin(keys, keys, join_type, "_b", _context(quota))
-    for batch in build_batches:
-        resident.build(batch)
-        smj.add("build", batch)
-    for batch in probe_batches:
-        smj.add("probe", batch)
-    expected = [resident.probe(b) for b in probe_batches if b.num_rows]
-    expected = [out for out in expected if out.num_rows]
-    outputs = smj.finalize()
-    assert len(outputs) == len(expected)
-    for actual_out, expected_out in zip(outputs, expected):
-        assert_batches_identical(actual_out, expected_out)
-
-
 # -- compile path --------------------------------------------------------------
 
 
@@ -420,37 +392,46 @@ class TestCompilePath:
             self._join_agg_plan(catalog),
             num_channels=2,
             memory_budget_bytes=1 << 20,
-            memory_workers=2,
         )
         ops = self._stateful_operators(graph)
         assert ops["join"] == "GraceJoinOperator"
         assert ops["agg"] == "SpillingAggregateOperator"
 
-    def test_predicted_oversize_build_escalates_to_sort_merge(self, catalog):
+    def test_predicted_oversize_build_stays_grace_and_bit_exact(self, catalog):
+        """A build side predicted not to fit even one grace partition still
+        compiles to the grace join: oversize partitions are forced grants,
+        not a reason for a second join path."""
         from repro.optimizer.stats import CardinalityEstimator
         from repro.physical import compile_plan
+        from repro.physical.local import execute_stage_graph_locally
 
+        plan = self._join_agg_plan(catalog)
         graph = compile_plan(
-            self._join_agg_plan(catalog),
+            plan,
             num_channels=2,
             estimator=CardinalityEstimator(table_rows={"dims": 10_000_000}),
             memory_budget_bytes=64,
-            memory_workers=2,
         )
         ops = self._stateful_operators(graph)
-        assert ops["join"] == "SortMergeJoinOperator"
+        assert ops["join"] == "GraceJoinOperator"
+        resident = compile_plan(
+            plan,
+            num_channels=2,
+            estimator=CardinalityEstimator(table_rows={"dims": 10_000_000}),
+        )
+        assert_batches_identical(
+            execute_stage_graph_locally(graph), execute_stage_graph_locally(resident)
+        )
 
     def test_memory_strategy_decision_table(self):
         from repro.optimizer.cost import memory_strategy
 
-        assert memory_strategy("join", 1e9, 4, None) == "resident"
-        assert memory_strategy("join", 1e9, 4, float("inf")) == "resident"
-        assert memory_strategy("join", None, 4, 1000.0) == "grace"
-        assert memory_strategy("join", 4000.0, 4, 1000.0) == "resident"
-        assert memory_strategy("join", 8000.0, 4, 1000.0, 8) == "grace"
-        assert memory_strategy("join", 1e9, 4, 1000.0, 8) == "sort-merge"
-        # Aggregates never escalate to sort-merge.
-        assert memory_strategy("aggregate", 1e9, 4, 1000.0, 8) == "grace"
+        assert memory_strategy(1e9, 4, None) == "resident"
+        assert memory_strategy(1e9, 4, float("inf")) == "resident"
+        assert memory_strategy(None, 4, 1000.0) == "grace"
+        assert memory_strategy(4000.0, 4, 1000.0) == "resident"
+        assert memory_strategy(8000.0, 4, 1000.0) == "grace"
+        assert memory_strategy(1e9, 4, 1000.0) == "grace"
 
 
 # -- engine end-to-end ---------------------------------------------------------
@@ -533,6 +514,81 @@ class TestEngineTightBudget:
         second_tracer = TraceRecorder()
         _run(tpch_catalog, 3, budget=budget, tracer=second_tracer)
         assert trace_digest(first_tracer) == trace_digest(second_tracer)
+
+
+class TestExactnessLimit:
+    """What "bit-identical to the resident run" depends on (docs/MEMORY.md).
+
+    Q5 at SF 0.005 on 4 workers under 2% of its resident peak: the budgeted
+    run always matches within the float tolerance, but is bit-identical only
+    when the physical plan is static.  With runtime filters or adaptive
+    execution on (both are by default) ``revenue`` differs from the resident
+    run below the 1e-6 tolerance; the cause is not yet found.  The strict
+    xfails pin that limit: closing it (ROADMAP item 4a) turns them into
+    failures that say the caveat in the docs can go.
+    """
+
+    STATIC = {"runtime_filters": False, "adaptive": False}
+    REACTIVE = [{}, {"runtime_filters": False}, {"adaptive": False}]
+
+    @pytest.fixture(scope="class")
+    def run_pair(self):
+        from repro.api import QuokkaContext
+        from repro.core.options import QueryOptions
+        from repro.tpch import build_query, generate_catalog
+        from repro.tpch.generator import BENCHMARK_SPLITS
+
+        catalog = generate_catalog(
+            scale_factor=0.005, seed=0, splits=BENCHMARK_SPLITS
+        )
+        pairs = {}
+
+        def run(budget, overrides):
+            with QuokkaContext(num_workers=4, catalog=catalog).session() as session:
+                return session.wait(
+                    session.submit_options(
+                        build_query(catalog, 5),
+                        QueryOptions(memory_budget_bytes=budget, **overrides),
+                    )
+                )
+
+        def pair(overrides):
+            key = tuple(sorted(overrides.items()))
+            if key not in pairs:
+                resident = run(float("inf"), overrides)
+                budget = 0.02 * resident.metrics.memory_peak_bytes
+                pairs[key] = (run(budget, overrides), resident)
+            return pairs[key]
+
+        return pair
+
+    @pytest.mark.parametrize("overrides", [STATIC, *REACTIVE], ids=str)
+    def test_tight_budget_is_tolerance_exact_and_spills(self, run_pair, overrides):
+        from repro.chaos.harness import batches_match
+
+        tight, resident = run_pair(overrides)
+        assert tight.metrics.spill_writes > 0
+        assert batches_match(tight.batch, resident.batch)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [STATIC]
+        + [
+            pytest.param(
+                overrides,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="revenue drifts below 1e-6 from the resident run when "
+                    "filters or adaptive execution are on (ROADMAP 4a)",
+                ),
+            )
+            for overrides in REACTIVE
+        ],
+        ids=str,
+    )
+    def test_tight_budget_is_bit_exact(self, run_pair, overrides):
+        tight, resident = run_pair(overrides)
+        assert_batches_identical(tight.batch, resident.batch)
 
 
 class TestChaosWithTightBudget:

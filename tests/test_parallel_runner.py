@@ -158,15 +158,9 @@ class _SquareHandler:
 
 class _WhoAmIHandler:
     def run(self, task):
-        from repro.common.rng import worker_stream
-        from repro.parallel.pool import current_worker_id, current_worker_rng
+        from repro.parallel.pool import current_worker_id
 
-        wid = current_worker_id()
-        assert current_worker_rng() is not None  # bound after fork
-        # A *fresh* stream's first draw is a pure function of (seed, worker):
-        # that is the reproducibility contract (the long-lived bound stream
-        # advances with however many tasks this worker happens to pull).
-        return (wid, int(worker_stream(123, wid).integers(0, 10**9)))
+        return current_worker_id()
 
 
 class TestWorkerPool:
@@ -196,18 +190,11 @@ class TestWorkerPool:
         with pytest.raises(ExecutionError, match="closed"):
             pool.run([_Task(0, 1)])
 
-    def test_workers_get_distinct_reproducible_rng_streams(self):
-        def draws():
-            with WorkerPool(2, _WhoAmIHandler(), seed=123) as pool:
-                payloads = pool.run([_Task(i) for i in range(8)])
-            return {wid: draw for wid, draw in payloads.values()}
-
-        first, second = draws(), draws()
-        # Every observed worker id draws the same first value run-to-run...
-        for wid, draw in first.items():
-            assert second.get(wid, draw) == draw
-        # ...and distinct workers draw distinct streams.
-        assert len(set(first.values())) == len(first)
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_tasks_see_their_worker_id(self, workers):
+        with WorkerPool(workers, _WhoAmIHandler()) as pool:
+            payloads = pool.run([_Task(i) for i in range(8)])
+        assert set(payloads.values()) <= set(range(max(1, workers)))
 
 
 # ---------------------------------------------------------------------------

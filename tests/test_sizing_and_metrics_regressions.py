@@ -86,7 +86,6 @@ class TestIntegralSpillQuota:
             build_query(catalog, 3).plan,
             num_channels=3,
             memory_budget_bytes=1_000_003.0,
-            memory_workers=3,
         )
         quotas = []
         for stage in graph:
