@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.systems import SYSTEM_PRESETS
 from repro.baselines import SparkLikeEngine
-from repro.bench.reporting import geometric_mean
 from repro.bench.settings import BenchSettings
 from repro.cluster.faults import FailurePlan
 from repro.common.config import ClusterConfig, CostModelConfig, EngineConfig
@@ -490,13 +489,6 @@ class ExperimentRunner:
         makespan = session.env.now
         session.close()
         return makespan
-
-    # -- summaries ----------------------------------------------------------------------------
-
-    @staticmethod
-    def geomean_column(rows: List[Dict], column: str) -> float:
-        """Geometric mean of one column across rows."""
-        return geometric_mean(row[column] for row in rows)
 
 
 @lru_cache(maxsize=1)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.config import ClusterConfig, CostModelConfig
 from repro.common.errors import ConfigError
@@ -62,7 +62,6 @@ class Cluster:
             read_bps=self.cost_config.hdfs_read_bps * workers,
             request_latency=self.cost_config.hdfs_request_latency,
         )
-        self._table_splits: Dict[str, List] = {}
 
     # -- workers ----------------------------------------------------------------
 
@@ -95,19 +94,9 @@ class Cluster:
         that already lives in the data lake before the query starts.
         """
         for table in catalog:
-            splits = table.splits()
-            self._table_splits[table.name] = splits
-            for index, split in enumerate(splits):
+            for index, split in enumerate(table.splits()):
                 self.s3.register(
                     ("table", table.name, index),
                     split,
                     self.cost_config.scaled_bytes(float(split.nbytes)),
                 )
-
-    def table_split(self, table_name: str, split_index: int):
-        """The in-memory batch of one table split (used by input tasks)."""
-        return self._table_splits[table_name][split_index]
-
-    def split_nbytes(self, table_name: str, split_index: int) -> float:
-        """The stored size of one table split."""
-        return self.s3.size_of(("table", table_name, split_index))

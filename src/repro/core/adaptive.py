@@ -48,7 +48,10 @@ from repro.data.batch import Batch, concat_batches
 from repro.gcs.naming import TaskName
 from repro.gcs.tables import TaskDescriptor
 from repro.optimizer.cost import broadcast_decision
-from repro.physical.compiler import sized_channel_count
+from repro.physical.compiler import (
+    DEFAULT_TARGET_BYTES_PER_CHANNEL,
+    sized_channel_count,
+)
 from repro.physical.stages import (
     Stage,
     UpstreamLink,
@@ -82,17 +85,11 @@ class AdaptiveController:
     SPEC_FACTOR = 3.0
     SPEC_MIN_SAMPLES = 3
 
-    def __init__(
-        self,
-        execution,
-        broadcast_threshold_bytes: float,
-        target_bytes_per_channel: float,
-    ):
+    def __init__(self, execution, broadcast_threshold_bytes: float):
         self.execution = execution
         self.graph = execution.graph
         self.feedback = StageFeedback()
         self.broadcast_threshold_bytes = float(broadcast_threshold_bytes)
-        self.target_bytes_per_channel = float(target_bytes_per_channel)
         #: Bumped on every revision; replay/regen pushes re-read their payload
         #: when they observe a bump mid-push.
         self.epoch = 0
@@ -264,7 +261,7 @@ class AdaptiveController:
             yield from self._convert_to_broadcast(stage, build, probe, probe_stage)
             return
         n_new = sized_channel_count(
-            build_bytes + probe_est, self.target_bytes_per_channel, stage.num_channels
+            build_bytes + probe_est, DEFAULT_TARGET_BYTES_PER_CHANNEL, stage.num_channels
         )
         if n_new < stage.num_channels:
             yield from self._resize_stage(stage, n_new)
@@ -452,7 +449,7 @@ class AdaptiveController:
             return
         observed = self.feedback.stage_bytes(producer_id)
         n_new = sized_channel_count(
-            observed, self.target_bytes_per_channel, stage.num_channels
+            observed, DEFAULT_TARGET_BYTES_PER_CHANNEL, stage.num_channels
         )
         if n_new >= stage.num_channels:
             return

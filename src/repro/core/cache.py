@@ -141,12 +141,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that hit (0.0 when the cache was never used)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class OutputCache:
     """A byte-bounded LRU mapping lineage keys to committed outputs."""

@@ -135,7 +135,6 @@ class ExecutionContext:
         spill_target: str = "local",
         adaptive: bool = False,
         broadcast_threshold_bytes: float = 0.0,
-        target_bytes_per_channel: Optional[float] = None,
     ):
         from repro.trace.recorder import NullTracer
 
@@ -156,7 +155,7 @@ class ExecutionContext:
         self.scan_pool = scan_pool
         self.metrics = QueryMetrics()
         #: Per-worker memory budget for stateful operator state; None means
-        #: resident operators were compiled and nothing below ever spills.
+        #: the operators run their resident kernels and nothing below spills.
         self.memory_budget_bytes = memory_budget_bytes
         #: Resolved spill destination: "local", "s3" or "hdfs".
         self.spill_target = spill_target
@@ -171,16 +170,9 @@ class ExecutionContext:
         self.adaptive = None
         if adaptive:
             from repro.core.adaptive import AdaptiveController
-            from repro.physical.compiler import DEFAULT_TARGET_BYTES_PER_CHANNEL
 
             self.adaptive = AdaptiveController(
-                self,
-                broadcast_threshold_bytes=broadcast_threshold_bytes,
-                target_bytes_per_channel=(
-                    target_bytes_per_channel
-                    if target_bytes_per_channel is not None
-                    else DEFAULT_TARGET_BYTES_PER_CHANNEL
-                ),
+                self, broadcast_threshold_bytes=broadcast_threshold_bytes
             )
         #: Runtime semi-join filter coordinator; None when the compiled graph
         #: carries neither filter edges nor static scan bounds (the planning
@@ -281,9 +273,9 @@ class ExecutionContext:
         if key not in per_worker:
             runtime = ChannelRuntime(stage, channel)
             operator = runtime.operator
-            if operator is not None and hasattr(operator, "bind_spill"):
+            if operator is not None and operator.spill is not None:
                 store, _durable, _target = self._spill_store_for(worker_id)
-                operator.bind_spill(
+                operator.spill.attach(
                     stage.stage_id, channel,
                     self.memory_manager_for(worker_id), store.peek,
                 )
@@ -325,7 +317,7 @@ class ExecutionContext:
         (``spill_write_rehits``) — that is the recovery benefit of durable
         spill: re-read instead of recompute.
         """
-        spill = getattr(runtime.operator, "spill", None)
+        spill = runtime.operator.spill
         if spill is None:
             return
         records = spill.take_io()

@@ -105,14 +105,6 @@ class ChannelRuntime:
         key = (upstream_stage, upstream_channel)
         self._watermarks[key] = self._watermarks.get(key, 0) + count
 
-    def consumed_total(self, upstream_stage: int) -> int:
-        """Total outputs consumed from every channel of ``upstream_stage``."""
-        return sum(
-            count
-            for (stage, _channel), count in self._watermarks.items()
-            if stage == upstream_stage
-        )
-
     @property
     def state_nbytes(self) -> int:
         """Size of the operator state (0 for stateless input channels)."""

@@ -180,14 +180,6 @@ class ObjectDirectory:
             self._store.delete(self._table, task)
         return lost
 
-    def objects_on_worker(self, worker_id: int) -> List[ObjectLocation]:
-        """Every object whose backup lives on ``worker_id``."""
-        return [
-            location
-            for _task, location in self._store.items(self._table)
-            if location.worker_id == worker_id
-        ]
-
     def __len__(self) -> int:
         return self._store.table_size(self._table)
 

@@ -47,9 +47,13 @@ class HashJoin:
     ``build`` may be called many times (once per arriving build-side batch);
     ``probe`` joins a probe-side batch against everything built so far.  The
     engine only calls ``probe`` after the build side is complete, which gives
-    standard hash-join semantics.  The code table derived from the build rows
-    is built lazily on first probe (or ``state_nbytes``) and invalidated by
-    further ``build`` calls.
+    standard hash-join semantics: probe batches that arrive earlier are
+    parked with ``pending`` and joined, in arrival order, by ``build_done``.
+    The code table derived from the build rows is built lazily on first probe
+    (or ``state_nbytes``) and invalidated by further ``build`` calls.
+
+    ``build_schema`` registers the build-side schema up front, so a join whose
+    build side turns out empty can still probe.
     """
 
     def __init__(
@@ -58,6 +62,7 @@ class HashJoin:
         probe_keys: Sequence[str],
         join_type: JoinType = JoinType.INNER,
         build_suffix: str = "",
+        build_schema: Optional[Schema] = None,
     ):
         if len(build_keys) != len(probe_keys):
             raise SchemaError("build and probe key lists must have the same length")
@@ -83,6 +88,10 @@ class HashJoin:
         # build batches never has to rebuild the probe table.
         self._distinct_keys: set = set()
         self._unindexed_batches: List[Batch] = []
+        self._pending: List[Batch] = []
+        self._pending_nbytes = 0
+        if build_schema is not None:
+            self.build(Batch.empty(build_schema))
 
     # -- build side -------------------------------------------------------------
 
@@ -101,6 +110,21 @@ class HashJoin:
         self._encoder = None
         self._build_concat = None
 
+    def pending(self, batch: Batch) -> None:
+        """Buffer a probe batch that arrived before the build side completed."""
+        self._pending.append(batch)
+        self._pending_nbytes += batch.nbytes
+
+    def build_done(self) -> List[Batch]:
+        """The build side is complete: join the pending probe batches in order."""
+        pending, self._pending, self._pending_nbytes = self._pending, [], 0
+        flushed = [self.probe(batch) for batch in pending if batch.num_rows]
+        return [out for out in flushed if out.num_rows]
+
+    def finalize(self) -> List[Batch]:
+        """Nothing is deferred: every probe batch was answered when it arrived."""
+        return []
+
     @property
     def build_row_count(self) -> int:
         """Number of rows accumulated on the build side."""
@@ -111,10 +135,11 @@ class HashJoin:
         """Approximate size of the hash-table state (for checkpoint costing).
 
         Matches the original kernel byte for byte: accumulated batch bytes
-        plus 48 bytes per distinct key.  Batch bytes are a running total, and
-        the distinct-key directory is maintained incrementally (only batches
-        that arrived since the last call are factorized, each once) — polling
-        between build batches never rebuilds the probe table.
+        plus 48 bytes per distinct key, plus the pending probe buffer.  Batch
+        bytes are a running total, and the distinct-key directory is
+        maintained incrementally (only batches that arrived since the last
+        call are factorized, each once) — polling between build batches never
+        rebuilds the probe table.
         """
         for batch in self._unindexed_batches:
             if batch.num_rows == 0:
@@ -125,7 +150,7 @@ class HashJoin:
                 zip(*[gather_pylist(col, first) for col in key_data])
             )
         self._unindexed_batches = []
-        return self._build_nbytes + 48 * len(self._distinct_keys)
+        return self._build_nbytes + 48 * len(self._distinct_keys) + self._pending_nbytes
 
     def _build_side(self) -> Batch:
         if self._build_schema is None:

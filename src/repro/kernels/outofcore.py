@@ -1,11 +1,14 @@
-"""Out-of-core operator kernels: grace hash join and spilling aggregation.
+"""Out-of-core state kernels: grace hash join, spilling aggregation and buffer.
 
 Each kernel wraps the resident kernel it falls back from
 (:class:`~repro.kernels.join.HashJoin`,
-:class:`~repro.kernels.aggregate.GroupedAggregationState`) and adds a
-partitioned spill discipline driven by a :class:`~repro.memory.SpillContext`:
-state is hash-partitioned, cold partitions move to simulated storage when the
-operator's fixed quota is exceeded, and everything is re-streamed at finalize.
+:class:`~repro.kernels.aggregate.GroupedAggregationState`,
+:class:`~repro.kernels.buffer.RowBuffer`), exposes the same methods, and adds
+a spill discipline driven by a :class:`~repro.memory.SpillContext`: cold state
+moves to simulated storage when the operator's fixed quota is exceeded and is
+re-streamed when needed.  The operators of :mod:`repro.physical.operators`
+pick one or the other once, at construction, from whether the plan carries a
+memory quota; no other module outside ``kernels/`` imports this one.
 
 Spill decisions depend only on the operator's own input history (quota is
 fixed at plan time, spill keys are per-label sequence numbers), so a channel
@@ -25,6 +28,9 @@ not merely the result multiset):
   and finalize replays the raw batches sequentially into a copy of the
   prefix.  The accumulation association is identical to the resident state's
   (never ``merge``-reassociated), so float sums match to the last ULP.
+* ``SpillingRowBuffer`` parks the whole buffer as one chunk whenever it
+  outgrows the quota; finalize restores the chunks in spill order followed by
+  the in-memory tail, which is arrival order.
 
 The intra-operator partition of a row uses the *high* bits of the same row
 hash the shuffle layer uses for channel routing (which consumes the low bits
@@ -44,6 +50,7 @@ from repro.data.batch import Batch, concat_batches
 from repro.data.partition import hash_rows
 from repro.data.schema import Schema
 from repro.kernels.aggregate import AggregateSpec, GroupedAggregationState
+from repro.kernels.buffer import RowBuffer
 from repro.kernels.join import HashJoin, JoinType, _merge_columns, _null_batch
 from repro.memory.spill import SpillContext
 
@@ -115,10 +122,14 @@ class GraceHashJoin:
     def _register_schema(self, schema: Schema) -> None:
         if self._build_schema is None:
             self._build_schema = schema
-            self._template = HashJoin(
-                self.build_keys, self.probe_keys, self.join_type, self.build_suffix
-            )
-            self._template.build(Batch.empty(schema))
+            self._template = self._new_join()
+
+    def _new_join(self) -> HashJoin:
+        """An empty resident join over this join's keys and build schema."""
+        return HashJoin(
+            self.build_keys, self.probe_keys, self.join_type, self.build_suffix,
+            build_schema=self._build_schema,
+        )
 
     # -- build phase ------------------------------------------------------------
 
@@ -149,11 +160,7 @@ class GraceHashJoin:
         for p in range(self.partitions):
             if self._spilled[p]:
                 continue  # stays on disk; restored transiently per probe batch
-            join = HashJoin(
-                self.build_keys, self.probe_keys, self.join_type, self.build_suffix
-            )
-            if self._build_schema is not None:
-                join.build(Batch.empty(self._build_schema))
+            join = self._new_join()
             for sub in self._build_mem[p]:
                 join.build(sub)
             self._joins[p] = join
@@ -195,11 +202,7 @@ class GraceHashJoin:
         join = self._joins[p]
         if join is not None:
             return join
-        join = HashJoin(
-            self.build_keys, self.probe_keys, self.join_type, self.build_suffix
-        )
-        if self._build_schema is not None:
-            join.build(Batch.empty(self._build_schema))
+        join = self._new_join()
         for key in self._build_chunks[p]:
             for sub in self.spill.restore(key):
                 join.build(sub)
@@ -439,3 +442,46 @@ class SpillingAggregation:
         self._state = GroupedAggregationState(self.group_keys, self.aggregates)
         self.spill.note_usage(0)
         return working.finalize(input_schema=input_schema)
+
+
+class SpillingRowBuffer(RowBuffer):
+    """Row buffer that parks itself on storage whenever it outgrows the quota.
+
+    A consumer that sorts needs the whole input back, so ``finalize`` restores
+    every chunk; exceeding the quota at that point is reported as a forced
+    grant rather than hidden.
+    """
+
+    def __init__(self, spill: SpillContext) -> None:
+        super().__init__()
+        self.spill = spill
+        self._chunks: List = []
+
+    def append(self, batch: Batch) -> None:
+        """Buffer one non-empty input batch, spilling the buffer if over quota."""
+        super().append(batch)
+        self.spill.note_usage(self.state_nbytes)
+        if self.spill.needs_spill(self.state_nbytes):
+            key = self.spill.new_key("collect")
+            self.spill.spill(key, self._batches, self.state_nbytes)
+            self._chunks.append(key)
+            self._batches = []
+            self.state_nbytes = 0
+            self.spill.note_usage(0)
+
+    def finalize(self) -> List[Batch]:
+        """Restore every chunk; the rows (and their bytes) pass to the caller."""
+        restored: List[Batch] = []
+        for key in self._chunks:
+            restored.extend(self.spill.restore(key))
+            self.spill.discard(key)
+        restored.extend(self._batches)
+        self._chunks = []
+        self._batches = []
+        self.state_nbytes = 0
+        nbytes = sum(batch.nbytes for batch in restored)
+        self.spill.note_usage(nbytes)
+        if self.spill.needs_spill(nbytes):
+            self.spill.note_forced_grant()
+        self.spill.note_usage(0)
+        return restored

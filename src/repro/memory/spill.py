@@ -5,12 +5,16 @@ traffic must be charged simulated time, ride out outage windows and show up
 in :class:`~repro.cluster.storage.StorageStats`.  The protocol splits the
 two concerns:
 
-* the *operator* stages spilled payloads in its :class:`SpillContext` and
-  appends :class:`SpillIORecord` entries describing each write / read /
-  delete, in chronological order;
-* the *engine* drains those records after the operator step, performing the
-  real store transfers (time, retries, stats, trace spans) and calling
-  :meth:`SpillContext.mark_flushed` once a payload is durably parked.
+* the *operator* — any :class:`~repro.physical.operators.Operator` built with
+  a memory quota; it publishes the context as ``operator.spill``, which is
+  ``None`` on resident operators — stages spilled payloads in its
+  :class:`SpillContext` and appends :class:`SpillIORecord` entries describing
+  each write / read / delete, in chronological order;
+* the *engine* attaches the context to the channel's host worker when it
+  creates the channel runtime and drains those records after every operator
+  step, performing the real store transfers (time, retries, stats, trace
+  spans) and calling :meth:`SpillContext.mark_flushed` once a payload is
+  durably parked.
 
 Because a write record always precedes any read of the same key, a restore
 issued mid-task can return the payload synchronously — from the staging
@@ -82,11 +86,6 @@ class SpillContext:
         self._seqs: Dict[str, int] = {}
         self._io: List[SpillIORecord] = []
 
-    def bind(self, manager: MemoryManager, peek: Callable[[SpillKey], Any]) -> None:
-        """Attach the worker's memory manager and the spill store's peek."""
-        self._manager = manager
-        self._peek = peek
-
     def attach(
         self,
         stage: int,
@@ -94,7 +93,7 @@ class SpillContext:
         manager: MemoryManager,
         peek: Callable[[SpillKey], Any],
     ) -> None:
-        """Adopt the channel identity and bind worker infrastructure.
+        """Adopt the channel identity, the worker's manager and its store's peek.
 
         Operator factories do not know their channel number, so contexts are
         created with placeholder coordinates and re-keyed here when the engine
@@ -103,7 +102,8 @@ class SpillContext:
         self.stage = stage
         self.channel = channel
         self.op_id = (stage, channel)
-        self.bind(manager, peek)
+        self._manager = manager
+        self._peek = peek
 
     @property
     def manager(self) -> MemoryManager:

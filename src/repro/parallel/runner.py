@@ -432,17 +432,19 @@ class ParallelExecutor:
 def _is_shardable_agg(stage: Stage) -> bool:
     """Aggregation channels can split into mergeable partial states.
 
-    Requires the single-upstream aggregation shape: partial states merge
-    through :meth:`GroupedAggregationState.merge`, whose result (and the
-    finalize that follows) is independent of how the input was sharded, so
-    sharding never changes query output.
+    Requires the single-upstream aggregation shape over the resident kernel:
+    partial states merge through :meth:`GroupedAggregationState.merge`, whose
+    result (and the finalize that follows) is independent of how the input
+    was sharded, so sharding never changes query output.  An operator built
+    with a memory quota holds the out-of-core kernel, which never merges.
     """
     if stage.is_input or not stage.stateful or len(stage.upstreams) != 1:
         return False
     try:
-        return isinstance(stage.make_operator(), AggregateOperator)
+        operator = stage.make_operator()
     except Exception:
         return False
+    return isinstance(operator, AggregateOperator) and operator.spill is None
 
 
 def execute_graph_parallel(

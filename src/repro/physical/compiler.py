@@ -29,11 +29,6 @@ from repro.physical.operators import (
     CollectOperator,
     JoinOperator,
 )
-from repro.physical.spill_operators import (
-    GraceJoinOperator,
-    SpillingAggregateOperator,
-    SpillingCollectOperator,
-)
 from repro.physical.stages import (
     FilterOp,
     PartialAggregateOp,
@@ -88,11 +83,9 @@ def sized_channel_count(
 def compile_plan(
     plan: LogicalPlan,
     num_channels: int,
-    enable_partial_aggregation: bool = True,
     stage_base: int = 0,
     estimator=None,
     broadcast_threshold_bytes: float = 0.0,
-    target_bytes_per_channel: float = DEFAULT_TARGET_BYTES_PER_CHANNEL,
     memory_budget_bytes: Optional[float] = None,
     runtime_filters: bool = False,
 ) -> StageGraph:
@@ -111,13 +104,14 @@ def compile_plan(
     channel-aligned (local).  Without an estimator the physical plan is
     exactly the seed-era heuristic one.
 
-    ``memory_budget_bytes`` (per worker) switches every stateful stage to a
-    spill-capable operator variant; after the graph is built a post-pass
-    divides the budget by the worst-case number of stateful channels one
-    worker hosts (callers compile one channel per worker, so one per stateful
-    stage), and that fixed per-operator quota drives all spill decisions
-    (see :mod:`repro.memory`).  ``None`` — the default — compiles exactly
-    the resident operators.
+    ``memory_budget_bytes`` (per worker) gives every stateful operator a
+    memory quota, under which it runs its out-of-core state kernel: after the
+    graph is built a post-pass divides the budget by the worst-case number of
+    stateful channels one worker hosts (callers compile one channel per
+    worker, so one per stateful stage), and that fixed per-operator quota
+    drives all spill decisions (see :mod:`repro.memory`).  ``None`` — the
+    default — leaves the quota ``None``: the same operators over their
+    resident kernels.
 
     ``runtime_filters`` runs the sideways-information-passing planning pass
     (:func:`repro.optimizer.runtime_filters.plan_runtime_filters`) after the
@@ -130,11 +124,9 @@ def compile_plan(
         raise PlanError("num_channels must be at least 1")
     compiler = _Compiler(
         num_channels,
-        enable_partial_aggregation,
         stage_base,
         estimator=estimator,
         broadcast_threshold_bytes=broadcast_threshold_bytes,
-        target_bytes_per_channel=target_bytes_per_channel,
         memory_budget_bytes=memory_budget_bytes,
         runtime_filters=runtime_filters,
     )
@@ -142,26 +134,20 @@ def compile_plan(
 
 
 class _Compiler:
-    def __init__(self, num_channels: int, enable_partial_aggregation: bool,
-                 stage_base: int = 0, estimator=None,
+    def __init__(self, num_channels: int, stage_base: int = 0, estimator=None,
                  broadcast_threshold_bytes: float = 0.0,
-                 target_bytes_per_channel: float = DEFAULT_TARGET_BYTES_PER_CHANNEL,
                  memory_budget_bytes: Optional[float] = None,
                  runtime_filters: bool = False):
         self.graph = StageGraph(stage_base=stage_base)
         self.num_channels = num_channels
-        self.enable_partial_aggregation = enable_partial_aggregation
         self.estimator = estimator
         self.runtime_filters = runtime_filters
         self.broadcast_threshold_bytes = broadcast_threshold_bytes
-        self.target_bytes_per_channel = max(target_bytes_per_channel, 1.0)
         self.memory_budget_bytes = memory_budget_bytes
         # Operator factories read the quota out of this shared holder when the
         # engine instantiates them — i.e. after the post-pass in ``run`` has
-        # filled it in.  ``None`` keys the resident (no-budget) compilation.
-        self._mem: Optional[dict] = (
-            {"quota": None} if memory_budget_bytes is not None else None
-        )
+        # filled it in.  It stays ``None`` (resident kernels) without a budget.
+        self._mem: dict = {"quota": None}
         self._join_counter = 0
         self._agg_counter = 0
         self._collect_counter = 0
@@ -177,7 +163,9 @@ class _Compiler:
         if self.estimator is None:
             return self.num_channels
         total = sum(self.estimator.bytes(node) for node in nodes)
-        return sized_channel_count(total, self.target_bytes_per_channel, self.num_channels)
+        return sized_channel_count(
+            total, DEFAULT_TARGET_BYTES_PER_CHANNEL, self.num_channels
+        )
 
     # -- public entry -----------------------------------------------------------
 
@@ -200,7 +188,7 @@ class _Compiler:
             from repro.optimizer.runtime_filters import plan_runtime_filters
 
             plan_runtime_filters(self.graph)
-        if self._mem is not None:
+        if self.memory_budget_bytes is not None:
             # Fixed per-operator quota: the budget divided by the worst-case
             # number of stateful channels a single worker hosts.  No stage has
             # more than ``num_channels`` channels and callers compile one
@@ -308,36 +296,24 @@ class _Compiler:
         join_type = node.join_type
         suffix = node.suffix
         build_schema = build.schema
-        if self._mem is None:
-            stage.operator_factory = lambda: JoinOperator(
-                build_upstream_id=build_id,
-                probe_upstream_id=probe_id,
-                build_keys=right_keys,
-                probe_keys=left_keys,
-                join_type=join_type,
-                suffix=suffix,
-                build_schema=build_schema,
-            )
-        else:
-            mem = self._mem
-            stage.operator_factory = lambda: GraceJoinOperator(
-                build_upstream_id=build_id,
-                probe_upstream_id=probe_id,
-                build_keys=right_keys,
-                probe_keys=left_keys,
-                join_type=join_type,
-                suffix=suffix,
-                build_schema=build_schema,
-                quota=mem["quota"],
-            )
+        mem = self._mem
+        stage.operator_factory = lambda: JoinOperator(
+            build_upstream_id=build_id,
+            probe_upstream_id=probe_id,
+            build_keys=right_keys,
+            probe_keys=left_keys,
+            join_type=join_type,
+            suffix=suffix,
+            build_schema=build_schema,
+            quota=mem["quota"],
+        )
         return _Compiled(stage=stage, schema=node.schema)
 
     def _compile_aggregate(self, node: Aggregate) -> _Compiled:
         compiled = self._compile(node.child)
         specs = list(node.aggregates)
         group_keys = list(node.group_keys)
-        pushdown = self.enable_partial_aggregation and _can_push_down(specs)
-        if pushdown:
+        if _can_push_down(specs):
             partial_specs, final_specs, post_projections = _two_phase_specs(
                 group_keys, specs
             )
@@ -368,24 +344,15 @@ class _Compiler:
             stage.adaptive = {"kind": "agg", "est": float(self.estimator.bytes(node))}
         input_schema = compiled.schema
         output_schema = node.schema
-        if self._mem is None:
-            stage.operator_factory = lambda: AggregateOperator(
-                group_keys=group_keys,
-                specs=final_specs,
-                input_schema=input_schema,
-                output_schema=output_schema,
-                post_projections=post_projections,
-            )
-        else:
-            mem = self._mem
-            stage.operator_factory = lambda: SpillingAggregateOperator(
-                group_keys=group_keys,
-                specs=final_specs,
-                input_schema=input_schema,
-                output_schema=output_schema,
-                post_projections=post_projections,
-                quota=mem["quota"],
-            )
+        mem = self._mem
+        stage.operator_factory = lambda: AggregateOperator(
+            group_keys=group_keys,
+            specs=final_specs,
+            input_schema=input_schema,
+            output_schema=output_schema,
+            post_projections=post_projections,
+            quota=mem["quota"],
+        )
         return _Compiled(stage=stage, schema=node.schema)
 
     def _compile_sort(self, node: Sort, limit: Optional[int]) -> _Compiled:
@@ -448,22 +415,14 @@ class _Compiler:
         stage.output_schema = schema
         sort_keys = list(sort_keys) if sort_keys else None
         descending = list(descending) if descending is not None else None
-        if self._mem is None:
-            stage.operator_factory = lambda: CollectOperator(
-                schema=schema,
-                sort_keys=sort_keys,
-                descending=descending,
-                limit=limit,
-            )
-        else:
-            mem = self._mem
-            stage.operator_factory = lambda: SpillingCollectOperator(
-                schema=schema,
-                sort_keys=sort_keys,
-                descending=descending,
-                limit=limit,
-                quota=mem["quota"],
-            )
+        mem = self._mem
+        stage.operator_factory = lambda: CollectOperator(
+            schema=schema,
+            sort_keys=sort_keys,
+            descending=descending,
+            limit=limit,
+            quota=mem["quota"],
+        )
         return stage
 
 

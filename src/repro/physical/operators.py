@@ -18,6 +18,19 @@ The engine drives operators through three entry points:
 
 Operators are deterministic: identical sequences of calls produce identical
 outputs, which is the property lineage-based replay relies on.
+
+There is one operator class per kind of stateful stage.  Each takes the
+per-operator memory ``quota`` the compiler derived from the query's budget
+and picks its *state kernel* once, at construction: ``None`` selects the
+resident kernel (:class:`~repro.kernels.join.HashJoin`,
+:class:`~repro.kernels.aggregate.GroupedAggregationState`,
+:class:`~repro.kernels.buffer.RowBuffer`), anything else the out-of-core
+kernel of :mod:`repro.kernels.outofcore` over a fresh
+:class:`~repro.memory.SpillContext` published as ``operator.spill``.  Both
+kernels of a kind expose the same methods and emit the same batches bit for
+bit, so the methods below hold the protocol only and no memory policy; this
+module is the one place outside ``kernels/`` and ``memory/`` that knows the
+out-of-core kernels exist (``tests/test_task_step_boundary.py``).
 """
 
 from __future__ import annotations
@@ -30,13 +43,21 @@ from repro.data.batch import Batch, concat_batches
 from repro.data.schema import Schema
 from repro.expr.nodes import Expr
 from repro.kernels.aggregate import AggregateSpec, GroupedAggregationState
+from repro.kernels.buffer import RowBuffer
 from repro.kernels.join import HashJoin, JoinType
+from repro.kernels.outofcore import GraceHashJoin, SpillingAggregation, SpillingRowBuffer
 from repro.kernels.project import project_batch
 from repro.kernels.sort import sort_batch
+from repro.memory.spill import SpillContext
 
 
 class Operator:
     """Base class for per-channel operators."""
+
+    #: Spill context of an operator built with a memory quota — the engine
+    #: attaches it to the host worker and drains its I/O records after every
+    #: step.  ``None`` on resident operators, which never report usage.
+    spill: Optional[SpillContext] = None
 
     def on_input(self, upstream_id: int, batch: Batch) -> List[Batch]:
         """Consume one input batch from upstream stage ``upstream_id``."""
@@ -66,7 +87,8 @@ class JoinOperator(Operator):
     Build-side batches populate the hash table; probe-side batches arriving
     before the build side is complete are buffered and flushed when
     ``on_upstream_done(build)`` fires, preserving pipelined consumption of
-    both inputs while keeping classic hash-join semantics.
+    both inputs while keeping classic hash-join semantics.  The buffer lives
+    in the join kernel, which under a ``quota`` may park it on storage.
     """
 
     def __init__(
@@ -78,18 +100,24 @@ class JoinOperator(Operator):
         join_type: JoinType = JoinType.INNER,
         suffix: str = "_right",
         build_schema: Optional[Schema] = None,
+        quota: Optional[float] = None,
     ):
         self.build_upstream_id = build_upstream_id
         self.probe_upstream_id = probe_upstream_id
-        self._join = HashJoin(build_keys, probe_keys, join_type, suffix)
-        if build_schema is not None:
-            # Register the build-side schema up front so channels whose build
-            # partition happens to be empty can still probe (and LEFT joins
-            # can emit their null placeholders).
-            self._join.build(Batch.empty(build_schema))
+        # The build-side schema is registered up front so channels whose
+        # build partition happens to be empty can still probe (and LEFT joins
+        # can emit their null placeholders).
+        if quota is None:
+            self._join = HashJoin(
+                build_keys, probe_keys, join_type, suffix, build_schema=build_schema
+            )
+        else:
+            self.spill = SpillContext(-1, -1, quota)
+            self._join = GraceHashJoin(
+                build_keys, probe_keys, join_type, suffix, self.spill,
+                build_schema=build_schema,
+            )
         self._build_done = False
-        self._pending_probe: List[Batch] = []
-        self._pending_nbytes = 0
 
     def on_input(self, upstream_id: int, batch: Batch) -> List[Batch]:
         if upstream_id == self.build_upstream_id:
@@ -98,8 +126,7 @@ class JoinOperator(Operator):
             return []
         if upstream_id == self.probe_upstream_id:
             if not self._build_done:
-                self._pending_probe.append(batch)
-                self._pending_nbytes += batch.nbytes
+                self._join.pending(batch)
                 return []
             return [self._join.probe(batch)] if batch.num_rows else []
         raise ExecutionError(
@@ -110,16 +137,14 @@ class JoinOperator(Operator):
         if upstream_id != self.build_upstream_id:
             return []
         self._build_done = True
-        flushed = [
-            self._join.probe(batch) for batch in self._pending_probe if batch.num_rows
-        ]
-        self._pending_probe = []
-        self._pending_nbytes = 0
-        return [b for b in flushed if b.num_rows]
+        return self._join.build_done()
+
+    def finalize(self) -> List[Batch]:
+        return self._join.finalize()
 
     @property
     def state_nbytes(self) -> int:
-        return self._join.state_nbytes + self._pending_nbytes
+        return self._join.state_nbytes
 
 
 class AggregateOperator(Operator):
@@ -138,13 +163,18 @@ class AggregateOperator(Operator):
         input_schema: Schema,
         output_schema: Schema,
         post_projections: Optional[Sequence[Tuple[str, Expr]]] = None,
+        quota: Optional[float] = None,
     ):
         self.group_keys = list(group_keys)
         self.specs = list(specs)
         self.input_schema = input_schema
         self.output_schema = output_schema
         self.post_projections = list(post_projections) if post_projections else None
-        self._state = GroupedAggregationState(self.group_keys, self.specs)
+        if quota is None:
+            self._state = GroupedAggregationState(self.group_keys, self.specs)
+        else:
+            self.spill = SpillContext(-1, -1, quota)
+            self._state = SpillingAggregation(self.group_keys, self.specs, self.spill)
 
     def on_input(self, upstream_id: int, batch: Batch) -> List[Batch]:
         self._state.update(batch)
@@ -165,7 +195,12 @@ class AggregateOperator(Operator):
 
 
 class CollectOperator(Operator):
-    """Single-channel result stage: gather, optionally sort/limit, then emit."""
+    """Single-channel result stage: gather, optionally sort/limit, then emit.
+
+    The final sort/limit needs the whole input, so under a ``quota`` the
+    buffer parks itself on storage while gathering and ``finalize`` restores
+    every chunk (an over-quota result is a forced grant, not hidden).
+    """
 
     def __init__(
         self,
@@ -174,23 +209,26 @@ class CollectOperator(Operator):
         descending: Optional[Sequence[bool]] = None,
         limit: Optional[int] = None,
         final_ops: Optional[Sequence] = None,
+        quota: Optional[float] = None,
     ):
         self.schema = schema
         self.sort_keys = list(sort_keys) if sort_keys else None
         self.descending = list(descending) if descending is not None else None
         self.limit = limit
         self.final_ops = list(final_ops) if final_ops else []
-        self._buffer: List[Batch] = []
-        self._buffer_nbytes = 0
+        if quota is None:
+            self._rows = RowBuffer()
+        else:
+            self.spill = SpillContext(-1, -1, quota)
+            self._rows = SpillingRowBuffer(self.spill)
 
     def on_input(self, upstream_id: int, batch: Batch) -> List[Batch]:
         if batch.num_rows:
-            self._buffer.append(batch)
-            self._buffer_nbytes += batch.nbytes
+            self._rows.append(batch)
         return []
 
     def finalize(self) -> List[Batch]:
-        merged = concat_batches(self._buffer, schema=self.schema)
+        merged = concat_batches(self._rows.finalize(), schema=self.schema)
         if self.sort_keys:
             merged = sort_batch(merged, self.sort_keys, self.descending)
         if self.limit is not None:
@@ -201,15 +239,4 @@ class CollectOperator(Operator):
 
     @property
     def state_nbytes(self) -> int:
-        return self._buffer_nbytes
-
-
-class PassThroughOperator(Operator):
-    """Stateless stage operator: every input batch is emitted unchanged.
-
-    Used when a stage exists purely to re-partition data (rare in compiled
-    plans but useful for tests and custom stage graphs).
-    """
-
-    def on_input(self, upstream_id: int, batch: Batch) -> List[Batch]:
-        return [batch] if batch.num_rows else []
+        return self._rows.state_nbytes

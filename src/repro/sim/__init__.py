@@ -2,7 +2,7 @@
 
 This is the substrate the virtual cluster runs on.  It is intentionally
 modelled on the SimPy API (``Environment``, processes as generators yielding
-events, ``Timeout``, ``Store``, ``Resource``) so the cluster code reads like
+events, ``Timeout``, ``Resource``) so the cluster code reads like
 ordinary concurrent code, but it is fully self-contained and deterministic.
 """
 
@@ -15,7 +15,7 @@ from repro.sim.core import (
     AllOf,
     AnyOf,
 )
-from repro.sim.resources import Store, Resource, PriorityStore, BandwidthResource
+from repro.sim.resources import Resource, BandwidthResource
 
 __all__ = [
     "Environment",
@@ -25,8 +25,6 @@ __all__ = [
     "Interrupt",
     "AllOf",
     "AnyOf",
-    "Store",
     "Resource",
-    "PriorityStore",
     "BandwidthResource",
 ]

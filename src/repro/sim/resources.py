@@ -1,9 +1,5 @@
 """Shared-resource primitives for the simulation kernel.
 
-``Store``
-    An unbounded FIFO queue of items; ``get`` waits until an item arrives.
-``PriorityStore``
-    Like :class:`Store` but items are retrieved lowest-key first.
 ``Resource``
     A counted resource (e.g. CPU slots on a worker); ``request`` waits until a
     slot is free and ``release`` frees it.
@@ -11,84 +7,11 @@
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Deque, List, Tuple
+from typing import Deque
 
 from repro.common.errors import SimulationError
 from repro.sim.core import Environment, Event
-
-
-class Store:
-    """Unbounded FIFO store of items shared between processes."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> list:
-        """Snapshot of the queued items (oldest first)."""
-        return list(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Add ``item``; returns an already-succeeded event for symmetry."""
-        self._items.append(item)
-        self._dispatch()
-        done = Event(self.env)
-        done.succeed(item)
-        return done
-
-    def get(self) -> Event:
-        """Return an event that succeeds with the next item."""
-        getter = Event(self.env)
-        self._getters.append(getter)
-        self._dispatch()
-        return getter
-
-    def _dispatch(self) -> None:
-        while self._items and self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(self._items.popleft())
-
-
-class PriorityStore(Store):
-    """Store whose ``get`` returns the smallest item first."""
-
-    def __init__(self, env: Environment):
-        super().__init__(env)
-        self._heap: List[Tuple[Any, int, Any]] = []
-        self._counter = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> list:
-        return [entry[2] for entry in sorted(self._heap)]
-
-    def put(self, item: Any, priority: Any = None) -> Event:
-        key = priority if priority is not None else item
-        heapq.heappush(self._heap, (key, next(self._counter), item))
-        self._dispatch()
-        done = Event(self.env)
-        done.succeed(item)
-        return done
-
-    def _dispatch(self) -> None:
-        while self._heap and self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            _key, _tie, item = heapq.heappop(self._heap)
-            getter.succeed(item)
 
 
 class Resource:

@@ -108,12 +108,6 @@ class StageFeedback:
         observation = self.outputs.get(name.stage, {}).get(name)
         return observation.worker_id if observation is not None else None
 
-    def link_bytes(self, producer: int, consumer: int) -> float:
-        """Total bytes pushed over one link so far."""
-        return sum(
-            sum(sizes) for sizes in self.pieces.get((producer, consumer), {}).values()
-        )
-
     def link_channel_bytes(
         self, producer: int, consumer: int, num_channels: int
     ) -> List[float]:

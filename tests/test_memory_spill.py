@@ -9,10 +9,10 @@ Three layers of differential coverage:
   The comparison is *exact* — including float payloads drawn from a messy
   pool — because the out-of-core kernels preserve the resident kernels'
   accumulation and emission order, not merely the result multiset.
-* **Compile path**: a memory budget switches every stateful stage to its
-  spill-capable operator variant — a join always to the grace join, however
-  oversize its predicted build side; no budget compiles literally the
-  resident operator classes.
+* **Compile path**: there is one operator class per stateful stage kind; a
+  memory budget only picks its out-of-core state kernel — for a join always
+  the grace join, however oversize its predicted build side — and no budget
+  leaves ``operator.spill`` unset over the resident kernel.
 * **Engine end-to-end**: TPC-H under a budget of 25% of the measured
   resident peak completes, spills, and returns bit-identical batches (Q5 at
   2% only under a static plan — see ``TestExactnessLimit``); the chaos
@@ -34,13 +34,16 @@ from repro.kernels.aggregate import (
     AggregateSpec,
     GroupedAggregationState,
 )
+from repro.kernels.buffer import RowBuffer
 from repro.kernels.join import HashJoin, JoinType
 from repro.kernels.outofcore import (
     GraceHashJoin,
     SpillingAggregation,
+    SpillingRowBuffer,
     spill_partition_indices,
 )
 from repro.memory import MemoryManager, SpillContext, SpillKey
+from repro.physical.operators import AggregateOperator, CollectOperator, JoinOperator
 
 # -- strategies ----------------------------------------------------------------
 
@@ -250,18 +253,21 @@ def test_grace_join_matches_resident_bit_for_bit(data, join_type, quota):
         grace.build(batch)
     # Probe batches that arrive before the build side completes are buffered
     # (and spilled under pressure); build_done flushes them in arrival order.
+    # Both kernels speak this protocol — JoinOperator drives either one.
     for batch in early_probes:
+        resident.pending(batch)
         grace.pending(batch)
-    flushed = grace.build_done()
+    assert resident.state_nbytes >= sum(b.nbytes for b in early_probes)
     expected = [resident.probe(b) for b in early_probes if b.num_rows]
     expected = [out for out in expected if out.num_rows]
-    assert len(flushed) == len(expected)
-    for actual_out, expected_out in zip(flushed, expected):
-        assert_batches_identical(actual_out, expected_out)
+    for flushed in (grace.build_done(), resident.build_done()):
+        assert len(flushed) == len(expected)
+        for actual_out, expected_out in zip(flushed, expected):
+            assert_batches_identical(actual_out, expected_out)
     for batch in late_probes:
         if batch.num_rows:
             assert_batches_identical(grace.probe(batch), resident.probe(batch))
-    assert grace.finalize() == []
+    assert grace.finalize() == resident.finalize() == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -333,6 +339,34 @@ def test_spilling_aggregation_freeze_preserves_float_association():
     )
 
 
+# -- properties: spilling row buffer vs resident --------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), quota=quotas)
+def test_spilling_row_buffer_restores_arrival_order(data, quota):
+    schema = data.draw(schemas())
+    batches = [b for b in data.draw(batch_lists(schema, max_batches=5)) if b.num_rows]
+    manager = MemoryManager(quota)
+    context = _context(quota)
+    context.attach(0, 0, manager, peek=lambda key: None)
+    resident, spilling = RowBuffer(), SpillingRowBuffer(context)
+    for batch in batches:
+        resident.append(batch)
+        spilling.append(batch)
+        assert quota is None or spilling.state_nbytes <= quota
+    total = resident.state_nbytes
+    restored = spilling.finalize()
+    assert len(restored) == len(batches)
+    for actual_out, expected_out in zip(restored, resident.finalize()):
+        assert_batches_identical(actual_out, expected_out)
+    # The restored rows belong to the caller: the books show the peak they
+    # reached (a forced grant when over quota) and nothing held afterwards.
+    assert manager.peak_bytes == total
+    assert manager.used_bytes == spilling.state_nbytes == 0
+    assert manager.forced_grants == int(quota is not None and total > quota)
+
+
 # -- compile path --------------------------------------------------------------
 
 
@@ -370,32 +404,37 @@ class TestCompilePath:
         )
         return frame.plan
 
+    #: stage kind -> (operator, its kernel attribute, resident kernel, out-of-core kernel)
+    KINDS = {
+        "join": (JoinOperator, "_join", HashJoin, GraceHashJoin),
+        "agg": (AggregateOperator, "_state", GroupedAggregationState, SpillingAggregation),
+        "collect": (CollectOperator, "_rows", RowBuffer, SpillingRowBuffer),
+    }
+
     def _stateful_operators(self, graph):
         return {
-            stage.name.rsplit("_", 1)[0]: type(stage.make_operator()).__name__
+            stage.name.rsplit("_", 1)[0]: stage.make_operator()
             for stage in graph
-            if stage.stateful and stage.operator_factory is not None
+            if stage.stateful
         }
 
-    def test_no_budget_compiles_resident_operators(self, catalog):
-        from repro.physical import compile_plan
-
-        graph = compile_plan(self._join_agg_plan(catalog), num_channels=2)
-        ops = self._stateful_operators(graph)
-        assert ops["join"] == "JoinOperator"
-        assert ops["agg"] == "AggregateOperator"
-
-    def test_budget_compiles_spill_capable_operators(self, catalog):
+    @pytest.mark.parametrize("budget", [None, float("inf"), 1 << 20], ids=str)
+    def test_budget_picks_the_kernel_not_the_operator_class(self, catalog, budget):
         from repro.physical import compile_plan
 
         graph = compile_plan(
-            self._join_agg_plan(catalog),
-            num_channels=2,
-            memory_budget_bytes=1 << 20,
+            self._join_agg_plan(catalog), num_channels=2, memory_budget_bytes=budget
         )
         ops = self._stateful_operators(graph)
-        assert ops["join"] == "GraceJoinOperator"
-        assert ops["agg"] == "SpillingAggregateOperator"
+        assert set(ops) == set(self.KINDS)
+        for kind, (operator, attr, resident, out_of_core) in self.KINDS.items():
+            op = ops[kind]
+            kernel = getattr(op, attr)
+            assert type(op) is operator
+            if budget is None:
+                assert op.spill is None and type(kernel) is resident
+            else:
+                assert type(kernel) is out_of_core and kernel.spill is op.spill
 
     def test_predicted_oversize_build_stays_grace_and_bit_exact(self, catalog):
         """A build side predicted not to fit even one grace partition still
@@ -412,8 +451,8 @@ class TestCompilePath:
             estimator=CardinalityEstimator(table_rows={"dims": 10_000_000}),
             memory_budget_bytes=64,
         )
-        ops = self._stateful_operators(graph)
-        assert ops["join"] == "GraceJoinOperator"
+        join = self._stateful_operators(graph)["join"]
+        assert type(join) is JoinOperator and type(join._join) is GraceHashJoin
         resident = compile_plan(
             plan,
             num_channels=2,
@@ -475,22 +514,30 @@ class TestEngineTightBudget:
         assert tight.metrics.spill_bytes_written > 0
         assert_batches_identical(tight.batch, resident.batch)
 
-    def test_unlimited_budget_matches_no_budget_run(self, tpch_catalog):
+    @pytest.mark.parametrize("query", [3, 5, 9, 18])
+    def test_unlimited_budget_matches_no_budget_run(self, tpch_catalog, query):
+        """The two kernel families are the same program: under an infinite
+        budget the out-of-core kernels never spill, and the run differs from
+        the resident one only in that its memory is tracked."""
         from repro.trace.digest import trace_digest
         from repro.trace.recorder import TraceRecorder
 
         plain_tracer = TraceRecorder()
-        plain = _run(tpch_catalog, 3, budget=None, tracer=plain_tracer)
+        plain = _run(tpch_catalog, query, budget=None, tracer=plain_tracer)
         assert plain.metrics.spill_writes == 0
         assert plain.metrics.memory_peak_bytes == 0  # nothing is even tracked
 
-        tracked = _run(tpch_catalog, 3, budget=float("inf"))
+        tracked_tracer = TraceRecorder()
+        tracked = _run(tpch_catalog, query, budget=float("inf"), tracer=tracked_tracer)
+        assert tracked.metrics.spill_writes == 0
+        assert tracked.metrics.memory_peak_bytes > 0
         assert_batches_identical(tracked.batch, plain.batch)
-        assert tracked.metrics.runtime_seconds == plain.metrics.runtime_seconds
+        assert repr(tracked.metrics.runtime_seconds) == repr(plain.metrics.runtime_seconds)
+        assert trace_digest(tracked_tracer) == trace_digest(plain_tracer)
 
         # The resident path itself is replay-deterministic, digest included.
         again_tracer = TraceRecorder()
-        again = _run(tpch_catalog, 3, budget=None, tracer=again_tracer)
+        again = _run(tpch_catalog, query, budget=None, tracer=again_tracer)
         assert_batches_identical(again.batch, plain.batch)
         assert trace_digest(again_tracer) == trace_digest(plain_tracer)
 

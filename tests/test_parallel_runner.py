@@ -357,6 +357,18 @@ class TestRunnerSurface:
             + stats.agg_shard_tasks + stats.merge_tasks
         )
 
+    def test_budgeted_aggregation_is_never_sharded(self):
+        # Same operator class under a budget, but its out-of-core kernel does
+        # not merge: the channel runs whole through drain_operator instead.
+        catalog = _catalog("standard")
+        graph = compile_plan(
+            build_query(catalog, 1).plan, num_channels=1,
+            memory_budget_bytes=float("inf"),
+        )
+        batch, stats = execute_graph_parallel(graph, workers=2, morsel_rows=256)
+        assert batches_match(batch, _expected("standard", 1))
+        assert stats.agg_shard_tasks == 0 and stats.merge_tasks == 0
+
     def test_bad_morsel_rows_rejected(self):
         catalog = _catalog("standard")
         graph = compile_plan(build_query(catalog, 6).plan, num_channels=2)

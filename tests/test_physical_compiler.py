@@ -9,7 +9,7 @@ from repro.physical import compile_plan
 from repro.physical.local import execute_stage_graph_locally
 from repro.physical.stages import FilterOp, PartialAggregateOp
 from repro.plan import Catalog, DataFrame, TableScan, execute_plan
-from repro.plan.dataframe import avg_agg, count_agg, sum_agg
+from repro.plan.dataframe import avg_agg, count_agg, count_distinct_agg, sum_agg
 
 
 @pytest.fixture()
@@ -66,11 +66,19 @@ class TestCompilerStructure:
         result = graph.stage(graph.result_stage_id)
         assert result.num_channels == 1
 
-    def test_partial_aggregation_can_be_disabled(self, catalog):
-        df = frame(catalog, "orders").groupby("o_custkey").agg(count_agg("n"))
-        graph = compile_plan(df.plan, num_channels=2, enable_partial_aggregation=False)
+    def test_count_distinct_is_not_pushed_down(self, catalog):
+        # A distinct count cannot be merged from per-batch partials, so the
+        # producing stage ships raw rows and the aggregation stage sees them all.
+        df = (
+            frame(catalog, "orders")
+            .groupby("o_custkey")
+            .agg(count_distinct_agg("n", col("o_orderkey")), count_agg("rows"))
+        )
+        graph = compile_plan(df.plan, num_channels=2)
         scan = graph.input_stages()[0]
         assert not any(isinstance(op, PartialAggregateOp) for op in scan.post_ops)
+        result = execute_stage_graph_locally(graph)
+        assert result.equals(execute_plan(df.plan), sort_keys=["o_custkey"])
 
     def test_scalar_aggregation_single_channel(self, catalog):
         df = frame(catalog, "orders").agg(sum_agg("t", col("o_total")))

@@ -1,73 +1,9 @@
-"""Tests for Store, PriorityStore, Resource and BandwidthResource."""
+"""Tests for Resource and BandwidthResource."""
 
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Environment, Resource, Store, PriorityStore, BandwidthResource
-
-
-class TestStore:
-    def test_put_then_get_fifo(self):
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def producer():
-            for i in range(3):
-                yield env.timeout(1.0)
-                store.put(i)
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                received.append((env.now, item))
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert received == [(1.0, 0), (2.0, 1), (3.0, 2)]
-
-    def test_get_blocks_until_item_available(self):
-        env = Environment()
-        store = Store(env)
-
-        def consumer():
-            item = yield store.get()
-            return env.now, item
-
-        def producer():
-            yield env.timeout(7.0)
-            store.put("late")
-
-        consumer_proc = env.process(consumer())
-        env.process(producer())
-        assert env.run(consumer_proc) == (7.0, "late")
-
-    def test_len_and_items_snapshot(self):
-        env = Environment()
-        store = Store(env)
-        store.put("a")
-        store.put("b")
-        assert len(store) == 2
-        assert store.items == ["a", "b"]
-
-
-class TestPriorityStore:
-    def test_get_returns_lowest_priority_first(self):
-        env = Environment()
-        store = PriorityStore(env)
-        store.put("low-priority", priority=10)
-        store.put("high-priority", priority=1)
-        store.put("mid-priority", priority=5)
-        out = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                out.append(item)
-
-        env.run(env.process(consumer()))
-        assert out == ["high-priority", "mid-priority", "low-priority"]
+from repro.sim import Environment, Resource, BandwidthResource
 
 
 class TestResource:
