@@ -1,4 +1,4 @@
-"""Benchmark bootstrap: make ``src/`` importable and share one runner."""
+"""Benchmark bootstrap: make ``src/`` importable."""
 
 import os
 import sys

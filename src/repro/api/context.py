@@ -145,7 +145,7 @@ class QuokkaContext:
         catalog and serves many queries concurrently over it: submissions are
         admitted up to ``EngineConfig.max_concurrent_queries`` at a time,
         scheduled fair-share over shared TaskManagers, and can reuse each
-        other's committed outputs (result cache, scan-output cache, shared
+        other's committed outputs (result cache, coalesced duplicates, shared
         scans).  By default the session runs with this context's own
         ``engine_config`` (so knobs set at construction, e.g.
         ``result_cache_bytes=0``, take effect); ``system`` instead picks a

@@ -12,6 +12,10 @@ but with Spark's execution model:
   recomputes exactly those outputs by re-running the producing tasks spread
   across all surviving workers (data-parallel recovery, Figure 3 top), then
   retries the tasks of the current stage that failed.
+
+Plans compile without an estimator, so every link hash-partitions: the
+broadcast and aligned ``link.mode`` handling this engine inherits from
+:func:`~repro.physical.task.route_output` is unreachable here.
 """
 
 from __future__ import annotations
@@ -73,8 +77,8 @@ class SparkLikeEngine:
         self.cost_config.validate()
         # The paper attributes part of Quokka's 2x over SparkSQL to kernel
         # efficiency (vectorised DuckDB/Polars vs Spark's JVM operators); the
-        # slowdown factor models that difference explicitly and is documented
-        # in DESIGN.md.  Set it to 1.0 to isolate the execution-model effect.
+        # slowdown factor models that difference explicitly.  Set it to 1.0
+        # to isolate the execution-model effect.
         if kernel_slowdown <= 0:
             raise ExecutionError("kernel_slowdown must be positive")
         self.kernel_slowdown = kernel_slowdown

@@ -1,19 +1,19 @@
-"""Experiment harness used by the ``benchmarks/`` directory.
+"""Experiment harness behind the ``benchmarks/`` directory.
 
-Every table and figure of the paper's evaluation has a corresponding
-``benchmarks/bench_*.py`` file; the shared machinery (workload setup, system
-presets, result caching, table rendering) lives here so the individual
-benchmark files stay short and declarative.
+``benchmarks/bench_figures.py`` holds the paper's evaluation as one table of
+figures; what each figure measures is an :class:`ExperimentRunner` series
+method here, configured by a :class:`BenchSettings` value, and the table and
+JSON rendering shared with the other benchmarks lives in
+:mod:`repro.bench.reporting`.
 """
 
 from repro.bench.settings import BenchSettings
-from repro.bench.runner import ExperimentRunner, get_runner
+from repro.bench.runner import ExperimentRunner
 from repro.bench.reporting import format_table, geometric_mean, write_report
 
 __all__ = [
     "BenchSettings",
     "ExperimentRunner",
-    "get_runner",
     "format_table",
     "geometric_mean",
     "write_report",

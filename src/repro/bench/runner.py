@@ -1,24 +1,28 @@
-"""The experiment runner shared by every benchmark file.
+"""The experiment runner behind ``benchmarks/bench_figures.py``.
 
-The runner owns the generated TPC-H catalog, knows how to run a query as each
-"system under test" (Quokka / SparkSQL stand-in / Trino stand-in / the
-ablation configurations), caches results so figures that share measurements do
-not re-run them, and computes the per-figure data series.
+The runner owns the generated TPC-H catalog, runs a query as each "system
+under test" (Quokka / SparkSQL stand-in / Trino stand-in / the ablation
+configurations) through the public :class:`~repro.api.runners.Runner`
+protocol, caches results so figures that share measurements do not re-run
+them, and computes the per-figure data series.  Every value a series returns
+is a virtual second, a ratio of them, or a count — deterministic, so the
+figure table is checked exactly against the committed ``FIGURES.json``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.context import QuokkaContext
+from repro.api.runners import OneShotRunner
 from repro.api.systems import SYSTEM_PRESETS
 from repro.baselines import SparkLikeEngine
 from repro.bench.settings import BenchSettings
 from repro.cluster.faults import FailurePlan
-from repro.common.config import ClusterConfig, CostModelConfig, EngineConfig
+from repro.common.config import CostModelConfig, EngineConfig
 from repro.common.errors import ConfigError
-from repro.core.engine import QuokkaEngine
 from repro.core.metrics import QueryResult
+from repro.core.options import QueryOptions
 from repro.tpch import build_query, generate_catalog
 from repro.tpch.generator import BENCHMARK_SPLITS
 
@@ -46,7 +50,7 @@ class ExperimentRunner:
     """Runs TPC-H queries on the simulated cluster for every system under test."""
 
     def __init__(self, settings: Optional[BenchSettings] = None):
-        self.settings = settings or BenchSettings.from_env()
+        self.settings = settings or BenchSettings()
         self.catalog = generate_catalog(
             scale_factor=self.settings.scale_factor,
             seed=self.settings.seed,
@@ -59,9 +63,14 @@ class ExperimentRunner:
 
     # -- low-level execution -----------------------------------------------------------
 
-    def _cluster_config(self, num_workers: int) -> ClusterConfig:
-        return ClusterConfig(
-            num_workers=num_workers, cpus_per_worker=self.settings.cpus_per_worker
+    def _context(self, num_workers: int, **kwargs) -> QuokkaContext:
+        """The cluster shape and catalog every run on ``num_workers`` shares."""
+        return QuokkaContext(
+            num_workers=num_workers,
+            cpus_per_worker=self.settings.cpus_per_worker,
+            cost_config=self.cost_config,
+            catalog=self.catalog,
+            **kwargs,
         )
 
     def run(
@@ -75,12 +84,15 @@ class ExperimentRunner:
     ) -> QueryResult:
         """Run one query as ``system`` on ``num_workers`` workers.
 
-        ``failure`` is ``(worker_id, fraction)``: kill that worker at the given
-        fraction of the failure-free runtime of the same (query, system,
-        cluster) combination.  ``optimize`` selects the cost-based planner
+        Every system except ``sparksql`` goes through the public protocol —
+        :class:`~repro.api.runners.OneShotRunner` with the system's
+        :data:`SYSTEM_CONFIGS` entry in :class:`QueryOptions`.  ``failure`` is
+        ``(worker_id, fraction)``: kill that worker at the given fraction of
+        the failure-free runtime of the same (query, system, cluster)
+        combination.  ``optimize`` selects the cost-based planner
         (statistics, join reordering, broadcast joins); ``False`` — the
-        default, which the figure benchmarks use so their series stay
-        comparable across runs — takes the seed-era heuristic planning path.
+        default, which the figures use so their series stay comparable
+        across runs — takes the seed-era heuristic planning path.
         ``memory_budget`` is a per-worker ``memory_budget_bytes`` for the
         out-of-core (spilling) regime; only the Quokka-engine systems
         support it.
@@ -100,24 +112,19 @@ class ExperimentRunner:
                 FailurePlan.at_fraction(worker_id, fraction, baseline.runtime)
             ]
 
+        context = self._context(num_workers)
         frame = build_query(self.catalog, query_number)
         query_name = f"tpch-q{query_number}"
         if system == "sparksql":
             if memory_budget is not None:
                 raise ConfigError("the SparkSQL baseline has no memory budget")
             if optimize:
-                from repro.optimizer import optimize_plan
-                from repro.plan.dataframe import DataFrame
-
-                frame = DataFrame(optimize_plan(frame.plan))
+                frame = context.optimize(frame)
             engine = SparkLikeEngine(
-                cluster_config=self._cluster_config(num_workers),
-                cost_config=self.cost_config,
+                cluster_config=context.cluster_config, cost_config=self.cost_config
             )
             result = engine.run(frame, self.catalog, failure_plans, query_name=query_name)
         else:
-            from repro.core.options import QueryOptions
-
             try:
                 engine_config = SYSTEM_CONFIGS[system]
             except KeyError:
@@ -125,17 +132,14 @@ class ExperimentRunner:
                     f"unknown system {system!r}; available: "
                     f"{sorted(SYSTEM_CONFIGS) + ['sparksql']}"
                 ) from None
-            engine = QuokkaEngine(
-                cluster_config=self._cluster_config(num_workers),
-                cost_config=self.cost_config,
+            options = QueryOptions(
                 engine_config=engine_config,
+                failure_plans=failure_plans,
+                optimize=bool(optimize),
+                memory_budget_bytes=memory_budget,
+                query_name=query_name,
             )
-            result = engine.run(
-                frame, self.catalog, failure_plans, query_name=query_name,
-                options=QueryOptions(
-                    optimize=bool(optimize), memory_budget_bytes=memory_budget
-                ),
-            )
+            result = OneShotRunner(context).submit(frame, options).wait()
         self._cache[key] = result
         return result
 
@@ -383,115 +387,76 @@ class ExperimentRunner:
     #: them re-submitted (the dashboard-refresh pattern of real query traffic).
     MULTIQUERY_MIX = (1, 6, 3, 10, 12, 1, 6, 3)
 
-    def _session_cluster_config(self, num_workers: int) -> ClusterConfig:
-        """Cluster shape for the session experiments.
-
-        One TaskManager slot per CPU, so a worker can overlap independent
-        tasks — the multi-query serving configuration.  The *same* shape is
-        used for the sequential baseline, so the comparison isolates what the
-        shared session adds (concurrency, caches, shared scans), not extra
-        hardware.
-        """
-        return ClusterConfig(
-            num_workers=num_workers,
-            cpus_per_worker=self.settings.cpus_per_worker,
-            task_managers_per_worker=self.settings.cpus_per_worker,
-        )
-
     def multi_query_session(
         self,
         num_workers: int,
         queries: Optional[Sequence[int]] = None,
-        failure: Optional[Tuple[int, float]] = None,
-    ) -> Dict:
+        failure_fraction: Optional[float] = None,
+    ) -> List[Dict]:
         """One shared session versus fresh-cluster-per-query, same workload.
 
         Runs ``queries`` (default :attr:`MULTIQUERY_MIX`) two ways on
-        identically shaped clusters: sequentially with a fresh
-        :class:`QuokkaEngine` per query, and concurrently on one
-        :class:`~repro.core.session.Session`.  ``failure`` is
-        ``(worker_id, fraction)``: kill that worker at the given fraction of
-        the failure-free *session* makespan, mid-stream.  Every per-query
-        result is checked against :func:`repro.tpch.reference_answer`.
+        identically shaped clusters — one TaskManager slot per CPU, so a
+        worker can overlap independent tasks, and the comparison isolates
+        what the shared session adds (concurrency, result cache, shared
+        scans), not extra hardware: sequentially, a fresh
+        :class:`~repro.api.runners.OneShotRunner` cluster per query, and
+        concurrently on one :class:`~repro.core.session.Session`.  With
+        ``failure_fraction`` the failure-target worker is killed at that
+        fraction of the failure-free *session* makespan, mid-stream.  Every
+        per-query result is checked against
+        :func:`repro.tpch.reference_answer`.  Returns a single row.
         """
         from repro.chaos.harness import batches_match
-        from repro.core.session import Session
         from repro.tpch.reference import reference_answer
 
         mix = list(queries or self.MULTIQUERY_MIX)
-        cluster_config = self._session_cluster_config(num_workers)
-        engine_config = EngineConfig(max_concurrent_queries=len(mix))
+        frames = [build_query(self.catalog, q) for q in mix]
+        context = self._context(
+            num_workers,
+            engine_config=EngineConfig(max_concurrent_queries=len(mix)),
+            task_managers_per_worker=self.settings.cpus_per_worker,
+        )
 
-        sequential_total = 0.0
-        for query_number in mix:
-            engine = QuokkaEngine(
-                cluster_config=cluster_config,
-                cost_config=self.cost_config,
-                engine_config=engine_config,
-            )
-            result = engine.run(build_query(self.catalog, query_number), self.catalog)
-            sequential_total += result.runtime
+        sequential_total = sum(
+            OneShotRunner(context).submit(frame).wait().runtime for frame in frames
+        )
+
+        def run_session(failure_plans=None):
+            with context.session() as session:
+                results = session.run_many(
+                    frames,
+                    query_names=[f"q{q}" for q in mix],
+                    failure_plans=failure_plans,
+                )
+                return results, session.env.now, session.scan_pool.stats.coalesced_reads
 
         failure_plans = None
-        if failure is not None:
-            baseline = self._session_makespan(mix, cluster_config, engine_config)
-            worker_id, fraction = failure
+        if failure_fraction is not None:
+            _results, baseline, _reads = run_session()
             failure_plans = [
-                FailurePlan.at_fraction(worker_id, fraction, baseline)
+                FailurePlan.at_fraction(
+                    self._failure_target(num_workers), failure_fraction, baseline
+                )
             ]
-        session = Session(
-            cluster_config=cluster_config,
-            cost_config=self.cost_config,
-            engine_config=engine_config,
-            catalog=self.catalog,
-        )
-        results = session.run_many(
-            [build_query(self.catalog, q) for q in mix],
-            query_names=[f"q{q}" for q in mix],
-            failure_plans=failure_plans,
-        )
-        makespan = session.env.now
-        session.close()
+        results, makespan, shared_scan_reads = run_session(failure_plans)
 
-        correct = [
-            batches_match(result.batch, reference_answer(self.catalog, query_number))
-            for query_number, result in zip(mix, results)
+        return [
+            {
+                "queries": " ".join(f"q{q}" for q in mix),
+                "sequential_s": sequential_total,
+                "makespan_s": makespan,
+                "throughput_x": sequential_total / makespan,
+                "all_correct": all(
+                    batches_match(result.batch, reference_answer(self.catalog, q))
+                    for q, result in zip(mix, results)
+                ),
+                "coalesced_results": sum(r.metrics.result_from_cache for r in results),
+                "shared_scan_reads": shared_scan_reads,
+                "failures_injected": max(
+                    (r.metrics.failures_injected for r in results), default=0
+                ),
+                "rewound_channels": sum(r.metrics.rewound_channels for r in results),
+                "query_restarts": sum(r.metrics.query_restarts for r in results),
+            }
         ]
-        return {
-            "queries": mix,
-            "sequential_s": sequential_total,
-            "makespan_s": makespan,
-            "throughput_x": sequential_total / makespan,
-            "all_correct": all(correct),
-            "correct": correct,
-            "coalesced_results": sum(r.metrics.result_from_cache for r in results),
-            "scan_cache_hits": sum(r.metrics.cache_hits for r in results),
-            "shared_scan_reads": session.scan_pool.stats.coalesced_reads,
-            "failures_injected": max(
-                (r.metrics.failures_injected for r in results), default=0
-            ),
-            "rewound_channels": sum(r.metrics.rewound_channels for r in results),
-            "query_restarts": sum(r.metrics.query_restarts for r in results),
-            "results": results,
-        }
-
-    def _session_makespan(self, mix, cluster_config, engine_config) -> float:
-        """Failure-free makespan of the session workload (for failure planning)."""
-        from repro.core.session import Session
-
-        session = Session(
-            cluster_config=cluster_config,
-            cost_config=self.cost_config,
-            engine_config=engine_config,
-            catalog=self.catalog,
-        )
-        session.run_many([build_query(self.catalog, q) for q in mix])
-        makespan = session.env.now
-        session.close()
-        return makespan
-
-
-@lru_cache(maxsize=1)
-def get_runner() -> ExperimentRunner:
-    """Singleton runner shared across benchmark files (so measurements are reused)."""
-    return ExperimentRunner(BenchSettings.from_env())

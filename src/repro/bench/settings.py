@@ -1,51 +1,30 @@
-"""Benchmark settings, overridable through environment variables.
+"""Benchmark settings: one frozen dataclass, no environment variables.
 
-The defaults are sized so the full benchmark suite finishes in minutes on a
-laptop while still showing the paper's figure shapes.  Environment variables:
-
-``REPRO_BENCH_SF``
-    TPC-H scale factor actually generated (default ``0.0005``).
-``REPRO_BENCH_TARGET_SF``
-    Scale factor the cost model should *emulate* (default ``100``, as in the
-    paper).  The ratio becomes the cost model's ``io_scale_multiplier``.
-``REPRO_BENCH_SEED``
-    Data-generation and placement seed (default ``0``).
-``REPRO_BENCH_FULL``
-    When set to ``1``, Figure 6 / 11a sweep all 22 queries instead of the
-    eight representative ones.
+The defaults are the configuration ``FIGURES.json`` is generated at — sized
+so the whole figure table finishes in minutes on a laptop while still showing
+the paper's figure shapes (the paper's 16- and 32-worker clusters are 8 and
+16 workers here).  Anything else — the tiny configurations the tests use —
+is passed explicitly as ``BenchSettings(...)``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List
-
-
-def _env_float(name: str, default: float) -> float:
-    value = os.environ.get(name)
-    return float(value) if value else default
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
-
-
-def _env_bool(name: str, default: bool = False) -> bool:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    return value.strip() not in ("", "0", "false", "False")
 
 
 @dataclass(frozen=True)
 class BenchSettings:
     """Resolved benchmark configuration."""
 
+    #: TPC-H scale factor actually generated.
     scale_factor: float = 0.0005
+    #: Scale factor the cost model *emulates* (the paper's SF100); the ratio
+    #: becomes the cost model's ``io_scale_multiplier``.
     target_scale_factor: float = 100.0
+    #: Data-generation and placement seed.
     seed: int = 0
+    #: Figure 6 sweeps all 22 queries instead of the eight representative ones.
     full_query_set: bool = False
     small_cluster_workers: int = 4
     large_cluster_workers: int = 8
@@ -54,37 +33,16 @@ class BenchSettings:
     failure_fraction: float = 0.5
     case_study_fractions: tuple = (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6)
 
-    @classmethod
-    def from_env(cls) -> "BenchSettings":
-        """Build settings from the environment.
-
-        The default "large" and "scalability" cluster sizes are 8 and 16
-        workers so the whole benchmark suite stays laptop-friendly; set
-        ``REPRO_BENCH_LARGE_WORKERS=16`` and ``REPRO_BENCH_SCALE_WORKERS=32``
-        to reproduce the paper's exact cluster sizes.
-        """
-        return cls(
-            scale_factor=_env_float("REPRO_BENCH_SF", 0.0005),
-            target_scale_factor=_env_float("REPRO_BENCH_TARGET_SF", 100.0),
-            seed=_env_int("REPRO_BENCH_SEED", 0),
-            full_query_set=_env_bool("REPRO_BENCH_FULL", False),
-            small_cluster_workers=_env_int("REPRO_BENCH_SMALL_WORKERS", 4),
-            large_cluster_workers=_env_int("REPRO_BENCH_LARGE_WORKERS", 8),
-            scalability_workers=_env_int("REPRO_BENCH_SCALE_WORKERS", 16),
-        )
-
     @property
     def io_scale_multiplier(self) -> float:
         """Multiplier emulating the paper's SF100 data volumes."""
         return max(1.0, self.target_scale_factor / self.scale_factor)
 
     def figure6_queries(self) -> List[int]:
-        """Queries swept in Figures 6 and 11a."""
+        """Queries swept in Figure 6."""
         if self.full_query_set:
             return list(range(1, 23))
-        from repro.tpch.queries import REPRESENTATIVE_QUERIES
-
-        return list(REPRESENTATIVE_QUERIES)
+        return self.representative_queries()
 
     def representative_queries(self) -> List[int]:
         """The paper's eight representative queries (Figures 7-11)."""

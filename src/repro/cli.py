@@ -541,9 +541,7 @@ def run_session(args) -> int:
     print(f"{'query':<12} {'runtime':>9} {'tasks':>7} {'cached':>7} {'rewound':>8}")
     for result in results:
         metrics = result.metrics
-        cached = "result" if metrics.result_from_cache else (
-            str(metrics.cache_hits) if metrics.cache_hits else "-"
-        )
+        cached = "result" if metrics.result_from_cache else "-"
         print(
             f"{result.query_name:<12} {metrics.runtime_seconds:>8.2f}s "
             f"{metrics.tasks_executed:>7} {cached:>7} {metrics.rewound_channels:>8}"

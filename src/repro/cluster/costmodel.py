@@ -2,7 +2,7 @@
 
 All constants come from :class:`~repro.common.config.CostModelConfig`; this
 class only adds the formulas.  Keeping the formulas in one place makes the
-calibration assumptions auditable (see DESIGN.md section 1).
+calibration assumptions auditable.
 """
 
 from __future__ import annotations

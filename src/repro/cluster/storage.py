@@ -224,13 +224,6 @@ class DurableObjectStore:
             # Retry with backoff until just past the end of the window.
             yield self.env.timeout((end - now) + retry_latency)
 
-    def size_of(self, key: Any) -> float:
-        """Stored size of ``key`` in bytes."""
-        try:
-            return self._sizes[key]
-        except KeyError:
-            raise ExecutionError(f"{self.name} object {key!r} not found") from None
-
     def put(self, key: Any, payload: Any, nbytes: float):
         """Process: durably store ``payload`` under ``key``."""
         yield from self._ride_out_outages()

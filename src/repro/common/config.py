@@ -167,9 +167,6 @@ class EngineConfig:
     #: sweep before the worker moves on to the next admitted query.  Only
     #: applies while more than one query is active.
     fair_share_tasks_per_sweep: int = 1
-    #: Capacity of the session's LRU cache of committed scan outputs
-    #: (bytes; 0 disables cross-query output reuse).
-    session_cache_bytes: float = 256e6
     #: Capacity of the session's whole-result cache (bytes; 0 disables).
     result_cache_bytes: float = 64e6
 
@@ -203,8 +200,6 @@ class EngineConfig:
             raise ConfigError("max_concurrent_queries must be at least 1")
         if self.fair_share_tasks_per_sweep < 1:
             raise ConfigError("fair_share_tasks_per_sweep must be at least 1")
-        if self.session_cache_bytes < 0:
-            raise ConfigError("session_cache_bytes must be non-negative")
         if self.result_cache_bytes < 0:
             raise ConfigError("result_cache_bytes must be non-negative")
 

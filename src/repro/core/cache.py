@@ -1,27 +1,19 @@
-"""Session-level LRU cache of committed task outputs, keyed by lineage.
+"""Session-level reuse of committed work: result cache and shared scans.
 
-The write-ahead-lineage protocol names every committed task output after the
-deterministic computation that produced it, which makes outputs *reusable*:
-when a second query asks for the same scan split (same table, same fused
-post-ops) — or repeats an entire earlier query — the session can serve the
-committed output from memory instead of re-reading S3 and re-running the
-kernels.  This is the engine-level counterpart of the paper's observation that
-lineage is cheap to keep around precisely because it identifies outputs
-exactly.
+The write-ahead-lineage protocol names every committed output after the
+deterministic computation that produced it, which makes outputs *reusable*.
+The session reuses at two points:
 
-Two granularities are cached:
-
-* **Scan-task outputs** (:func:`scan_task_key`): the post-op-processed batch
-  of one input split.  Overlapping queries (the same TPC-H table with the same
-  pushed-down filter) hit this cache and skip the simulated S3 read and the
-  post-op CPU time.
 * **Whole-query results** (:func:`plan_key`): the final batch of a committed
-  query, keyed by the canonical text of its logical plan.  A repeated query
-  returns instantly without admitting any tasks.
+  query, kept in a byte-bounded LRU (:class:`OutputCache`) keyed by the
+  lossless canonical text of its logical plan.  A repeated query returns
+  instantly without admitting any tasks, and a duplicate of an in-flight
+  query coalesces onto it.
+* **Concurrent scans** (:class:`SharedScanPool`): queries reading the same
+  base-table split at the same time share one physical object-store read.
 
-The cache holds *committed* outputs only, so a cache hit can never observe a
-result that a failed worker might retract; eviction is plain LRU bounded by
-``capacity_bytes``.
+The cache holds *committed* results only, so a hit can never observe a result
+that a failed worker might retract.
 """
 
 from __future__ import annotations
@@ -29,33 +21,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable, Optional, Tuple
-
-from repro.physical.stages import FilterOp, PartialAggregateOp, ProjectOp, Stage
-
-
-def _agg_specs_fingerprint(specs) -> str:
-    return ",".join(
-        f"{spec.name}={spec.function.value}({spec.expression!r})" for spec in specs
-    )
-
-
-def _op_fingerprint(op) -> Optional[str]:
-    """Lossless canonical text of one fused post-op, or None if unknown.
-
-    ``describe()`` is for humans and elides expressions (``project(['x'])``),
-    which would let semantically different scans collide; this serialisation
-    includes every expression verbatim.  An op type this module cannot
-    serialise losslessly yields None, which disables caching for its stage —
-    a construct that *might* collide must never be cached.
-    """
-    if isinstance(op, FilterOp):
-        return f"filter({op.predicate!r})"
-    if isinstance(op, ProjectOp):
-        cols = ",".join(f"{name}={expr!r}" for name, expr in op.projections)
-        return f"project({cols})"
-    if isinstance(op, PartialAggregateOp):
-        return f"partial_agg(by={op.group_keys},{_agg_specs_fingerprint(op.partial_specs)})"
-    return None
 
 
 def plan_fingerprint(plan) -> Optional[str]:
@@ -87,10 +52,11 @@ def plan_fingerprint(plan) -> Optional[str]:
             cols = ",".join(f"{name}={expr!r}" for name, expr in plan.projections)
             return f"project({cols})<-{child}"
         if isinstance(plan, nodes.Aggregate):
-            return (
-                f"agg(by={plan.group_keys},"
-                f"{_agg_specs_fingerprint(plan.aggregates)})<-{child}"
+            specs = ",".join(
+                f"{spec.name}={spec.function.value}({spec.expression!r})"
+                for spec in plan.aggregates
             )
+            return f"agg(by={plan.group_keys},{specs})<-{child}"
         if isinstance(plan, nodes.Sort):
             return f"sort(by={plan.keys},descending={plan.descending})<-{child}"
         return f"limit({plan.n})<-{child}"
@@ -105,24 +71,6 @@ def plan_fingerprint(plan) -> Optional[str]:
             f"right={plan.right_keys},suffix={plan.suffix!r})<-[{left}|{right}]"
         )
     return None
-
-
-def scan_task_key(stage: Stage, split_index: int) -> Optional[Tuple[Hashable, ...]]:
-    """Cache key of one input-reader task output, or None if uncacheable.
-
-    The key captures everything that determines the output batch: the table,
-    the split and the fused post-ops (serialised losslessly).  Stage ids and
-    query ids are deliberately excluded — they differ across queries while the
-    computed batch does not.  A stage with an unserialisable post-op is never
-    cached (None).
-    """
-    ops = []
-    for op in stage.post_ops:
-        fingerprint = _op_fingerprint(op)
-        if fingerprint is None:
-            return None
-        ops.append(fingerprint)
-    return ("scan", stage.table.name, split_index, tuple(ops))
 
 
 def plan_key(plan) -> Optional[Tuple[Hashable, ...]]:
@@ -143,7 +91,7 @@ class CacheStats:
 
 
 class OutputCache:
-    """A byte-bounded LRU mapping lineage keys to committed outputs."""
+    """A byte-bounded LRU mapping plan keys to committed query results."""
 
     def __init__(self, capacity_bytes: float = 256e6):
         self.capacity_bytes = float(capacity_bytes)

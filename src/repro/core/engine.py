@@ -1,25 +1,22 @@
 """The write-ahead lineage execution engine (Algorithm 1 of the paper).
 
-``QuokkaEngine.run`` is the one-query entry point: it opens a fresh
-single-query :class:`~repro.core.session.Session`, runs the query to
-completion and tears the session down again.  Long-lived multi-query serving
-lives in :mod:`repro.core.session`; this module owns the per-query
-:class:`ExecutionContext` — every piece of mutable state one query needs plus
-the task-execution protocol itself.  A task only runs when its inputs' lineage
+Queries enter through :mod:`repro.core.session` (one query on a private
+session via :class:`~repro.api.runners.OneShotRunner`, or many on a shared
+one); this module owns the per-query :class:`ExecutionContext` — every piece
+of mutable state one query needs plus the task-execution protocol itself.  A task only runs when its inputs' lineage
 is committed, and when it finishes, its own lineage, the task-queue update and
 the backup's directory entry are written to the GCS in a single transaction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.faults import FailurePlan
 from repro.cluster.worker import Worker
-from repro.common.config import ClusterConfig, CostModelConfig, EngineConfig
+from repro.common.config import EngineConfig
 from repro.common.errors import ExecutionError
-from repro.core.cache import OutputCache, SharedScanPool, scan_task_key
-from repro.core.metrics import QueryMetrics, QueryResult
+from repro.core.cache import SharedScanPool
+from repro.core.metrics import QueryMetrics
 from repro.core.runtime import ChannelRuntime
 from repro.data.batch import Batch, concat_batches
 from repro.ft.base import FaultToleranceStrategy
@@ -28,76 +25,6 @@ from repro.gcs.tables import GlobalControlStore, TaskDescriptor
 from repro.memory.manager import MemoryManager
 from repro.physical.stages import Stage, StageGraph
 from repro.physical.task import finish_output, route_output
-from repro.plan.catalog import Catalog
-from repro.plan.dataframe import DataFrame
-from repro.plan.nodes import LogicalPlan
-
-
-class QuokkaEngine:
-    """Core entry point for running one query with write-ahead lineage.
-
-    Each call to :meth:`run` builds a fresh simulated cluster, which mirrors
-    the paper's per-experiment methodology and keeps runs fully independent.
-    This is the engine-level equivalent of the public
-    :class:`repro.api.runners.OneShotRunner` (which the frame verbs use); to
-    amortise the cluster across many queries (and reuse committed outputs
-    between them) use :class:`repro.core.session.Session` instead.
-    """
-
-    def __init__(
-        self,
-        cluster_config: Optional[ClusterConfig] = None,
-        cost_config: Optional[CostModelConfig] = None,
-        engine_config: Optional[EngineConfig] = None,
-        strategy: Optional[FaultToleranceStrategy] = None,
-    ):
-        self.cluster_config = cluster_config or ClusterConfig()
-        self.cost_config = cost_config or CostModelConfig()
-        self.engine_config = engine_config or EngineConfig()
-        self.cluster_config.validate()
-        self.cost_config.validate()
-        self.engine_config.validate()
-        self._strategy = strategy
-
-    def run(
-        self,
-        query: DataFrame | LogicalPlan,
-        catalog: Catalog,
-        failure_plans: Optional[Sequence[FailurePlan]] = None,
-        query_name: str = "",
-        tracer=None,
-        options=None,
-    ) -> QueryResult:
-        """Execute one query and return its result batch and metrics.
-
-        Pass a :class:`repro.trace.TraceRecorder` as ``tracer`` to collect
-        per-task spans and recovery events for the run.  ``options`` is an
-        optional :class:`~repro.core.options.QueryOptions` carrying planner
-        knobs (e.g. ``optimize=False`` for the heuristic planning path); the
-        explicit keyword arguments override the corresponding option fields.
-        """
-        from repro.core.options import QueryOptions
-        from repro.core.session import Session
-
-        options = options or QueryOptions()
-        if failure_plans is not None:
-            options = options.with_overrides(failure_plans=failure_plans)
-        if query_name:
-            options = options.with_overrides(query_name=query_name)
-        if tracer is not None:
-            options = options.with_overrides(tracer=tracer)
-        session = Session(
-            cluster_config=self.cluster_config,
-            cost_config=self.cost_config,
-            engine_config=self.engine_config,
-            strategy=self._strategy,
-            catalog=catalog,
-            enable_output_cache=False,
-        )
-        try:
-            return session.wait(session.submit_options(query, options))
-        finally:
-            session.close()
 
 
 class ExecutionContext:
@@ -129,7 +56,6 @@ class ExecutionContext:
         gcs: Optional[GlobalControlStore] = None,
         query_id: int = 0,
         query_name: str = "",
-        output_cache: Optional[OutputCache] = None,
         scan_pool: Optional[SharedScanPool] = None,
         memory_budget_bytes: Optional[float] = None,
         spill_target: str = "local",
@@ -149,8 +75,6 @@ class ExecutionContext:
         self.gcs = gcs if gcs is not None else GlobalControlStore()
         self.query_id = query_id
         self.query_name = query_name
-        #: Session-shared LRU of committed outputs (None disables reuse).
-        self.output_cache = output_cache
         #: Session-shared scan coalescer (None means direct object-store reads).
         self.scan_pool = scan_pool
         self.metrics = QueryMetrics()
@@ -228,8 +152,8 @@ class ExecutionContext:
         between submission and completion snapshots.  During overlap the delta
         attributes concurrent queries' traffic to each other — exact per-query
         attribution would require tagging every transfer — but it is exact
-        whenever a query runs alone, which includes every stand-alone
-        :class:`QuokkaEngine` run.
+        whenever a query runs alone, which includes every
+        :class:`~repro.api.runners.OneShotRunner` submission.
         """
         cluster = self.cluster
         return {
@@ -419,7 +343,7 @@ class ExecutionContext:
         yield request
         try:
             yield self.env.timeout(self.cost_model.dispatch_seconds())
-            out_batch = yield from self._split_output(stage, split_index, use_cache=True)
+            out_batch = yield from self._split_output(stage, split_index)
             record = Lineage(descriptor.name, input_split=split_index, kind="input")
             committed = yield from self._emit_output(
                 worker, stage, runtime, descriptor, out_batch, record, is_final
@@ -436,47 +360,25 @@ class ExecutionContext:
         finally:
             worker.cpu.release(request)
 
-    def _split_output(self, stage: Stage, split_index: int, use_cache: bool):
+    def _split_output(self, stage: Stage, split_index: int):
         """Process: the output batch of the input task over ``split_index``.
 
         The single definition of what an input task computes, run by both the
         original task and its lineage-driven regeneration — same decisions,
-        same yields, same bytes.  Only the session's scan-output cache is the
-        original's alone (``use_cache``): a regeneration always re-reads.
+        same yields, same bytes.
         """
         if self.filters is not None and self.filters.split_prunable(stage, split_index):
             # Zone-map pruning: no row of this split can survive the scan's
             # static bounds or a published min/max filter, so the output is
             # the same empty batch a full read would produce — skip the S3
-            # read (and the cache: the entry would only ever hold an empty
-            # batch this query can make for free).  The decision replays
-            # exactly: filters never change once published, and the original
-            # task only ran gated on them.
+            # read.  The decision replays exactly: filters never change once
+            # published, and the original task only ran gated on them.
             self.metrics.splits_pruned += 1
             return Batch.empty(stage.output_schema)
-        cache_key = None
-        if use_cache and self.output_cache is not None:
-            cache_key = scan_task_key(stage, split_index)
-        cached = self.output_cache.get(cache_key) if cache_key is not None else None
-        if cached is not None:
-            # Another (or an earlier) query already committed this exact
-            # scan output: serve it from session memory, skipping the S3
-            # read and the post-op compute and charging only a copy.
-            out_batch = cached
-            self.metrics.cache_hits += 1
-            yield self.env.timeout(
-                self.cost_model.cpu_seconds(0, float(out_batch.nbytes))
-            )
-        else:
-            split_batch = yield from self._read_split(stage.table.name, split_index)
-            out_batch, rows, nbytes = self._apply_post_ops(stage, [split_batch])
-            yield self.env.timeout(self.cost_model.cpu_seconds(rows, nbytes))
-            if cache_key is not None:
-                self.metrics.cache_misses += 1
-                self.output_cache.put(cache_key, out_batch, float(out_batch.nbytes))
+        split_batch = yield from self._read_split(stage.table.name, split_index)
+        out_batch, rows, nbytes = self._apply_post_ops(stage, [split_batch])
+        yield self.env.timeout(self.cost_model.cpu_seconds(rows, nbytes))
         if self.filters is not None:
-            # After the cache, so cached scan outputs stay unfiltered and
-            # shareable with queries running without filters.
             out_batch = self.filters.apply(stage, out_batch)
         return out_batch
 
@@ -918,9 +820,7 @@ class ExecutionContext:
         yield request
         try:
             yield self.env.timeout(self.cost_model.dispatch_seconds())
-            out_batch = yield from self._split_output(
-                stage, lineage.input_split, use_cache=False
-            )
+            out_batch = yield from self._split_output(stage, lineage.input_split)
 
             def refresh():
                 # Re-partition under the *current* links, so a regeneration

@@ -32,8 +32,7 @@ on the compiled graph:
   subtrees to be simultaneously nested and disjoint.
 
 * **Application.**  :meth:`apply` drops non-matching rows from a target
-  stage's output after its fused post-ops (and after the scan cache, so
-  cached scan outputs stay shareable with filter-less queries);
+  stage's output after its fused post-ops;
   :meth:`split_prunable` skips whole scan splits whose zone map cannot
   intersect a published min/max filter or the static predicate bounds.
 

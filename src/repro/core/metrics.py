@@ -55,9 +55,6 @@ class QueryMetrics:
     memory_peak_bytes: int = 0
     forced_memory_grants: int = 0
 
-    #: Session output-cache activity of this query's scan tasks.
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: True when the whole result was served from the session's result cache
     #: (no tasks were admitted at all).
     result_from_cache: bool = False

@@ -15,9 +15,10 @@ realises that:
   admitted queries in rotating order with a per-query task budget (a simple
   fair-share policy), and an admission queue caps concurrency
   (``EngineConfig.max_concurrent_queries``);
-* committed task outputs go into a session-wide LRU
-  (:class:`~repro.core.cache.OutputCache`), so overlapping queries reuse
-  scans and repeated queries return straight from the result cache;
+* committed query results go into a session-wide LRU
+  (:class:`~repro.core.cache.OutputCache`), so repeated queries return
+  straight from the result cache, duplicate in-flight submissions coalesce,
+  and concurrent scans of one split share a single read;
 * one head-node coordinator process watches worker liveness for *all* queries:
   on a failure it takes the usual recovery barrier once, reconciles every
   admitted query's namespace (Algorithm 2 per query), and resumes — recovery
@@ -134,10 +135,12 @@ class QueryHandle:
 class Session:
     """A long-lived cluster + GCS that admits, schedules and caches queries.
 
-    Parameters mirror :class:`~repro.core.engine.QuokkaEngine`; additionally
-    ``catalog`` loads base tables into the session's simulated S3 once, and
-    ``enable_output_cache=False`` turns off cross-query output reuse (used by
-    the single-query engine wrapper to preserve the paper's per-run costs).
+    ``cluster_config`` / ``cost_config`` / ``engine_config`` shape the
+    simulated cluster and the engine; ``catalog`` loads base tables into the
+    session's simulated S3 once, and ``enable_output_cache=False`` turns off
+    cross-query reuse — result cache, coalescing and shared scans (used by
+    :class:`~repro.api.runners.OneShotRunner` to preserve the paper's
+    per-run costs).
     """
 
     #: GCS polling interval of idle TaskManagers (virtual seconds).
@@ -164,11 +167,8 @@ class Session:
         self.strategy = strategy or make_strategy(self.engine_config)
         #: Root (session-wide) GCS facade; per-query views share its store.
         self.gcs = GlobalControlStore()
-        self.output_cache: Optional[OutputCache] = None
         self.result_cache: Optional[OutputCache] = None
         self.scan_pool: Optional[SharedScanPool] = None
-        if enable_output_cache and self.engine_config.session_cache_bytes > 0:
-            self.output_cache = OutputCache(self.engine_config.session_cache_bytes)
         if enable_output_cache and self.engine_config.result_cache_bytes > 0:
             self.result_cache = OutputCache(self.engine_config.result_cache_bytes)
         if enable_output_cache:
@@ -337,7 +337,6 @@ class Session:
             gcs=self.gcs.for_query(query_id),
             query_id=query_id,
             query_name=query_name,
-            output_cache=self.output_cache,
             scan_pool=self.scan_pool,
             memory_budget_bytes=options.memory_budget_bytes,
             spill_target=spill_target,

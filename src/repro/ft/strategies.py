@@ -6,8 +6,7 @@ A strategy decides what happens to every committed task output — nothing
 S3/HDFS (:class:`SpoolingStrategy`), or local backups plus periodic operator
 snapshots (:class:`CheckpointStrategy`).  Select one through
 ``EngineConfig.ft_strategy`` (see :func:`make_strategy`) or pass an instance
-to :class:`~repro.core.engine.QuokkaEngine` /
-:class:`~repro.core.session.Session` directly.
+to :class:`~repro.core.session.Session` directly.
 
 Strategies are stateless with respect to queries: inside a multi-query
 session one instance serves every admitted query for the session's whole

@@ -3,7 +3,7 @@
 Table I is qualitative: it classifies six data-processing systems by which of
 the three core techniques (spooling, state checkpointing, lineage) they use.
 The registry below reproduces that table and is rendered by
-``benchmarks/bench_table1_taxonomy.py``.
+the ``table1`` entry of ``benchmarks/bench_figures.py``.
 """
 
 from __future__ import annotations

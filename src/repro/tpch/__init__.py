@@ -3,7 +3,8 @@
 The paper evaluates on TPC-H scale factor 100 stored as Parquet on S3.  We
 generate a small, deterministic approximation of the benchmark data (the scale
 factor is configurable) and rely on the cost model's ``io_scale_multiplier``
-to emulate SF100 data volumes, as documented in DESIGN.md.
+to emulate SF100 data volumes: every byte moved or stored is charged as
+``io_scale_multiplier`` bytes of virtual I/O time.
 """
 
 from repro.tpch.adversarial import (

@@ -7,13 +7,13 @@ human-readable summaries: per-worker utilisation, per-stage task breakdowns
 and a coarse text timeline.
 
 Tracing is off by default (the engine uses a :class:`NullTracer`); enable it
-by passing a recorder to :class:`~repro.core.engine.QuokkaEngine.run` or with
+by passing a recorder in :class:`~repro.core.options.QueryOptions` or with
 ``python -m repro tpch --trace``::
 
     from repro.trace import TraceRecorder
 
     tracer = TraceRecorder()
-    result = engine.run(frame, catalog, tracer=tracer)
+    batch = frame.collect(tracer=tracer)
     print(render_trace_report(tracer))
 """
 

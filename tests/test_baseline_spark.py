@@ -103,8 +103,7 @@ class TestSparkLikeEngine:
         assert failed.batch.equals(expected, sort_keys=["c_nation"])
 
     def test_stagewise_runtime_not_faster_than_pipelined_quokka(self):
-        from repro.common.config import EngineConfig
-        from repro.core import QuokkaEngine
+        from repro.api import QuokkaContext
 
         catalog = make_catalog()
         query = join_query(catalog)
@@ -112,9 +111,6 @@ class TestSparkLikeEngine:
         spark = SparkLikeEngine(
             cluster_config=ClusterConfig(num_workers=4, cpus_per_worker=2), cost_config=cost
         ).run(query, catalog)
-        quokka = QuokkaEngine(
-            cluster_config=ClusterConfig(num_workers=4, cpus_per_worker=2),
-            cost_config=cost,
-            engine_config=EngineConfig(),
-        ).run(query, catalog)
+        context = QuokkaContext(num_workers=4, cpus_per_worker=2, cost_config=cost, catalog=catalog)
+        quokka = query.bind(context).submit().wait()
         assert spark.runtime > quokka.runtime

@@ -1,8 +1,8 @@
-"""Tests for the ablation helpers of the experiment runner.
+"""Tests for the experiment runner's system table and result cache.
 
 These run on a deliberately tiny configuration (no SF100 emulation, two
-workers, one or two queries) so they stay fast while still exercising the same
-code paths the ablation benchmarks use.
+workers, one query); the series themselves are smoke-tested per figure in
+``tests/test_bench_figures.py``.
 """
 
 import pytest
@@ -28,23 +28,6 @@ def test_system_configs_include_the_ablation_presets():
         config.validate()
 
 
-def test_lineage_footprint_rows(runner):
-    rows = runner.lineage_footprint(2, [6])
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["query"] == "Q6"
-    assert row["lineage_records"] > 0
-    assert row["lineage_kb"] > 0
-    assert row["data_to_lineage_ratio"] > 1
-
-
-def test_optimizer_ablation_rows(runner):
-    rows = runner.optimizer_ablation(2, [3])
-    row = rows[0]
-    assert row["plain_s"] > 0 and row["optimized_s"] > 0
-    assert row["speedup"] == pytest.approx(row["plain_s"] / row["optimized_s"])
-
-
 def test_optimized_runs_are_cached_separately(runner):
     plain = runner.run(3, "quokka", 2)
     optimized = runner.run(3, "quokka", 2, optimize=True)
@@ -53,10 +36,3 @@ def test_optimized_runs_are_cached_separately(runner):
     assert plain is not optimized
     # Both produce the same answer.
     assert plain.batch.equals(optimized.batch, sort_keys=[plain.batch.schema.names[0]])
-
-
-def test_recovery_placement_ablation_rows(runner):
-    rows = runner.recovery_placement_ablation(2, [3], fraction=0.5)
-    row = rows[0]
-    assert row["pipelined_overhead"] > 1.0
-    assert row["single_worker_overhead"] > 1.0

@@ -19,15 +19,6 @@ class TestSettings:
         settings = BenchSettings(full_query_set=True)
         assert settings.figure6_queries() == list(range(1, 23))
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SF", "0.002")
-        monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-        monkeypatch.setenv("REPRO_BENCH_LARGE_WORKERS", "16")
-        settings = BenchSettings.from_env()
-        assert settings.scale_factor == 0.002
-        assert settings.full_query_set is True
-        assert settings.large_cluster_workers == 16
-
 
 class TestReporting:
     def test_geometric_mean(self):
@@ -77,12 +68,3 @@ class TestRunner:
         second = runner.run(6, "quokka", 2)
         assert first is second
         assert first.runtime > 0
-
-    def test_figure6_row_shape(self):
-        runner = ExperimentRunner(
-            BenchSettings(scale_factor=0.0005, small_cluster_workers=2, cpus_per_worker=2)
-        )
-        rows = runner.figure6_speedups(2, [6])
-        assert rows[0]["query"] == "Q6"
-        assert rows[0]["speedup_vs_sparksql"] > 0
-        assert rows[0]["speedup_vs_trino"] > 0

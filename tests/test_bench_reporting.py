@@ -78,24 +78,6 @@ class TestBenchSettings:
         assert settings.scalability_workers == 16
         assert settings.io_scale_multiplier == pytest.approx(100.0 / 0.0005)
 
-    def test_from_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SF", "0.01")
-        monkeypatch.setenv("REPRO_BENCH_TARGET_SF", "10")
-        monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-        monkeypatch.setenv("REPRO_BENCH_LARGE_WORKERS", "16")
-        monkeypatch.setenv("REPRO_BENCH_SCALE_WORKERS", "32")
-        settings = BenchSettings.from_env()
-        assert settings.scale_factor == 0.01
-        assert settings.full_query_set
-        assert settings.large_cluster_workers == 16
-        assert settings.scalability_workers == 32
-        assert settings.io_scale_multiplier == pytest.approx(1000.0)
-
-    def test_full_flag_false_values(self, monkeypatch):
-        for value in ("", "0", "false"):
-            monkeypatch.setenv("REPRO_BENCH_FULL", value)
-            assert not BenchSettings.from_env().full_query_set
-
     def test_query_lists(self):
         settings = BenchSettings()
         representative = settings.representative_queries()

@@ -108,14 +108,11 @@ class TestDurableObjectStore:
         store.register("table", "data", 1234.0)
         assert env.now == 0.0
         assert store.contains("table")
-        assert store.size_of("table") == 1234.0
 
     def test_missing_key_raises(self, env):
         store = self.make_store(env)
         with pytest.raises(ExecutionError):
             drive(env, store.get("nope"))
-        with pytest.raises(ExecutionError):
-            store.size_of("nope")
 
     def test_contents_survive_worker_failure(self, env):
         store = self.make_store(env)

@@ -87,7 +87,6 @@ class TestEngineConfig:
             "checkpoint_interval_tasks",
             "max_concurrent_queries",
             "fair_share_tasks_per_sweep",
-            "session_cache_bytes",
             "result_cache_bytes",
         ]
 

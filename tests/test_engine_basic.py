@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.common.config import ClusterConfig, CostModelConfig, EngineConfig
-from repro.core import QuokkaEngine
+from repro.api import QuokkaContext
+from repro.common.config import CostModelConfig, EngineConfig
 from repro.data import Batch
 from repro.expr import col, lit
 from repro.plan import Catalog, DataFrame, TableScan, execute_plan
@@ -60,12 +60,16 @@ def join_query(catalog):
     )
 
 
-def engine(num_workers=4, **engine_overrides):
-    return QuokkaEngine(
-        cluster_config=ClusterConfig(num_workers=num_workers, cpus_per_worker=2),
-        cost_config=CostModelConfig(),
-        engine_config=EngineConfig(**engine_overrides) if engine_overrides else EngineConfig(),
+def run(query, catalog, num_workers=4, io_scale=1.0, query_name="", **engine_overrides):
+    """One query on a fresh cluster, through the public frame verbs."""
+    context = QuokkaContext(
+        num_workers=num_workers,
+        cpus_per_worker=2,
+        cost_config=CostModelConfig(io_scale_multiplier=io_scale),
+        engine_config=EngineConfig(**engine_overrides),
+        catalog=catalog,
     )
+    return query.bind(context).submit(query_name=query_name).wait()
 
 
 class TestPipelinedExecution:
@@ -74,7 +78,7 @@ class TestPipelinedExecution:
         catalog = make_catalog()
         query = agg_query(catalog)
         expected = execute_plan(query.plan)
-        result = engine(num_workers).run(query, catalog, query_name="agg")
+        result = run(query, catalog, num_workers, query_name="agg")
         assert result.batch is not None
         assert result.batch.equals(expected, sort_keys=["o_custkey"])
         assert result.metrics.runtime_seconds > 0
@@ -85,7 +89,7 @@ class TestPipelinedExecution:
         catalog = make_catalog()
         query = join_query(catalog)
         expected = execute_plan(query.plan)
-        result = engine(num_workers).run(query, catalog)
+        result = run(query, catalog, num_workers)
         assert result.batch.equals(expected, sort_keys=["c_nation"])
 
     def test_top_k_query(self):
@@ -96,7 +100,7 @@ class TestPipelinedExecution:
             .limit(5)
         )
         expected = execute_plan(query.plan)
-        result = engine(4).run(query, catalog)
+        result = run(query, catalog, 4)
         assert result.batch.num_rows == 5
         assert result.batch.column("o_total").tolist() == expected.column("o_total").tolist()
 
@@ -114,18 +118,13 @@ class TestPipelinedExecution:
             .sort("region")
         )
         expected = execute_plan(query.plan)
-        result = engine(4).run(query, catalog)
+        result = run(query, catalog, 4)
         assert result.batch.equals(expected, sort_keys=["region"])
 
     def test_lineage_is_orders_of_magnitude_smaller_than_data(self):
         # Emulate a larger scale factor so data volumes dominate, as in the paper.
         catalog = make_catalog()
-        scaled_engine = QuokkaEngine(
-            cluster_config=ClusterConfig(num_workers=4, cpus_per_worker=2),
-            cost_config=CostModelConfig(io_scale_multiplier=500.0),
-            engine_config=EngineConfig(),
-        )
-        result = scaled_engine.run(join_query(catalog), catalog)
+        result = run(join_query(catalog), catalog, io_scale=500.0)
         metrics = result.metrics
         assert metrics.lineage_records > 0
         assert metrics.lineage_bytes < metrics.local_disk_write_bytes
@@ -133,7 +132,7 @@ class TestPipelinedExecution:
 
     def test_wal_strategy_backs_up_to_local_disk_not_durable_storage(self):
         catalog = make_catalog()
-        result = engine(4).run(join_query(catalog), catalog)
+        result = run(join_query(catalog), catalog, 4)
         assert result.metrics.local_disk_write_bytes > 0
         assert result.metrics.s3_write_bytes == 0
         assert result.metrics.hdfs_write_bytes == 0
@@ -142,7 +141,7 @@ class TestPipelinedExecution:
 
     def test_gcs_transactions_are_recorded(self):
         catalog = make_catalog()
-        result = engine(2).run(agg_query(catalog), catalog)
+        result = run(agg_query(catalog), catalog, 2)
         assert result.metrics.gcs_transactions >= result.metrics.tasks_executed
 
 
@@ -152,16 +151,8 @@ class TestExecutionModes:
         query = join_query(catalog)
         expected = execute_plan(query.plan)
 
-        def run(mode):
-            eng = QuokkaEngine(
-                cluster_config=ClusterConfig(num_workers=4, cpus_per_worker=2),
-                cost_config=CostModelConfig(io_scale_multiplier=50_000.0),
-                engine_config=EngineConfig(execution_mode=mode),
-            )
-            return eng.run(query, catalog)
-
-        pipelined = run("pipelined")
-        stagewise = run("stagewise")
+        pipelined = run(query, catalog, io_scale=50_000.0, execution_mode="pipelined")
+        stagewise = run(query, catalog, io_scale=50_000.0, execution_mode="stagewise")
         assert pipelined.batch.equals(expected, sort_keys=["c_nation"])
         assert stagewise.batch.equals(expected, sort_keys=["c_nation"])
         # With realistic data volumes the blocking barrier costs time.
@@ -172,31 +163,29 @@ class TestExecutionModes:
         catalog = make_catalog()
         query = join_query(catalog)
         expected = execute_plan(query.plan)
-        result = engine(4, scheduling="static", static_batch_size=batch_size).run(query, catalog)
+        result = run(query, catalog, 4, scheduling="static", static_batch_size=batch_size)
         assert result.batch.equals(expected, sort_keys=["c_nation"])
 
     def test_spooling_strategy_writes_durably(self):
         catalog = make_catalog()
         query = join_query(catalog)
         expected = execute_plan(query.plan)
-        result = engine(4, ft_strategy="spool-s3").run(query, catalog)
+        result = run(query, catalog, 4, ft_strategy="spool-s3")
         assert result.batch.equals(expected, sort_keys=["c_nation"])
         assert result.metrics.s3_write_bytes > 0
 
     def test_spooling_is_slower_than_wal(self):
         catalog = make_catalog()
         query = join_query(catalog)
-        wal = engine(4, ft_strategy="wal").run(query, catalog)
-        spool = engine(4, ft_strategy="spool-s3").run(query, catalog)
+        wal = run(query, catalog, 4, ft_strategy="wal")
+        spool = run(query, catalog, 4, ft_strategy="spool-s3")
         assert spool.runtime > wal.runtime
 
     def test_checkpoint_strategy_takes_checkpoints(self):
         catalog = make_catalog()
         query = join_query(catalog)
         expected = execute_plan(query.plan)
-        result = engine(4, ft_strategy="checkpoint", checkpoint_interval_tasks=2).run(
-            query, catalog
-        )
+        result = run(query, catalog, 4, ft_strategy="checkpoint", checkpoint_interval_tasks=2)
         assert result.batch.equals(expected, sort_keys=["c_nation"])
         assert result.metrics.checkpoints_taken > 0
         assert result.metrics.s3_write_bytes > 0
@@ -205,6 +194,6 @@ class TestExecutionModes:
         catalog = make_catalog()
         query = agg_query(catalog)
         expected = execute_plan(query.plan)
-        result = engine(4, ft_strategy="none").run(query, catalog)
+        result = run(query, catalog, 4, ft_strategy="none")
         assert result.batch.equals(expected, sort_keys=["o_custkey"])
         assert result.metrics.local_disk_write_bytes == 0

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import FailurePlan
-from repro.common.config import ClusterConfig, CostModelConfig, EngineConfig
-from repro.core import QuokkaEngine
+from repro.api import QuokkaContext
+from repro.common.config import CostModelConfig, EngineConfig
 from repro.core.options import QueryOptions
 from repro.data import Batch
 from repro.expr import col, lit
@@ -63,12 +63,16 @@ def agg_query(catalog):
     )
 
 
-def make_engine(num_workers=4, **overrides):
-    return QuokkaEngine(
-        cluster_config=ClusterConfig(num_workers=num_workers, cpus_per_worker=2),
+def run(query, catalog, failure_plans=None, options=None, num_workers=4, **overrides):
+    """One query on a fresh cluster, through the public frame verbs."""
+    context = QuokkaContext(
+        num_workers=num_workers,
+        cpus_per_worker=2,
         cost_config=CostModelConfig(failure_detection_delay=0.05, heartbeat_interval=0.02),
-        engine_config=EngineConfig(**overrides) if overrides else EngineConfig(),
+        engine_config=EngineConfig(**overrides),
+        catalog=catalog,
     )
+    return query.bind(context).submit(options=options, failure_plans=failure_plans).wait()
 
 
 #: These tests exercise the recovery machinery on hand-shaped plans; the
@@ -81,11 +85,9 @@ HEURISTIC = QueryOptions(optimize=False)
 
 def run_with_failure(query, catalog, worker_id, fraction, num_workers=4, **overrides):
     """Run failure-free to get a baseline, then re-run killing one worker."""
-    baseline = make_engine(num_workers, **overrides).run(query, catalog, options=HEURISTIC)
+    baseline = run(query, catalog, options=HEURISTIC, num_workers=num_workers, **overrides)
     plan = FailurePlan.at_fraction(worker_id, fraction, baseline.runtime)
-    failed = make_engine(num_workers, **overrides).run(
-        query, catalog, failure_plans=[plan], options=HEURISTIC
-    )
+    failed = run(query, catalog, [plan], HEURISTIC, num_workers=num_workers, **overrides)
     return baseline, failed
 
 
@@ -141,12 +143,12 @@ class TestWriteAheadLineageRecovery:
         catalog = make_catalog()
         query = join_query(catalog)
         expected = execute_plan(query.plan)
-        baseline = make_engine(4).run(query, catalog)
+        baseline = run(query, catalog)
         plans = [
             FailurePlan.at_fraction(1, 0.35, baseline.runtime),
             FailurePlan.at_fraction(3, 0.7, baseline.runtime),
         ]
-        failed = make_engine(4).run(query, catalog, failure_plans=plans)
+        failed = run(query, catalog, failure_plans=plans)
         assert failed.batch.equals(expected, sort_keys=["c_nation"])
         assert failed.metrics.failures_injected == 2
 
@@ -155,7 +157,7 @@ class TestWriteAheadLineageRecovery:
         query = join_query(catalog)
         expected = execute_plan(query.plan)
         plan = FailurePlan(worker_id=1, at_time=0.001)
-        failed = make_engine(4).run(query, catalog, failure_plans=[plan])
+        failed = run(query, catalog, failure_plans=[plan])
         assert failed.batch.equals(expected, sort_keys=["c_nation"])
 
 
@@ -211,7 +213,7 @@ def test_property_any_single_failure_preserves_the_answer(worker_id, fraction):
     catalog = make_catalog(rows=200)
     query = join_query(catalog)
     expected = execute_plan(query.plan)
-    baseline = make_engine(4).run(query, catalog)
+    baseline = run(query, catalog)
     plan = FailurePlan.at_fraction(worker_id, fraction, baseline.runtime)
-    failed = make_engine(4).run(query, catalog, failure_plans=[plan])
+    failed = run(query, catalog, failure_plans=[plan])
     assert failed.batch.equals(expected, sort_keys=["c_nation"])

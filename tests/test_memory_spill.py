@@ -571,7 +571,7 @@ class TestExactnessLimit:
     when the physical plan is static.  With runtime filters or adaptive
     execution on (both are by default) ``revenue`` differs from the resident
     run below the 1e-6 tolerance; the cause is not yet found.  The strict
-    xfails pin that limit: closing it (ROADMAP item 4a) turns them into
+    xfails pin that limit: closing it (ROADMAP item 7a) turns them into
     failures that say the caveat in the docs can go.
     """
 
@@ -626,7 +626,7 @@ class TestExactnessLimit:
                 marks=pytest.mark.xfail(
                     strict=True,
                     reason="revenue drifts below 1e-6 from the resident run when "
-                    "filters or adaptive execution are on (ROADMAP 4a)",
+                    "filters or adaptive execution are on (ROADMAP 7a)",
                 ),
             )
             for overrides in REACTIVE

@@ -9,8 +9,8 @@ than the single-worker policy on a multi-stage query.
 import pytest
 
 from repro.cluster import FailurePlan
-from repro.common.config import ClusterConfig, CostModelConfig, EngineConfig
-from repro.core import QuokkaEngine
+from repro.api import QuokkaContext
+from repro.common.config import EngineConfig
 from repro.data import Batch
 from repro.expr import col
 from repro.plan import Catalog, DataFrame, TableScan, execute_plan
@@ -57,17 +57,17 @@ def two_stage_query(catalog):
 
 
 def run(catalog, placement, failure_fraction=None, num_workers=4):
-    engine = QuokkaEngine(
-        cluster_config=ClusterConfig(num_workers=num_workers),
-        cost_config=CostModelConfig(),
+    context = QuokkaContext(
+        num_workers=num_workers,
         engine_config=EngineConfig(ft_strategy="wal", recovery_placement=placement),
+        catalog=catalog,
     )
-    frame = two_stage_query(catalog)
+    frame = two_stage_query(catalog).bind(context)
     failure_plans = None
     if failure_fraction is not None:
-        baseline = engine.run(frame, catalog)
+        baseline = frame.submit().wait()
         failure_plans = [FailurePlan.at_fraction(1, failure_fraction, baseline.runtime)]
-    return engine.run(frame, catalog, failure_plans=failure_plans)
+    return frame.submit(failure_plans=failure_plans).wait()
 
 
 @pytest.mark.parametrize("placement", ["pipelined", "single-worker"])

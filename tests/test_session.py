@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.api import QuokkaContext
+from repro.api.runners import OneShotRunner
 from repro.cluster.faults import FailurePlan
 from repro.common.config import ClusterConfig, EngineConfig
 from repro.common.errors import ConfigError, ExecutionError
-from repro.core import FairShareScheduler, OutputCache, QuokkaEngine, Session
-from repro.core.cache import plan_key, scan_task_key
+from repro.core import FairShareScheduler, OutputCache, Session
+from repro.core.cache import plan_key
 from repro.gcs.naming import TaskName, namespaced_table
 from repro.gcs.tables import GlobalControlStore, TaskDescriptor
 from repro.tpch import build_query, generate_catalog
@@ -101,13 +103,12 @@ class TestConcurrentQueries:
 
     def test_throughput_beats_sequential_fresh_clusters(self, catalog):
         mix = [1, 6, 3, 1, 6]
-        cluster_config = ClusterConfig(
-            num_workers=4, cpus_per_worker=2, task_managers_per_worker=2
+        one_shot = QuokkaContext(
+            num_workers=4, cpus_per_worker=2, task_managers_per_worker=2, catalog=catalog
         )
         sequential = 0.0
         for q in mix:
-            engine = QuokkaEngine(cluster_config=cluster_config)
-            sequential += engine.run(build_query(catalog, q), catalog).runtime
+            sequential += build_query(catalog, q).bind(one_shot).submit().wait().runtime
         with make_session(catalog) as session:
             session.run_many([build_query(catalog, q) for q in mix])
             makespan = session.env.now
@@ -151,17 +152,6 @@ class TestOutputReuse:
         for result in results:
             assert result.batch.equals(reference_answer(catalog, 1))
 
-    def test_scan_outputs_shared_across_repeats_after_cache_clear(self, catalog):
-        with make_session(catalog) as session:
-            session.wait(session.submit(build_query(catalog, 6)))
-            # Dropping the result cache entry forces the repeat to re-execute
-            # its tasks; its scans must then hit the output cache instead.
-            session.result_cache.clear()
-            repeat = session.wait(session.submit(build_query(catalog, 6)))
-        assert not repeat.metrics.result_from_cache
-        assert repeat.metrics.cache_hits > 0
-        assert repeat.batch.equals(reference_answer(catalog, 6))
-
     def test_shared_scan_pool_coalesces_concurrent_reads(self, catalog):
         # q1 and q6 both scan lineitem with different post-ops: the raw split
         # reads overlap and must be coalesced into single physical transfers.
@@ -170,12 +160,11 @@ class TestOutputReuse:
             assert session.scan_pool.stats.coalesced_reads > 0
 
     def test_caches_distinguish_projection_expressions(self):
-        """Regression: plan/scan cache keys must include full expressions.
+        """Regression: plan cache keys must include full expressions.
 
         ``Project(['x'])``-style human-readable descriptions collide for
-        semantically different queries; the caches must never serve one
+        semantically different queries; the cache must never serve one
         query's result for the other."""
-        from repro.api import QuokkaContext
         from repro.data import Batch
         from repro.expr import col, lit
         from repro.plan.dataframe import sum_agg
@@ -184,33 +173,19 @@ class TestOutputReuse:
         ctx.register_table("t", Batch.from_pydict({"a": [1.0, 2.0, 3.0, 4.0]}), num_splits=2)
         plus = ctx.read_table("t").select(("x", col("a") + lit(1.0))).agg(sum_agg("s", col("x")))
         times = ctx.read_table("t").select(("x", col("a") * lit(2.0))).agg(sum_agg("s", col("x")))
-        times_sorted = times.sort("s")
         with ctx.session() as session:
             first = session.run(plus)
             second = session.run(times)        # result-cache path
         assert first.batch.to_pydict()["s"] == [14.0]
         assert second.batch.to_pydict()["s"] == [20.0]
         assert not second.metrics.result_from_cache
-        assert second.metrics.cache_hits == 0
-        # Scan-cache path: differ at plan level so only the scan keys could
-        # collide with `plus`'s committed outputs.
-        with ctx.session() as session:
-            session.run(plus)
-            third = session.run(times_sorted)
-        assert third.batch.to_pydict()["s"] == [20.0]
-        assert third.metrics.cache_hits == 0
 
     def test_context_session_honours_context_engine_config(self, catalog):
-        from repro.api import QuokkaContext
-
         ctx = QuokkaContext(
-            num_workers=2,
-            engine_config=EngineConfig(result_cache_bytes=0, session_cache_bytes=0),
-            catalog=catalog,
+            num_workers=2, engine_config=EngineConfig(result_cache_bytes=0), catalog=catalog
         )
         with ctx.session() as session:
             assert session.result_cache is None
-            assert session.output_cache is None
         with ctx.session(system="quokka") as session:
             assert session.result_cache is not None  # preset overrides
 
@@ -227,11 +202,12 @@ class TestOutputReuse:
         assert failed.metrics.tasks_executed > 0
         assert failed.batch.equals(reference_answer(catalog, 3))
 
-    def test_quokka_engine_single_runs_do_not_cache(self, catalog):
-        result = QuokkaEngine().run(build_query(catalog, 6), catalog)
-        assert result.metrics.cache_hits == 0
-        assert result.metrics.cache_misses == 0
-        assert not result.metrics.result_from_cache
+    def test_one_shot_runs_do_not_cache(self, catalog):
+        runner = OneShotRunner(QuokkaContext(catalog=catalog))
+        runner.submit(build_query(catalog, 6)).wait()
+        repeat = runner.submit(build_query(catalog, 6)).wait()
+        assert not repeat.metrics.result_from_cache
+        assert repeat.metrics.tasks_executed > 0
 
 
 class TestGcsNamespacing:
@@ -299,16 +275,6 @@ class TestSchedulerAndCacheUnits:
         cache.put("huge", 1, 100.0)
         assert cache.get("huge") is None
 
-    def test_scan_task_key_distinguishes_post_ops(self, catalog):
-        from repro.physical.compiler import compile_plan
-
-        q1 = compile_plan(build_query(catalog, 1).plan, num_channels=2)
-        q6 = compile_plan(build_query(catalog, 6).plan, num_channels=2)
-        scan1 = next(s for s in q1 if s.is_input and s.table.name == "lineitem")
-        scan6 = next(s for s in q6 if s.is_input and s.table.name == "lineitem")
-        assert scan_task_key(scan1, 0) != scan_task_key(scan6, 0)
-        assert scan_task_key(scan1, 0) != scan_task_key(scan1, 1)
-
     def test_plan_key_stable_across_rebuilds(self, catalog):
         assert plan_key(build_query(catalog, 3).plan) == plan_key(
             build_query(catalog, 3).plan
@@ -330,4 +296,4 @@ class TestSchedulerAndCacheUnits:
         with pytest.raises(ConfigError):
             EngineConfig(fair_share_tasks_per_sweep=0).validate()
         with pytest.raises(ConfigError):
-            EngineConfig(session_cache_bytes=-1.0).validate()
+            EngineConfig(result_cache_bytes=-1.0).validate()

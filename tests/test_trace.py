@@ -3,8 +3,8 @@
 import pytest
 
 from repro.cluster import FailurePlan
-from repro.common.config import ClusterConfig, CostModelConfig, EngineConfig
-from repro.core import QuokkaEngine
+from repro.api import QuokkaContext
+from repro.common.config import EngineConfig
 from repro.data import Batch
 from repro.expr import col
 from repro.gcs.naming import TaskName
@@ -99,6 +99,10 @@ class TestEngineIntegration:
         return catalog
 
     def query(self, catalog):
+        """The test query, bound to a fresh three-worker WAL context."""
+        context = QuokkaContext(
+            num_workers=3, engine_config=EngineConfig(ft_strategy="wal"), catalog=catalog
+        )
         orders = DataFrame(TableScan(catalog.table("orders")))
         customers = DataFrame(TableScan(catalog.table("customers")))
         return (
@@ -106,19 +110,12 @@ class TestEngineIntegration:
             .groupby("c_nation")
             .agg(sum_agg("total", col("o_total")), count_agg("n"))
             .sort("c_nation")
-        )
-
-    def engine(self, workers=3):
-        return QuokkaEngine(
-            cluster_config=ClusterConfig(num_workers=workers),
-            cost_config=CostModelConfig(),
-            engine_config=EngineConfig(ft_strategy="wal"),
+            .bind(context)
         )
 
     def test_trace_collects_spans_for_every_stage(self, catalog):
         tracer = TraceRecorder()
-        engine = self.engine()
-        result = engine.run(self.query(catalog), catalog, tracer=tracer)
+        result = self.query(catalog).submit(tracer=tracer).wait()
         assert result.batch is not None
         assert len(tracer.spans) >= result.metrics.tasks_executed
         stages = {row["stage"] for row in stage_breakdown(tracer)}
@@ -127,11 +124,10 @@ class TestEngineIntegration:
         assert not tracer.recoveries
 
     def test_trace_records_recovery_and_replays_on_failure(self, catalog):
-        engine = self.engine()
-        baseline = engine.run(self.query(catalog), catalog)
+        baseline = self.query(catalog).submit().wait()
         tracer = TraceRecorder()
         plans = [FailurePlan.at_fraction(1, 0.5, baseline.runtime)]
-        result = engine.run(self.query(catalog), catalog, failure_plans=plans, tracer=tracer)
+        result = self.query(catalog).submit(failure_plans=plans, tracer=tracer).wait()
         assert result.metrics.recovery_events >= 1
         assert len(tracer.recoveries) >= 1
         assert tracer.recoveries[0].failed_workers == (1,)
@@ -141,6 +137,5 @@ class TestEngineIntegration:
         assert "recovery passes" in report
 
     def test_runs_without_tracer_by_default(self, catalog):
-        engine = self.engine()
-        result = engine.run(self.query(catalog), catalog)
+        result = self.query(catalog).submit().wait()
         assert result.batch is not None
