@@ -1,17 +1,19 @@
 """Adaptive-execution benchmark: static plans vs runtime-feedback revision.
 
-Three scenarios on the Zipf-skewed adversarial TPC-H catalog, each run twice
-through the full simulated engine — once with the compile-time plan frozen
-(``adaptive=False``) and once with the runtime controller on — and verified
-batch-exactly against the single-node reference:
+One scenario per reaction the controller has, on the Zipf-skewed adversarial
+TPC-H catalog, each run twice through the full simulated engine — once with
+the compile-time plan frozen (``adaptive=False``) and once with the runtime
+controller on — and verified batch-exactly against the single-node reference:
 
 * ``broadcast_revisit`` (headline): Q3 and Q10 with System-R constant
   estimates (``use_table_stats=False``).  The estimates overprice the build
   sides, so the static plan shuffles both join inputs; the controller
   observes the real build bytes and converts to broadcast joins mid-query.
-* ``skew_split``: a lineitem-part join on the Zipf-skewed ``l_partkey`` with
-  a low broadcast threshold, where the controller detects the hot hash
-  channel from observed probe bytes and splits it.
+  Runtime filters are off in these cells: they collapse the probe side's
+  shuffle on their own, so the cell would measure them, not the controller.
+* ``resize_selfjoin``: a lineitem self-join whose selective build filter the
+  estimator prices at its default selectivity; the observed build bytes
+  re-size the join to fewer channels.
 * ``straggler_speculation``: a plain scan whose worker 2 NIC is throttled
   50000x mid-query; speculative duplicates route around the straggler.
 
@@ -44,6 +46,7 @@ from repro.chaos.harness import batches_match
 from repro.chaos.plan import ChaosOptions, ChaosPlan, Straggler
 from repro.common.config import CostModelConfig
 from repro.core.options import QueryOptions
+from repro.expr import col, lit
 from repro.tpch import build_query
 from repro.tpch.adversarial import adversarial_catalog
 
@@ -95,7 +98,6 @@ def _entry(name: str, adaptive, static) -> dict:
         "revisions": {
             "broadcast_joins": m.adaptive_broadcast_joins,
             "channel_resizes": m.adaptive_channel_resizes,
-            "skew_splits": m.adaptive_skew_splits,
             "speculative_tasks": m.speculative_tasks,
             "speculative_wins": m.speculative_wins,
         },
@@ -110,7 +112,9 @@ def benchmark_adaptive(scale_factor: float = 0.01) -> dict:
     ctx = QuokkaContext(num_workers=4, catalog=catalog)
     for number in (3, 10):
         frame = build_query(catalog, number).bind(ctx)
-        adaptive, static = _pair(frame, dict(use_table_stats=False))
+        adaptive, static = _pair(
+            frame, dict(use_table_stats=False, runtime_filters=False)
+        )
         assert adaptive.metrics.adaptive_broadcast_joins >= 1, (
             f"q{number}: expected a runtime broadcast conversion"
         )
@@ -118,22 +122,23 @@ def benchmark_adaptive(scale_factor: float = 0.01) -> dict:
             f"broadcast_revisit_q{number}", adaptive, static
         )
 
-    # Skew splitting on the Zipf-hot l_partkey (needs more channels for the
-    # hot key to concentrate past the 2x-mean detector).
+    # Channel re-sizing: an over-estimated build side (the selective filter
+    # is priced at the default selectivity) shrinks the join's channel count.
     skew_catalog = adversarial_catalog("skew", scale_factor=2 * scale_factor, seed=0)
-    skew_ctx = QuokkaContext(num_workers=8, catalog=skew_catalog)
-    li = skew_ctx.read_table("lineitem")
-    part = skew_ctx.read_table("part")
-    skew_frame = (
-        li.join(part, left_on="l_partkey", right_on="p_partkey")
-        .groupby("p_brand")
+    resize_ctx = QuokkaContext(num_workers=8, catalog=skew_catalog)
+    li = resize_ctx.read_table("lineitem")
+    small = li.filter(col("l_quantity") < lit(3)).select("l_orderkey", "l_extendedprice")
+    big = li.filter(col("l_quantity") >= lit(3)).select("l_orderkey", "l_quantity")
+    resize_frame = (
+        big.join(small, left_on="l_orderkey", right_on="l_orderkey")
+        .groupby("l_quantity")
         .agg(total=("l_extendedprice", "sum"), n="count")
     )
     adaptive, static = _pair(
-        skew_frame, dict(use_table_stats=False, broadcast_threshold_bytes=1000.0)
+        resize_frame, dict(use_table_stats=False, broadcast_threshold_bytes=1000.0)
     )
-    assert adaptive.metrics.adaptive_skew_splits >= 1, "expected a skew split"
-    scenarios["skew_split_partkey"] = _entry("skew_split_partkey", adaptive, static)
+    assert adaptive.metrics.adaptive_channel_resizes >= 1, "expected a channel re-size"
+    scenarios["resize_selfjoin"] = _entry("resize_selfjoin", adaptive, static)
 
     # Straggler speculation: one worker's NIC throttled 50000x mid-scan.
     strag_ctx = QuokkaContext(
@@ -183,10 +188,8 @@ def render_results(results: dict) -> str:
                 "static_mb": entry["static"]["network_bytes"] / 1e6,
                 "adaptive_mb": entry["adaptive"]["network_bytes"] / 1e6,
                 "bytes_cut_%": entry["bytes_reduction"] * 100.0,
-                "revisions": sum(
-                    revisions[k]
-                    for k in ("broadcast_joins", "channel_resizes", "skew_splits")
-                )
+                "revisions": revisions["broadcast_joins"]
+                + revisions["channel_resizes"]
                 + revisions["speculative_wins"],
             }
         )

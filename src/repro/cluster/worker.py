@@ -11,6 +11,9 @@ from repro.cluster.storage import LocalDisk
 from repro.sim.core import Environment, Process
 from repro.sim.resources import Resource
 
+#: Instance-attached NVMe capacity of one simulated worker.
+LOCAL_DISK_CAPACITY_BYTES = 474 * 10**9
+
 
 class Worker:
     """One machine of the cluster: CPU slots, NVMe disk, flight server, liveness."""
@@ -29,7 +32,7 @@ class Worker:
             env,
             write_bps=cost_config.local_disk_write_bps,
             read_bps=cost_config.local_disk_read_bps,
-            capacity_bytes=cluster_config.local_disk_capacity_bytes,
+            capacity_bytes=LOCAL_DISK_CAPACITY_BYTES,
         )
         self.flight = FlightServer(worker_id)
         self.alive = True

@@ -129,7 +129,6 @@ class ClusterConfig:
     num_workers: int = 4
     cpus_per_worker: int = 4
     task_managers_per_worker: int = 1
-    local_disk_capacity_bytes: int = 474 * 10**9
     seed: int = 0
 
     def validate(self) -> None:
@@ -140,8 +139,6 @@ class ClusterConfig:
             raise ConfigError("cpus_per_worker must be at least 1")
         if self.task_managers_per_worker < 1:
             raise ConfigError("task_managers_per_worker must be at least 1")
-        if self.local_disk_capacity_bytes <= 0:
-            raise ConfigError("local_disk_capacity_bytes must be positive")
 
     @property
     def total_cpus(self) -> int:
@@ -163,10 +160,6 @@ class EngineConfig:
     #: Session admission control: at most this many queries execute
     #: concurrently; further submissions wait in a FIFO queue.
     max_concurrent_queries: int = 4
-    #: Session fair-share: committed tasks one query may run per TaskManager
-    #: sweep before the worker moves on to the next admitted query.  Only
-    #: applies while more than one query is active.
-    fair_share_tasks_per_sweep: int = 1
     #: Capacity of the session's whole-result cache (bytes; 0 disables).
     result_cache_bytes: float = 64e6
 
@@ -198,8 +191,6 @@ class EngineConfig:
             raise ConfigError("checkpoint_interval_tasks must be at least 1")
         if self.max_concurrent_queries < 1:
             raise ConfigError("max_concurrent_queries must be at least 1")
-        if self.fair_share_tasks_per_sweep < 1:
-            raise ConfigError("fair_share_tasks_per_sweep must be at least 1")
         if self.result_cache_bytes < 0:
             raise ConfigError("result_cache_bytes must be non-negative")
 

@@ -15,35 +15,33 @@ collector accumulates on the engine's commit path:
 * **channel re-sizing** — otherwise the join's channel count is re-sized with
   the compiler's own policy
   (:func:`~repro.physical.compiler.sized_channel_count`) over observed build +
-  estimated probe bytes, coalescing over-provisioned channels.  Grouped
-  aggregations get the same treatment opportunistically when their producer
-  finishes before the aggregation consumed anything;
-* **skew splitting** — once enough probe bytes have been observed, channels
-  receiving disproportionate bytes are split: the probe link scatters the hot
-  hash partitions round-robin across all channels while the build link
-  replicates the matching build partitions everywhere (every join type here
-  is probe-preserving, so this is exact);
+  estimated probe bytes, coalescing over-provisioned channels;
 * **speculation** — input tasks in flight far beyond the stage's median task
   duration (chaos stragglers) get a speculative duplicate on another worker;
   the first commit wins and the loser defers to the committed lineage.
 
-**Consistency.**  Join stages under revision are *gated* (their tasks — and,
-until the size decision, their probe producers' tasks — return without
-running), so no revised stage has consumed anything when its inputs are
-re-shaped.  Every link revision is expressed in the canonical two-level form
-(hash into ``base_parts`` pieces, then compose), and already-pushed flight
-pieces and persisted payloads are rewritten with the *same* compose helpers
-``partition_for_link`` applies to fresh batches — so a retraced producer
-regenerates byte-identical pieces and lineage-based recovery stays exact
-across any adaptive decision.  All bookkeeping mutations of one decision are
-applied synchronously (no simulation yields) before any network time is
-charged, so a concurrent task never observes a half-applied revision.
+A shuffle join is revised exactly once, when its build producer completes
+(:meth:`AdaptiveController._decide_join`), and that decision un-gates it:
+nothing reshapes a link mid-stream, while its producers are still pushing.
+
+**Consistency.**  A join awaiting its decision is *gated* together with its
+probe producers (their tasks return without running), so no revised stage has
+consumed anything when its inputs are re-shaped.  Every link revision is
+expressed in the canonical two-level form (hash into ``base_parts`` pieces,
+then coalesce or concatenate), and already-pushed flight pieces and persisted
+payloads are rewritten with the *same* composition ``partition_for_link``
+applies to fresh batches — so a retraced producer regenerates byte-identical
+pieces and lineage-based recovery stays exact across any adaptive decision.
+All bookkeeping mutations of one decision are applied synchronously (no
+simulation yields) before any network time is charged, so a concurrent task
+never observes a half-applied revision.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.common.errors import FaultToleranceError
 from repro.data.batch import Batch, concat_batches
 from repro.gcs.naming import TaskName
 from repro.gcs.tables import TaskDescriptor
@@ -52,13 +50,7 @@ from repro.physical.compiler import (
     DEFAULT_TARGET_BYTES_PER_CHANNEL,
     sized_channel_count,
 )
-from repro.physical.stages import (
-    Stage,
-    UpstreamLink,
-    coalesce_pieces,
-    replicate_pieces,
-    scatter_pieces,
-)
+from repro.physical.stages import Stage, UpstreamLink, coalesce_pieces
 from repro.trace.feedback import StageFeedback
 
 
@@ -71,14 +63,6 @@ class AdaptiveController:
     (:meth:`maybe_speculate`).
     """
 
-    #: A channel is "hot" when its bytes exceed this multiple of the mean.
-    SKEW_FACTOR = 2.0
-    #: ... and carries at least this many bytes (noise floor).
-    SKEW_MIN_CHANNEL_BYTES = 16_384.0
-    #: Decide skew once this many probe bytes were observed (or at the
-    #: fraction of the estimated probe size, whichever is larger).
-    SKEW_SAMPLE_MIN_BYTES = 32_768.0
-    SKEW_SAMPLE_FRACTION = 0.25
     #: Speculate when an input task is in flight longer than
     #: ``max(SPEC_MIN_SECONDS, SPEC_FACTOR * median committed duration)``.
     SPEC_MIN_SECONDS = 0.02
@@ -93,14 +77,11 @@ class AdaptiveController:
         #: Bumped on every revision; replay/regen pushes re-read their payload
         #: when they observe a bump mid-push.
         self.epoch = 0
-        #: Join stages awaiting a decision: stage id -> "size" | "skew".
-        self.pending: Dict[int, str] = {}
+        #: Shuffle joins still awaiting their one decision.
+        self.pending: Set[int] = set()
         #: Producer stage id -> the pending join it feeds (build / probe side).
         self.build_watch: Dict[int, int] = {}
         self.probe_watch: Dict[int, int] = {}
-        #: Producer stage id -> the grouped aggregation it feeds.
-        self.agg_watch: Dict[int, int] = {}
-        self.agg_done: Set[int] = set()
         #: Producer stages whose completion cascade already ran.
         self.completed: Set[int] = set()
         #: Outstanding speculative copies (never in G.T) and every task name
@@ -113,29 +94,19 @@ class AdaptiveController:
 
     def _register(self) -> None:
         for stage in self.graph:
-            meta = stage.adaptive
-            if not meta:
+            if not stage.adaptive:
+                continue  # the compiler stamps shuffle joins only
+            build = self._link(stage, "build")
+            probe = self._link(stage, "probe")
+            if build is None or probe is None:
                 continue
-            if meta.get("kind") == "join" and len(stage.upstreams) == 2:
-                build = self._link(stage, "build")
-                probe = self._link(stage, "probe")
-                if build is None or probe is None:
-                    continue
-                if build.mode != "partition" or probe.mode != "partition":
-                    continue
-                if not build.partition_keys or not probe.partition_keys:
-                    continue
-                self.pending[stage.stage_id] = "size"
-                self.build_watch[build.upstream_id] = stage.stage_id
-                self.probe_watch[probe.upstream_id] = stage.stage_id
-            elif meta.get("kind") == "agg" and len(stage.upstreams) == 1:
-                link = stage.upstreams[0]
-                if (
-                    link.mode == "partition"
-                    and link.partition_keys
-                    and stage.num_channels > 1
-                ):
-                    self.agg_watch[link.upstream_id] = stage.stage_id
+            if build.mode != "partition" or probe.mode != "partition":
+                continue
+            if not build.partition_keys or not probe.partition_keys:
+                continue
+            self.pending.add(stage.stage_id)
+            self.build_watch[build.upstream_id] = stage.stage_id
+            self.probe_watch[probe.upstream_id] = stage.stage_id
 
     @staticmethod
     def _link(stage: Stage, role: str) -> Optional[UpstreamLink]:
@@ -149,16 +120,12 @@ class AdaptiveController:
     def gated(self, stage_id: int) -> bool:
         """True while ``stage_id``'s tasks must hold for a pending decision.
 
-        A join under revision is gated through both phases (it must not
-        consume pieces that may still be re-shaped); its probe producers are
-        gated only until the size decision, which needs the completed build
-        side but unmoved probe bytes.  Build producers are never gated, so
-        progress is always possible on a tree-shaped plan.
+        An undecided join holds (it must not consume pieces that may still be
+        re-shaped) and so do its probe producers (the decision needs the
+        completed build side but unmoved probe bytes).  Build producers are
+        never gated, so progress is always possible on a tree-shaped plan.
         """
-        if stage_id in self.pending:
-            return True
-        target = self.probe_watch.get(stage_id)
-        return target is not None and self.pending.get(target) == "size"
+        return stage_id in self.pending or self.probe_watch.get(stage_id) in self.pending
 
     def is_speculated(self, name: TaskName) -> bool:
         """True if ``name`` ever had a speculative duplicate launched."""
@@ -172,8 +139,6 @@ class AdaptiveController:
         stage: Stage,
         descriptor: TaskDescriptor,
         out_batch: Batch,
-        pieces_payload: Dict[int, Batch],
-        consumer,
         is_final: bool,
     ):
         """Process: feedback bookkeeping plus any decision this commit triggers."""
@@ -188,20 +153,8 @@ class AdaptiveController:
             )
         self.speculative.pop(name, None)
 
-        consumer_id = consumer[0].stage_id if consumer is not None else None
-        piece_bytes = None
-        if consumer_id is not None:
-            piece_bytes = tuple(
-                float(piece.nbytes)
-                for _channel, piece in sorted(pieces_payload.items())
-            )
         self.feedback.record_commit(
-            name,
-            out_batch.num_rows,
-            float(out_batch.nbytes),
-            worker.worker_id,
-            consumer_id,
-            piece_bytes,
+            name, out_batch.num_rows, float(out_batch.nbytes), worker.worker_id
         )
         if is_final:
             self.feedback.mark_channel_done(stage.stage_id, name.channel)
@@ -212,8 +165,6 @@ class AdaptiveController:
         ):
             self.completed.add(stage_id)
             yield from self._on_stage_complete(stage)
-        elif stage_id in self.probe_watch:
-            yield from self._maybe_split_skew(stage_id, force=False)
 
     def _on_stage_complete(self, stage: Stage):
         execution = self.execution
@@ -226,16 +177,10 @@ class AdaptiveController:
                 self.feedback.stage_bytes(stage_id),
             )
         target = self.build_watch.get(stage_id)
-        if target is not None and self.pending.get(target) == "size":
+        if target in self.pending:
             yield from self._decide_join(target)
-        target = self.probe_watch.get(stage_id)
-        if target is not None and self.pending.get(target) == "skew":
-            yield from self._maybe_split_skew(stage_id, force=True)
-        target = self.agg_watch.get(stage_id)
-        if target is not None and target not in self.agg_done:
-            yield from self._maybe_coalesce_agg(stage_id, target)
 
-    # -- phase 1: broadcast revisit / channel re-sizing ---------------------------
+    # -- the one decision per join: broadcast revisit / channel re-sizing ---------
 
     def _decide_join(self, join_id: int):
         stage = self.graph.stage(join_id)
@@ -251,13 +196,15 @@ class AdaptiveController:
             # by their observed kept/tested ratio so the broadcast revisit and
             # the channel re-sizing see the bytes that will actually arrive.
             probe_est *= filters.probe_scale(join_id)
+        # Decided either way: the join and its probe producers un-gate.  Both
+        # revisions below mutate all plan state before their first yield.
+        self.pending.discard(join_id)
         if broadcast_decision(
             build_bytes,
             probe_est,
             self.broadcast_threshold_bytes,
             probe_stage.num_channels,
         ):
-            self.pending.pop(join_id, None)
             yield from self._convert_to_broadcast(stage, build, probe, probe_stage)
             return
         n_new = sized_channel_count(
@@ -265,10 +212,6 @@ class AdaptiveController:
         )
         if n_new < stage.num_channels:
             yield from self._resize_stage(stage, n_new)
-        # Probe producers are released; the join itself stays gated until the
-        # skew decision (made once enough probe bytes are in, or the probe
-        # side completes).
-        self.pending[join_id] = "skew"
 
     def _convert_to_broadcast(
         self, stage: Stage, build: UpstreamLink, probe: UpstreamLink, probe_stage: Stage
@@ -286,12 +229,8 @@ class AdaptiveController:
         # concatenate in part order, replicate).
         build.base_parts = build.base_parts or n_old
         build.mode = "broadcast"
-        build.scatter = None
-        build.replicate = None
         probe.mode = "aligned"
         probe.base_parts = None
-        probe.scatter = None
-        probe.replicate = None
         stage.num_channels = n_new
         # Co-locate each join channel with its aligned probe channel, so the
         # (dominant) probe push becomes worker-local and free.
@@ -334,7 +273,7 @@ class AdaptiveController:
         yield from self._charge_moves(moves)
 
     def _resize_stage(self, stage: Stage, n_new: int):
-        """Coalesce ``stage`` down to ``n_new`` channels (joins and aggs)."""
+        """Coalesce the join ``stage`` down to ``n_new`` channels."""
         execution = self.execution
         gcs = execution.gcs
         n_old = stage.num_channels
@@ -371,89 +310,6 @@ class AdaptiveController:
                 execution.env.now, stage.stage_id, "resize", f"channels={n_old}->{n_new}"
             )
         yield from self._charge_moves(moves)
-
-    # -- phase 2: skew splitting --------------------------------------------------
-
-    def _maybe_split_skew(self, probe_producer_id: int, force: bool):
-        join_id = self.probe_watch.get(probe_producer_id)
-        if join_id is None or self.pending.get(join_id) != "skew":
-            return
-        stage = self.graph.stage(join_id)
-        num_channels = stage.num_channels
-        totals = self.feedback.link_channel_bytes(
-            probe_producer_id, join_id, num_channels
-        )
-        total = sum(totals)
-        if not force:
-            threshold = max(
-                self.SKEW_SAMPLE_MIN_BYTES,
-                self.SKEW_SAMPLE_FRACTION * float(stage.adaptive["probe_est"]),
-            )
-            if total < threshold:
-                return
-        self.pending.pop(join_id, None)  # decided either way; the join un-gates
-        if num_channels == 1 or total <= 0.0:
-            return
-        mean = total / num_channels
-        hot = tuple(
-            channel
-            for channel in range(num_channels)
-            if totals[channel] > self.SKEW_FACTOR * mean
-            and totals[channel] > self.SKEW_MIN_CHANNEL_BYTES
-        )
-        if not hot or len(hot) >= num_channels:
-            return
-        execution = self.execution
-        gcs = execution.gcs
-        probe = self._link(stage, "probe")
-        build = self._link(stage, "build")
-        probe.scatter = hot
-        build.replicate = hot
-        placement = {
-            channel: gcs.placement.worker_for(stage.stage_id, channel)
-            for channel in range(num_channels)
-        }
-        moves: List[Tuple[int, int, float]] = []
-        for link, composer in ((probe, scatter_pieces), (build, replicate_pieces)):
-            schema = self.graph.stage(link.upstream_id).output_schema
-
-            def compose(pieces: List[Batch], _composer=composer, _schema=schema):
-                return _composer(pieces, hot, _schema)
-
-            moves.extend(
-                self._rewrite_link_pieces(
-                    stage, link, num_channels, placement, num_channels, placement, compose
-                )
-            )
-        self.epoch += 1
-        execution.metrics.adaptive_skew_splits += 1
-        if execution.tracer.enabled:
-            execution.tracer.record_adaptation(
-                execution.env.now,
-                stage.stage_id,
-                "skew",
-                f"hot={list(hot)} bytes={[round(t) for t in totals]}",
-            )
-        yield from self._charge_moves(moves)
-
-    # -- opportunistic aggregation coalesce ---------------------------------------
-
-    def _maybe_coalesce_agg(self, producer_id: int, agg_id: int):
-        self.agg_done.add(agg_id)
-        stage = self.graph.stage(agg_id)
-        # Only safe while the aggregation has not touched any input: no
-        # committed tasks and none in flight.
-        if self.feedback.outputs.get(agg_id):
-            return
-        if self.feedback.active.get(agg_id, 0) > 0:
-            return
-        observed = self.feedback.stage_bytes(producer_id)
-        n_new = sized_channel_count(
-            observed, DEFAULT_TARGET_BYTES_PER_CHANNEL, stage.num_channels
-        )
-        if n_new >= stage.num_channels:
-            return
-        yield from self._resize_stage(stage, n_new)
 
     # -- shared rewrite machinery ---------------------------------------------------
 
@@ -550,7 +406,9 @@ class AdaptiveController:
             w.worker_id for w in self.execution.cluster.workers if w.alive
         )
         if not live:
-            raise RuntimeError("no live workers for adaptive re-placement")
+            raise FaultToleranceError(
+                "no live workers remain; cannot re-place adaptive join channels"
+            )
         return live[salt % len(live)]
 
     # -- speculation ----------------------------------------------------------------

@@ -89,8 +89,8 @@ class ExecutionContext:
             w.worker_id: {} for w in cluster.workers
         }
         #: Runtime-feedback controller revising the physical plan mid-query
-        #: (broadcast revisits, channel re-sizing, skew splits, speculation);
-        #: None runs the static plan exactly as compiled.
+        #: (broadcast revisits, channel re-sizing, speculation); None runs the
+        #: static plan exactly as compiled.
         self.adaptive = None
         if adaptive:
             from repro.core.adaptive import AdaptiveController
@@ -766,9 +766,7 @@ class ExecutionContext:
             self.filters.observe_commit(stage, out_batch)
         yield from self.strategy.after_task_commit(self, worker, runtime)
         if adaptive is not None:
-            yield from adaptive.after_commit(
-                worker, stage, descriptor, out_batch, pieces_payload, consumer, is_final
-            )
+            yield from adaptive.after_commit(worker, stage, descriptor, out_batch, is_final)
         if self.filters is not None:
             yield from self.filters.publish_ready(worker)
 

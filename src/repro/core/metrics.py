@@ -63,6 +63,7 @@ class QueryMetrics:
     #: feedback, and speculative copies launched against stragglers.
     adaptive_broadcast_joins: int = 0
     adaptive_channel_resizes: int = 0
+    #: Always 0 (skew splitting was removed); benchmarks/e2e still reads it.
     adaptive_skew_splits: int = 0
     speculative_tasks: int = 0
     speculative_wins: int = 0

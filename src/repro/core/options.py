@@ -53,8 +53,8 @@ class QueryOptions:
     #: ``False`` to force the seed-era heuristic planning path.
     optimize: Optional[bool] = None
     #: Adaptive (runtime-feedback) execution: re-run the broadcast-vs-shuffle
-    #: decision, re-size channel counts, split skewed shuffle partitions and
-    #: speculate on stragglers using *observed* stage outputs.  ``None`` means
+    #: decision and re-size channel counts once per shuffle join, and
+    #: speculate on stragglers, using *observed* stage outputs.  ``None`` means
     #: "the runner's default": on for the distributed engine whenever the
     #: cost-based estimator is available (it supplies the compile-time
     #: estimates the controller revises), off for the reference interpreter,
@@ -74,8 +74,6 @@ class QueryOptions:
     tracer: Any = None
     #: Human-readable name attached to the result and traces.
     query_name: str = ""
-    #: Enumerate join orders for INNER-join chains (cost-gated DP/greedy).
-    join_reorder: bool = True
     #: Consume (and lazily compute) real per-table statistics for planning;
     #: with ``False`` the planner falls back to the fixed System-R constants.
     use_table_stats: bool = True
@@ -128,14 +126,10 @@ def resolve_planning(plan, options: QueryOptions, default_optimize: bool):
     """
     estimator = None
     if default_optimize if options.optimize is None else options.optimize:
-        from repro.optimizer import CardinalityEstimator, OptimizerConfig, optimize_plan
+        from repro.optimizer import CardinalityEstimator, optimize_plan
 
         estimator = CardinalityEstimator(use_table_stats=options.use_table_stats)
-        plan = optimize_plan(
-            plan,
-            config=OptimizerConfig(join_reorder=options.join_reorder),
-            estimator=estimator,
-        )
+        plan = optimize_plan(plan, estimator=estimator)
     planned = estimator is not None
     adaptive = planned and (options.adaptive is None or options.adaptive)
     runtime_filters = (

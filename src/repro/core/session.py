@@ -174,8 +174,7 @@ class Session:
         if enable_output_cache:
             self.scan_pool = SharedScanPool(self.env)
         self.scheduler = FairShareScheduler(
-            max_concurrent=self.engine_config.max_concurrent_queries,
-            tasks_per_sweep=self.engine_config.fair_share_tasks_per_sweep,
+            max_concurrent=self.engine_config.max_concurrent_queries
         )
         #: Pause flags of every TaskManager process, keyed by (worker, slot).
         self.worker_paused: Dict[tuple, bool] = {}
@@ -553,8 +552,8 @@ class Session:
         With a single admitted query (and one slot) this behaves exactly like
         the paper's per-query TaskManager; with several queries, each sweep
         visits them in rotating order and runs at most
-        ``fair_share_tasks_per_sweep`` committed tasks per query before moving
-        on.
+        ``FairShareScheduler.tasks_per_sweep`` committed tasks per query before
+        moving on.
         """
         pause_key = (worker.worker_id, slot)
         try:

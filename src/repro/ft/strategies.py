@@ -77,8 +77,9 @@ class SpoolingStrategy(FaultToleranceStrategy):
                               nbytes=nbytes, durable=True)
 
 
-class CheckpointStrategy(FaultToleranceStrategy):
-    """Local backups plus periodic durable snapshots of operator state.
+class CheckpointStrategy(WriteAheadLineageStrategy):
+    """The write-ahead-lineage local backups plus periodic durable snapshots
+    of operator state.
 
     Mirrors the "custom checkpointing strategies to S3" the paper evaluated in
     Section V-C: every ``interval_tasks`` committed tasks per channel, the
@@ -93,12 +94,6 @@ class CheckpointStrategy(FaultToleranceStrategy):
         if interval_tasks < 1:
             raise ConfigError("checkpoint interval must be at least 1 task")
         self.interval_tasks = interval_tasks
-
-    def persist_output(self, engine, worker, task_name, payload, nbytes):
-        scaled = engine.cost_model.scaled(nbytes)
-        yield from worker.disk.write(task_name, payload, scaled)
-        return ObjectLocation(task=task_name, worker_id=worker.worker_id,
-                              nbytes=nbytes, durable=False)
 
     def after_task_commit(self, engine, worker, runtime):
         if runtime.operator is None:

@@ -284,11 +284,7 @@ class _Compiler:
         if self.estimator is not None and upstreams[0].mode == "partition":
             # Compile-time estimates the adaptive controller compares against
             # observed bytes when it revisits this shuffle join at runtime.
-            stage.adaptive = {
-                "kind": "join",
-                "build_est": float(self.estimator.bytes(node.right)),
-                "probe_est": float(self.estimator.bytes(node.left)),
-            }
+            stage.adaptive = {"probe_est": float(self.estimator.bytes(node.left))}
         build_id = build.stage.stage_id
         probe_id = probe.stage.stage_id
         right_keys = list(node.right_keys)
@@ -340,8 +336,6 @@ class _Compiler:
         )
         if group_keys:
             stage.agg_info = {"group_keys": list(group_keys)}
-        if self.estimator is not None and group_keys and channels > 1:
-            stage.adaptive = {"kind": "agg", "est": float(self.estimator.bytes(node))}
         input_schema = compiled.schema
         output_schema = node.schema
         mem = self._mem

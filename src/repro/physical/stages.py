@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError
 from repro.data.batch import Batch, concat_batches
-from repro.data.partition import hash_partition, round_robin_partition
+from repro.data.partition import hash_partition
 from repro.data.schema import Schema
 from repro.expr.nodes import Expr
 from repro.kernels.aggregate import AggregateSpec, GroupedAggregationState
@@ -128,38 +128,6 @@ def coalesce_pieces(parts: List[Batch], num_channels: int, schema) -> List[Batch
     ]
 
 
-def scatter_pieces(pieces: List[Batch], hot: Sequence[int], schema) -> List[Batch]:
-    """Round-robin-split each hot channel's piece across *all* channels.
-
-    Used on the probe link of a skewed join: rows of the hot hash partitions
-    are spread evenly, while every other partition stays where hashing put
-    it.  Deterministic: shares are taken in ascending hot-channel order.
-    """
-    n = len(pieces)
-    hot_sorted = sorted(set(hot))
-    shares = {h: round_robin_partition(pieces[h], n) for h in hot_sorted}
-    out = []
-    for j in range(n):
-        own = shares[j][j] if j in shares else pieces[j]
-        extras = [shares[h][j] for h in hot_sorted if h != j]
-        out.append(concat_batches([own] + extras, schema=schema))
-    return out
-
-
-def replicate_pieces(pieces: List[Batch], hot: Sequence[int], schema) -> List[Batch]:
-    """Replicate each hot channel's piece to every other channel.
-
-    The build-side counterpart of :func:`scatter_pieces`: wherever a scattered
-    probe row lands, the full build partition for its key is present.
-    """
-    hot_sorted = sorted(set(hot))
-    out = []
-    for j in range(len(pieces)):
-        extras = [pieces[h] for h in hot_sorted if h != j]
-        out.append(concat_batches([pieces[j]] + extras, schema=schema))
-    return out
-
-
 def partition_for_link(
     batch: Batch, link: "UpstreamLink", num_channels: int, producer_channel: int = 0
 ) -> List[Batch]:
@@ -173,9 +141,9 @@ def partition_for_link(
     When ``link.base_parts`` is set (an adaptive controller revised the link
     after some outputs were already pushed), partitioning goes through the
     canonical two-level form: hash into ``base_parts`` pieces first, then
-    compose (coalesce / concat / scatter / replicate) exactly like the
-    controller's rewrite of already-buffered pieces — so fresh outputs and
-    rewritten ones are byte-identical.
+    coalesce or concatenate exactly like the controller's rewrite of
+    already-buffered pieces — so fresh outputs and rewritten ones are
+    byte-identical.
     """
     if link.mode == "broadcast":
         if link.base_parts and link.partition_keys:
@@ -194,14 +162,8 @@ def partition_for_link(
     if link.partition_keys:
         if link.base_parts and link.base_parts != num_channels:
             parts = hash_partition(batch, link.partition_keys, link.base_parts)
-            pieces = coalesce_pieces(parts, num_channels, batch.schema)
-        else:
-            pieces = hash_partition(batch, link.partition_keys, num_channels)
-        if link.scatter:
-            pieces = scatter_pieces(pieces, link.scatter, batch.schema)
-        if link.replicate:
-            pieces = replicate_pieces(pieces, link.replicate, batch.schema)
-        return pieces
+            return coalesce_pieces(parts, num_channels, batch.schema)
+        return hash_partition(batch, link.partition_keys, num_channels)
     return [batch] + [batch.slice(0, 0) for _ in range(num_channels - 1)]
 
 
@@ -262,16 +224,11 @@ class UpstreamLink:
     its post-ops).  ``role`` distinguishes the build and probe inputs of a
     join stage.
 
-    The remaining fields are written only by the adaptive controller when it
-    revises a link mid-query (see :mod:`repro.core.adaptive`):
-
-    * ``base_parts`` — hash-partition into this many pieces first, then
-      compose down/out to the consumer's channel count (the canonical
-      two-level form shared with the controller's piece rewrites);
-    * ``scatter`` — hot channels whose piece is round-robin-split across all
-      channels (skewed probe side);
-    * ``replicate`` — hot channels whose piece is replicated to every channel
-      (the matching build side).
+    ``base_parts`` is written only by the adaptive controller when it revises
+    a link mid-query (see :mod:`repro.core.adaptive`): hash-partition into
+    this many pieces first, then coalesce or concatenate down to the
+    consumer's channel count (the canonical two-level form shared with the
+    controller's piece rewrites).
     """
 
     upstream_id: int
@@ -279,8 +236,6 @@ class UpstreamLink:
     role: str = "input"
     mode: str = "partition"
     base_parts: Optional[int] = None
-    scatter: Optional[Tuple[int, ...]] = None
-    replicate: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.mode not in LINK_MODES:

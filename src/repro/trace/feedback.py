@@ -1,16 +1,15 @@
 """Observed per-stage output statistics (the adaptive-execution feedback loop).
 
 :class:`StageFeedback` is the collector the engine feeds from its commit path:
-for every *committed* task it records the output rows/bytes, the producing
-worker and the per-consumer-channel piece sizes.  Everything is keyed by
-:class:`~repro.gcs.naming.TaskName`, so a retraced task overwrites its own
-record with identical values instead of double-counting — the collector is
-idempotent under recovery by construction.
+for every *committed* task it records the output rows/bytes and the producing
+worker.  Everything is keyed by :class:`~repro.gcs.naming.TaskName`, so a
+retraced task overwrites its own record with identical values instead of
+double-counting — the collector is idempotent under recovery by construction.
 
 The :class:`~repro.core.adaptive.AdaptiveController` reads these observations
-to re-run physical decisions (broadcast-vs-shuffle, channel sizing, skew
-splitting) with actual instead of estimated bytes, and to spot straggling
-tasks worth speculating on.
+to re-run physical decisions (broadcast-vs-shuffle, channel sizing) with
+actual instead of estimated bytes, and to spot straggling tasks worth
+speculating on.
 """
 
 from __future__ import annotations
@@ -36,14 +35,8 @@ class StageFeedback:
 
     #: stage -> task -> observation (idempotent: retraces overwrite equal values).
     outputs: Dict[int, Dict[TaskName, OutputObservation]] = field(default_factory=dict)
-    #: (producer stage, consumer stage) -> task -> per-consumer-channel piece bytes.
-    pieces: Dict[Tuple[int, int], Dict[TaskName, Tuple[float, ...]]] = field(
-        default_factory=dict
-    )
     #: stage -> channels that committed their final task.
     done_channels: Dict[int, Set[int]] = field(default_factory=dict)
-    #: stage -> number of execute tasks currently inside ``_run_descriptor``.
-    active: Dict[int, int] = field(default_factory=dict)
     #: stage -> durations of committed input tasks (speculation baseline).
     durations: Dict[int, List[float]] = field(default_factory=dict)
     #: (task, worker) -> start time of an in-flight input execute task.
@@ -53,33 +46,23 @@ class StageFeedback:
 
     def task_started(self, name: TaskName, worker_id: int, now: float) -> None:
         """An execute task entered the engine on ``worker_id``."""
-        self.active[name.stage] = self.active.get(name.stage, 0) + 1
         self.inflight[(name, worker_id)] = now
 
     def task_finished(
         self, name: TaskName, worker_id: int, now: float, committed: bool
     ) -> None:
         """The matching exit hook (runs in a ``finally``, so crashes count too)."""
-        self.active[name.stage] = max(0, self.active.get(name.stage, 0) - 1)
         start = self.inflight.pop((name, worker_id), None)
         if committed and start is not None:
             self.durations.setdefault(name.stage, []).append(now - start)
 
     def record_commit(
-        self,
-        name: TaskName,
-        rows: int,
-        nbytes: float,
-        worker_id: int,
-        consumer_stage: Optional[int],
-        piece_bytes: Optional[Tuple[float, ...]],
+        self, name: TaskName, rows: int, nbytes: float, worker_id: int
     ) -> None:
-        """Record one committed task output (and its pushed piece sizes)."""
+        """Record one committed task output."""
         self.outputs.setdefault(name.stage, {})[name] = OutputObservation(
             rows, nbytes, worker_id
         )
-        if consumer_stage is not None and piece_bytes is not None:
-            self.pieces.setdefault((name.stage, consumer_stage), {})[name] = piece_bytes
 
     def mark_channel_done(self, stage: int, channel: int) -> None:
         """A channel committed its final task."""
@@ -107,16 +90,6 @@ class StageFeedback:
         """The worker that committed ``name``, if observed."""
         observation = self.outputs.get(name.stage, {}).get(name)
         return observation.worker_id if observation is not None else None
-
-    def link_channel_bytes(
-        self, producer: int, consumer: int, num_channels: int
-    ) -> List[float]:
-        """Per-consumer-channel byte totals over one link (skew detection)."""
-        totals = [0.0] * num_channels
-        for sizes in self.pieces.get((producer, consumer), {}).values():
-            for channel, nbytes in enumerate(sizes[:num_channels]):
-                totals[channel] += nbytes
-        return totals
 
     def median_duration(self, stage: int) -> Optional[float]:
         """Median committed-task duration of ``stage`` (None without samples)."""

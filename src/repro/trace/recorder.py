@@ -89,7 +89,7 @@ class AdaptationRecord:
 
     time: float
     stage: int
-    kind: str  # "broadcast", "resize", "skew" or "speculate"
+    kind: str  # "broadcast", "resize" or "speculate"
     detail: str
 
 

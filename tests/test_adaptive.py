@@ -1,9 +1,9 @@
 """Adaptive (runtime-feedback) execution: every revision must stay exact.
 
 The controller in :mod:`repro.core.adaptive` revises not-yet-started stages
-from *observed* producer outputs: re-running the broadcast-vs-shuffle gate,
-re-sizing channel counts, splitting skewed shuffle partitions, and racing
-speculative copies against stragglers.  Each test here forces one decision
+from *observed* producer outputs: re-running the broadcast-vs-shuffle gate
+and re-sizing channel counts once per shuffle join, and racing speculative
+copies against stragglers.  Each test here forces one decision
 path end to end through the simulated engine and checks the result
 batch-exactly against the single-node reference — the reference interpreter
 has no stages or channels, so it is an oracle the controller cannot bias.
@@ -43,6 +43,21 @@ def reference(frame):
     return ReferenceRunner().submit(frame, QueryOptions()).wait().batch
 
 
+def _resize_selfjoin(ctx):
+    """A build side the estimator prices at the default selectivity but that
+    runs tiny: the join's observed bytes re-size it to fewer channels."""
+    li = ctx.read_table("lineitem")
+    small = li.filter(col("l_quantity") < lit(3)).select(
+        "l_orderkey", "l_extendedprice"
+    )
+    big = li.filter(col("l_quantity") >= lit(3)).select("l_orderkey", "l_quantity")
+    return (
+        big.join(small, left_on="l_orderkey", right_on="l_orderkey")
+        .groupby("l_quantity")
+        .agg(total=("l_extendedprice", "sum"), n="count")
+    )
+
+
 class TestBroadcastRevisit:
     def test_misestimated_join_converts_to_broadcast_at_runtime(self, skew_catalog):
         """System-R constant estimates overstate Q3's build sides; once the
@@ -76,7 +91,6 @@ class TestBroadcastRevisit:
         metrics = result.metrics
         assert metrics.adaptive_broadcast_joins == 0
         assert metrics.adaptive_channel_resizes == 0
-        assert metrics.adaptive_skew_splits == 0
         assert metrics.speculative_tasks == 0
 
 
@@ -86,18 +100,7 @@ class TestChannelResize:
         makes the build side compile far larger than it runs; the observed
         bytes re-size the join to fewer channels."""
         ctx = QuokkaContext(num_workers=8, catalog=skew_catalog)
-        li = ctx.read_table("lineitem")
-        small = li.filter(col("l_quantity") < lit(3)).select(
-            "l_orderkey", "l_extendedprice"
-        )
-        big = li.filter(col("l_quantity") >= lit(3)).select(
-            "l_orderkey", "l_quantity"
-        )
-        frame = (
-            big.join(small, left_on="l_orderkey", right_on="l_orderkey")
-            .groupby("l_quantity")
-            .agg(total=("l_extendedprice", "sum"), n="count")
-        )
+        frame = _resize_selfjoin(ctx)
         result = frame.submit(
             options=QueryOptions(
                 use_table_stats=False,
@@ -109,27 +112,81 @@ class TestChannelResize:
         assert batches_match(result.batch, reference(frame))
 
 
-class TestSkewSplit:
-    def test_skewed_probe_key_splits_hot_partitions(self, skew_catalog):
-        """The Zipf-skewed ``l_partkey`` concentrates probe bytes on one hash
-        channel; the controller scatters the hot channel's probe rows and
-        replicates the matching build rows, and the join still returns the
-        exact reference answer."""
+class TestSingleDecision:
+    """A shuffle join is decided once, when its build producer completes, and
+    that decision un-gates it — no second phase holds the join back while its
+    probe side streams in."""
+
+    @staticmethod
+    def _run_recording_decisions(ctx, frame, options):
+        """Run ``frame``; after every ``_decide_join`` record which branch it
+        took and whether the join or its probe producer is still gated."""
+        decisions = []
+        with ctx.session() as session:
+            handle = session.submit_options(frame, options)
+            controller = handle.execution.adaptive
+            metrics = handle.execution.metrics
+            decide = controller._decide_join
+
+            def recording(join_id):
+                probe_ids = [p for p, j in controller.probe_watch.items() if j == join_id]
+                assert controller.gated(join_id)
+                assert all(controller.gated(p) for p in probe_ids)
+                before = (metrics.adaptive_broadcast_joins, metrics.adaptive_channel_resizes)
+                yield from decide(join_id)
+                after = (metrics.adaptive_broadcast_joins, metrics.adaptive_channel_resizes)
+                branch = (
+                    "broadcast" if after[0] > before[0]
+                    else "resize" if after[1] > before[1]
+                    else "unchanged"
+                )
+                still_gated = controller.gated(join_id) or any(
+                    controller.gated(p) for p in probe_ids
+                )
+                decisions.append((branch, still_gated))
+
+            controller._decide_join = recording
+            result = session.wait(handle)
+            assert not controller.pending
+        return decisions, result
+
+    def test_every_branch_ungates_the_join_it_decides(self, skew_catalog):
         ctx = QuokkaContext(num_workers=8, catalog=skew_catalog)
+        base = dict(use_table_stats=False, adaptive=True)
         li = ctx.read_table("lineitem")
-        part = ctx.read_table("part")
-        frame = (
-            li.join(part, left_on="l_partkey", right_on="p_partkey")
-            .groupby("p_brand")
-            .agg(total=("l_extendedprice", "sum"), n="count")
-        )
-        base = dict(use_table_stats=False, broadcast_threshold_bytes=1000.0)
-        adaptive = frame.submit(options=QueryOptions(adaptive=True, **base)).wait()
-        static = frame.submit(options=QueryOptions(adaptive=False, **base)).wait()
-        ref = reference(frame)
-        assert adaptive.metrics.adaptive_skew_splits >= 1
-        assert batches_match(adaptive.batch, ref)
-        assert batches_match(static.batch, ref)
+        unchanged_frame = li.join(
+            ctx.read_table("orders"), left_on="l_orderkey", right_on="o_orderkey"
+        ).groupby("o_orderpriority").agg(n="count")
+        cases = {
+            "broadcast": (build_query(skew_catalog, 3), QueryOptions(**base)),
+            "resize": (
+                _resize_selfjoin(ctx),
+                QueryOptions(broadcast_threshold_bytes=1000.0, **base),
+            ),
+            "unchanged": (
+                unchanged_frame,
+                QueryOptions(broadcast_threshold_bytes=0.0, **base),
+            ),
+        }
+        for branch, (frame, options) in cases.items():
+            decisions, result = self._run_recording_decisions(ctx, frame.bind(ctx), options)
+            assert branch in [taken for taken, _ in decisions], (branch, decisions)
+            assert not any(still_gated for _, still_gated in decisions), decisions
+            assert batches_match(result.batch, reference(frame))
+
+    def test_no_live_worker_is_a_fault_tolerance_error(self, skew_catalog):
+        from repro.common.errors import FaultToleranceError
+
+        ctx = QuokkaContext(num_workers=2, catalog=skew_catalog)
+        with ctx.session() as session:
+            handle = session.submit_options(
+                build_query(skew_catalog, 3).bind(ctx),
+                QueryOptions(use_table_stats=False, adaptive=True),
+            )
+            for worker in session.cluster.workers:
+                worker.fail()
+            with pytest.raises(FaultToleranceError, match="no live workers remain"):
+                handle.execution.adaptive._any_live_worker(0)
 
 
 class TestSpeculation:
@@ -216,7 +273,6 @@ class TestOptionsPlumbing:
         metrics = result.metrics
         assert metrics.adaptive_broadcast_joins == 0
         assert metrics.adaptive_channel_resizes == 0
-        assert metrics.adaptive_skew_splits == 0
 
 
 class TestAdaptiveEquivalenceProperty:

@@ -48,8 +48,4 @@ def test_adaptive_cells_actually_adapt(adaptive_harness):
         options=QueryOptions(use_table_stats=False, adaptive=True)
     ).wait()
     metrics = result.metrics
-    assert (
-        metrics.adaptive_broadcast_joins
-        + metrics.adaptive_channel_resizes
-        + metrics.adaptive_skew_splits
-    ) >= 1
+    assert metrics.adaptive_broadcast_joins + metrics.adaptive_channel_resizes >= 1

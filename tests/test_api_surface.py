@@ -157,7 +157,6 @@ def test_query_options_fields_are_stable():
         "runtime_filters",
         "tracer",
         "query_name",
-        "join_reorder",
         "use_table_stats",
         "broadcast_threshold_bytes",
         "memory_budget_bytes",

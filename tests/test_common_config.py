@@ -52,7 +52,6 @@ class TestClusterConfig:
             "num_workers",
             "cpus_per_worker",
             "task_managers_per_worker",
-            "local_disk_capacity_bytes",
             "seed",
         ]
 
@@ -65,7 +64,6 @@ class TestClusterConfig:
             ("num_workers", 0),
             ("cpus_per_worker", 0),
             ("task_managers_per_worker", 0),
-            ("local_disk_capacity_bytes", 0),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -86,7 +84,6 @@ class TestEngineConfig:
             "recovery_placement",
             "checkpoint_interval_tasks",
             "max_concurrent_queries",
-            "fair_share_tasks_per_sweep",
             "result_cache_bytes",
         ]
 

@@ -294,6 +294,4 @@ class TestSchedulerAndCacheUnits:
         with pytest.raises(ConfigError):
             EngineConfig(max_concurrent_queries=0).validate()
         with pytest.raises(ConfigError):
-            EngineConfig(fair_share_tasks_per_sweep=0).validate()
-        with pytest.raises(ConfigError):
             EngineConfig(result_cache_bytes=-1.0).validate()

@@ -40,12 +40,12 @@ class TestSummaryFieldCompleteness:
             runtime_seconds=1.5,
             tasks_executed=7,
             lineage_bytes=2048.0,
-            adaptive_skew_splits=2,
+            adaptive_channel_resizes=2,
         )
         text = metrics.summary()
         assert "1.500s" in text
         assert "2,048" in text
-        assert "adaptive_skew_splits" in text
+        assert "adaptive_channel_resizes" in text
 
 
 class TestSizedChannelCount:

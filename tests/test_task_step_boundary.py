@@ -3,7 +3,7 @@
 Partitioning an output for a link, testing a split's zone map and building a
 runtime filter each have exactly one caller — the shared task step — plus
 ``physical/stages.py``, which defines the partition rule and the adaptive
-controller's piece-rewrite helpers.  An executor that calls any of them
+controller's piece-rewrite helper.  An executor that calls any of them
 directly has grown a private copy of the step; this test fails it.
 
 The same fence stands around the out-of-core kernels: a memory quota picks
