@@ -15,7 +15,10 @@ or as a pytest perf-smoke check (small fixed size, used by CI)::
     pytest benchmarks/bench_kernels.py
 
 The pytest path fails if any vectorized kernel is not faster than its naive
-counterpart, or if the geometric-mean speedup drops below 3x.
+counterpart, or if the geometric-mean speedup drops below 3x.  A second
+pytest gate times TPC-H Q1 end to end at SF 0.05: the engine inline must stay
+within 2.5x of the reference interpreter, and the cost-based plan within 1.5x
+of the as-written plan on the interpreter.
 """
 
 import argparse
@@ -30,6 +33,7 @@ if _SRC not in sys.path:
 
 import numpy as np
 
+from repro.api import ParallelRunner, QueryOptions, ReferenceRunner
 from repro.bench.reporting import (
     format_table,
     geometric_mean,
@@ -52,6 +56,7 @@ from repro.kernels.reference import (
     naive_hash_partition,
     naive_hash_rows,
 )
+from repro.tpch import build_query, generate_catalog
 
 SCHEMA = Schema(
     [
@@ -224,6 +229,54 @@ def test_perf_smoke():
         )
     assert results["geomean_speedup"] >= 3.0, (
         f"geomean speedup regressed below 3x: {results['geomean_speedup']:.2f}x"
+    )
+
+
+def time_q1_paths(scale_factor: float = 0.05, repeats: int = 5) -> dict:
+    """Best-of-``repeats`` wall-clock of TPC-H Q1, SQL plan to result batch,
+    on the engine inline (``ParallelRunner(workers=0)``: one core, no fork,
+    no shared memory) and on the reference interpreter with and without the
+    cost-based optimizer.  The three paths alternate within every repeat, so
+    a drift in machine speed hits all of them alike."""
+    catalog = generate_catalog(scale_factor=scale_factor, seed=1)
+    query = build_query(catalog, 1)
+    paths = {
+        "inline": lambda: ParallelRunner(workers=0).submit(query),
+        "reference": lambda: ReferenceRunner().submit(query),
+        "reference_optimized": lambda: ReferenceRunner().submit(
+            query, QueryOptions(optimize=True)
+        ),
+    }
+    best = dict.fromkeys(paths, float("inf"))
+    for _ in range(repeats):
+        for name, run in paths.items():
+            start = time.perf_counter()
+            run().wait()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return {
+        "scale_factor": scale_factor,
+        "repeats": repeats,
+        "seconds": best,
+        "inline_vs_reference": best["inline"] / best["reference"],
+        "optimized_vs_reference": best["reference_optimized"] / best["reference"],
+    }
+
+
+def test_q1_inline_within_reach_of_the_reference():
+    """CI perf gate on what a user feels: Q1 on the engine, one core, is at
+    most 2.5x the single-node interpreter, and the optimizer's pruning
+    projection does not slow the interpreter itself down (<= 1.5x)."""
+    results = time_q1_paths()
+    print(
+        f"\nQ1 at SF {results['scale_factor']} (best of {results['repeats']}): "
+        + ", ".join(f"{name} {s * 1e3:.1f} ms" for name, s in results["seconds"].items())
+    )
+    assert results["inline_vs_reference"] <= 2.5, (
+        f"Q1 inline is {results['inline_vs_reference']:.2f}x the reference interpreter"
+    )
+    assert results["optimized_vs_reference"] <= 1.5, (
+        f"the optimized plan is {results['optimized_vs_reference']:.2f}x the "
+        "as-written plan on the reference interpreter"
     )
 
 

@@ -8,12 +8,7 @@ unit of data exchanged between tasks (the paper's "data partitions").
 from repro.data.schema import DataType, Field, Schema
 from repro.data.batch import Batch, concat_batches
 from repro.data.dictionary import DictionaryArray
-from repro.data.partition import (
-    hash_partition,
-    hash_column,
-    hash_rows,
-    round_robin_partition,
-)
+from repro.data.partition import hash_partition, hash_column, hash_rows
 from repro.data.dates import date_to_days, days_to_date, date_literal
 
 __all__ = [
@@ -26,7 +21,6 @@ __all__ = [
     "hash_partition",
     "hash_column",
     "hash_rows",
-    "round_robin_partition",
     "date_to_days",
     "days_to_date",
     "date_literal",

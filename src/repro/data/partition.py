@@ -116,14 +116,6 @@ def partition_assignment(batch: Batch, keys: Sequence[str], num_partitions: int)
     return (hash_rows(batch, keys) % np.uint64(num_partitions)).astype(np.int64)
 
 
-def _split_by_assignment(batch: Batch, assignment: np.ndarray, num_partitions: int) -> List[Batch]:
-    """One stable argsort instead of ``num_partitions`` full boolean scans."""
-    order = np.argsort(assignment, kind="stable")
-    counts = np.bincount(assignment, minlength=num_partitions)
-    bounds = np.cumsum(counts)[:-1]
-    return [batch.take(indices) for indices in np.split(order, bounds)]
-
-
 def hash_partition(batch: Batch, keys: Sequence[str], num_partitions: int) -> List[Batch]:
     """Split ``batch`` into ``num_partitions`` batches by key hash.
 
@@ -131,12 +123,8 @@ def hash_partition(batch: Batch, keys: Sequence[str], num_partitions: int) -> Li
     within a partition (making the operation deterministic).
     """
     assignment = partition_assignment(batch, keys, num_partitions)
-    return _split_by_assignment(batch, assignment, num_partitions)
-
-
-def round_robin_partition(batch: Batch, num_partitions: int, offset: int = 0) -> List[Batch]:
-    """Split ``batch`` into ``num_partitions`` by round-robin row assignment."""
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be at least 1")
-    assignment = (np.arange(batch.num_rows) + offset) % num_partitions
-    return _split_by_assignment(batch, assignment, num_partitions)
+    # One stable argsort instead of ``num_partitions`` full boolean scans.
+    order = np.argsort(assignment, kind="stable")
+    counts = np.bincount(assignment, minlength=num_partitions)
+    bounds = np.cumsum(counts)[:-1]
+    return [batch.take(indices) for indices in np.split(order, bounds)]

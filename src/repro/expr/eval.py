@@ -24,6 +24,7 @@ from repro.expr.nodes import (
     InList,
     Literal,
     UnaryOp,
+    column_reference,
 )
 
 _ARITHMETIC = {"+", "-", "*", "/"}
@@ -71,11 +72,10 @@ def evaluate(expr: Expr, batch: Batch) -> np.ndarray:
 def _dict_column(expr: Expr, batch: Batch):
     """The column's DictionaryArray when ``expr`` is a (possibly aliased)
     reference to a dictionary-encoded column; ``None`` otherwise."""
-    while isinstance(expr, Alias):
-        expr = expr.child
-    if not isinstance(expr, Column):
+    name = column_reference(expr)
+    if name is None:
         return None
-    data = batch.column_data(expr.name)
+    data = batch.column_data(name)
     return data if isinstance(data, DictionaryArray) else None
 
 

@@ -13,7 +13,7 @@ use ``&``, ``|`` and ``~`` (parenthesise comparisons, as with NumPy).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExpressionError
 
@@ -254,6 +254,14 @@ class Between(Expr):
 
     def __repr__(self) -> str:
         return f"{self.child!r}.between({self.low!r}, {self.high!r})"
+
+
+def column_reference(expr: Expr) -> Optional[str]:
+    """The input column name when ``expr`` is a bare column reference or an
+    :class:`Alias` chain over one; ``None`` for any computed expression."""
+    while isinstance(expr, Alias):
+        expr = expr.child
+    return expr.name if isinstance(expr, Column) else None
 
 
 # -- module-level constructors -------------------------------------------------

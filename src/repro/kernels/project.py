@@ -10,11 +10,17 @@ from repro.common.errors import ExpressionError
 from repro.data.batch import Batch
 from repro.data.schema import Field, Schema
 from repro.expr.eval import evaluate, infer_dtype
-from repro.expr.nodes import Expr
+from repro.expr.nodes import Expr, column_reference
 
 
 def project_batch(batch: Batch, projections: Sequence[Tuple[str, Expr]]) -> Batch:
-    """Evaluate ``projections`` (``(output_name, expression)`` pairs) over ``batch``."""
+    """Evaluate ``projections`` (``(output_name, expression)`` pairs) over ``batch``.
+
+    An output that is a bare column reference (or a rename of one) passes the
+    input's storage through: a dictionary-encoded column keeps its codes and
+    vocabulary, and a fixed-width column is shared, not copied.  Batch columns
+    are immutable by convention, so sharing is safe.
+    """
     if not projections:
         raise ExpressionError("projection requires at least one output column")
     names: List[str] = []
@@ -25,7 +31,11 @@ def project_batch(batch: Batch, projections: Sequence[Tuple[str, Expr]]) -> Batc
             raise ExpressionError(f"duplicate projection output name {name!r}")
         names.append(name)
         dtype = infer_dtype(expr, batch.schema)
-        values = np.asarray(evaluate(expr, batch))
         fields.append(Field(name, dtype))
-        columns[name] = values.astype(dtype.numpy_dtype)
+        source = column_reference(expr)
+        if source is not None:
+            columns[name] = batch.column_data(source)
+        else:
+            values = np.asarray(evaluate(expr, batch))
+            columns[name] = values.astype(dtype.numpy_dtype)
     return Batch(Schema(fields), columns)

@@ -33,7 +33,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.expr.nodes import Alias, Between, BinaryOp, Column, InList, Literal
+from repro.expr.nodes import (
+    Between,
+    BinaryOp,
+    Column,
+    InList,
+    Literal,
+    column_reference,
+)
 from repro.optimizer.cost import runtime_filter_decision
 from repro.physical.stages import (
     FilterOp,
@@ -114,13 +121,9 @@ def _trace_through_post_ops(post_ops, name: str) -> Optional[str]:
         if isinstance(op, ProjectOp):
             source = None
             for out_name, expr in op.projections:
-                if out_name != name:
-                    continue
-                while isinstance(expr, Alias):
-                    expr = expr.child
-                if isinstance(expr, Column):
-                    source = expr.name
-                break
+                if out_name == name:
+                    source = column_reference(expr)
+                    break
             if source is None:
                 return None
             name = source
@@ -167,11 +170,10 @@ def extract_scan_bounds(post_ops) -> Dict[str, Tuple[object, object]]:
         elif isinstance(op, ProjectOp):
             new_mapping: Dict[str, str] = {}
             for out_name, expr in op.projections:
-                while isinstance(expr, Alias):
-                    expr = expr.child
-                if not isinstance(expr, Column):
+                source = column_reference(expr)
+                if source is None:
                     continue
-                raw = expr.name if mapping is None else mapping.get(expr.name)
+                raw = source if mapping is None else mapping.get(source)
                 if raw is not None:
                     new_mapping[out_name] = raw
             mapping = new_mapping

@@ -13,9 +13,10 @@ Layout per block (one block per batch)::
 
 * fixed-width columns (int64 / float64 / bool / date) — raw C-contiguous
   buffers, reconstructed with ``np.ndarray(buffer=shm.buf, offset=...)``;
-* dictionary-encoded string columns — the ``int64`` codes go in as a raw
-  buffer, the (used-vocabulary-compacted) string values are pickled, since
-  Python string objects cannot live in shared memory;
+* dictionary-encoded string columns — the codes go in as a raw buffer
+  narrowed to the smallest unsigned type that indexes the (used-vocabulary-
+  compacted) string values, which are pickled, since Python string objects
+  cannot live in shared memory; readers widen the codes back to ``int64``;
 * plain object string columns — pickled whole.
 
 Lifecycle: blocks are opened *untracked* (see :func:`_open_untracked` — the
@@ -57,7 +58,8 @@ class ShmBatchRef:
     ``columns`` holds per-column layout tuples:
 
     * ``(_ND, name, dtype_str, offset, count)``
-    * ``(_DICT, name, codes_offset, count, vocab_offset, vocab_nbytes)``
+    * ``(_DICT, name, codes_dtype_str, codes_offset, count, vocab_offset,
+      vocab_nbytes)``
     * ``(_PICKLE, name, offset, nbytes)``
     """
 
@@ -135,13 +137,16 @@ def write_batch(batch: Batch, name_prefix: Optional[str] = None) -> ShmBatchRef:
         data: ColumnData = batch.column_data(name)
         if isinstance(data, DictionaryArray):
             values, codes = data.used_vocabulary()
-            codes = np.ascontiguousarray(codes, dtype=np.int64)
+            # The narrowest width that holds every code: one byte per row for
+            # a vocabulary of up to 256 values instead of eight.
+            codes = np.ascontiguousarray(codes, dtype=np.min_scalar_type(len(values) - 1))
             vocab = pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
             codes_off = _reserve(codes.nbytes)
             buffers.append((codes_off, codes))
             vocab_off = _reserve(len(vocab), align=1)
             buffers.append((vocab_off, vocab))
-            plan.append((_DICT, name, codes_off, len(codes), vocab_off, len(vocab)))
+            plan.append((_DICT, name, codes.dtype.str, codes_off, len(codes),
+                         vocab_off, len(vocab)))
         elif data.dtype == object:
             blob = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
             off = _reserve(len(blob), align=1)
@@ -228,11 +233,13 @@ def _decode_block(ref: ShmBatchRef, shm, copy: bool) -> Batch:
                                buffer=shm.buf, offset=off)
             columns[name] = array.copy() if copy else array
         elif kind == _DICT:
-            _, _, codes_off, count, vocab_off, vocab_nbytes = entry
-            codes = np.ndarray((count,), dtype=np.int64,
+            _, _, codes_dtype, codes_off, count, vocab_off, vocab_nbytes = entry
+            codes = np.ndarray((count,), dtype=np.dtype(codes_dtype),
                                buffer=shm.buf, offset=codes_off)
             values = pickle.loads(shm.buf[vocab_off:vocab_off + vocab_nbytes])
-            array = DictionaryArray(codes.copy() if copy else codes, values)
+            # Widening the narrowed codes back to int64 is a private copy in
+            # both read modes.
+            array = DictionaryArray(codes.astype(np.int64), values)
             # The writer compacted to the used vocabulary, so the compact
             # view is the array itself (mirrors DictionaryArray pickling).
             array._compact = (array.values, array.codes)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.data import Batch, hash_partition
-from repro.data.partition import partition_assignment, round_robin_partition
+from repro.data.partition import partition_assignment
 
 
 def key_batch(keys, extra=None):
@@ -57,19 +57,6 @@ class TestHashPartition:
         sizes = [p.num_rows for p in parts]
         assert min(sizes) > 0.5 * (4000 / 8)
         assert max(sizes) < 1.5 * (4000 / 8)
-
-
-class TestRoundRobin:
-    def test_round_robin_counts(self):
-        batch = key_batch(list(range(10)))
-        parts = round_robin_partition(batch, 3)
-        assert [p.num_rows for p in parts] == [4, 3, 3]
-
-    def test_round_robin_offset_shifts_assignment(self):
-        batch = key_batch(list(range(6)))
-        base = round_robin_partition(batch, 3)
-        shifted = round_robin_partition(batch, 3, offset=1)
-        assert base[0].column("k").tolist() != shifted[0].column("k").tolist()
 
 
 @settings(max_examples=25, deadline=None)

@@ -17,15 +17,16 @@ from hypothesis import strategies as st
 
 from repro.data.batch import Batch, concat_batches
 from repro.data.dictionary import DictionaryArray
-from repro.data.partition import hash_partition, hash_rows, round_robin_partition
+from repro.data.partition import hash_partition, hash_rows
 from repro.data.schema import DataType, Field, Schema
-from repro.expr.nodes import Column
+from repro.expr.nodes import Column, substr
 from repro.kernels.aggregate import (
     AggregateFunction,
     AggregateSpec,
     GroupedAggregationState,
 )
 from repro.kernels.join import HashJoin, JoinType
+from repro.kernels.project import project_batch
 from repro.kernels.reference import (
     NaiveGroupedAggregation,
     NaiveHashJoin,
@@ -131,19 +132,6 @@ def test_hash_partition_matches_naive(data, num_partitions):
         assert_batches_identical(fast_part, naive_part)
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), num_partitions=st.integers(1, 4), offset=st.integers(0, 7))
-def test_round_robin_partition_covers_all_rows(data, num_partitions, offset):
-    schema = data.draw(schemas())
-    batch = data.draw(batch_for(schema))
-    parts = round_robin_partition(batch, num_partitions, offset=offset)
-    assert sum(p.num_rows for p in parts) == batch.num_rows
-    reassembled = sorted(
-        row for part in parts for row in part.to_rows()
-    )
-    assert reassembled == sorted(batch.to_rows())
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_dictionary_encoding_is_transparent(data):
@@ -157,6 +145,38 @@ def test_dictionary_encoding_is_transparent(data):
             column = encoded.column_data(field.name)
             assert isinstance(column, DictionaryArray)
             assert column.materialize().tolist() == batch.column(field.name).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_column_projection_passes_storage_through(data):
+    # Bare references, renames and repeats share the input's storage: a
+    # dictionary column keeps its codes and the same vocabulary object, a
+    # fixed-width column is the input array.  Computed outputs stay plain.
+    schema = data.draw(schemas())
+    batch = data.draw(batch_for(schema, encode=True))
+    projections = []
+    for field in schema:
+        projections.append((f"{field.name}_bare", Column(field.name)))
+        projections.append((f"{field.name}_renamed", Column(field.name).alias("x")))
+        projections.append((f"{field.name}_again", Column(field.name).alias("x").alias("y")))
+    projections.append(("doubled", Column("payload") * 2.0))
+    projections.append(("tag_head", substr(Column("tag"), 1, 1)))
+    out = project_batch(batch, projections)
+
+    for field in schema:
+        source = batch.column_data(field.name)
+        for suffix in ("bare", "renamed", "again"):
+            projected = out.column_data(f"{field.name}_{suffix}")
+            if isinstance(source, DictionaryArray):
+                assert isinstance(projected, DictionaryArray)
+                assert projected.values is source.values
+                assert np.array_equal(projected.codes, source.codes)
+            else:
+                assert projected is source
+    assert type(out.column_data("doubled")) is np.ndarray
+    assert type(out.column_data("tag_head")) is np.ndarray
+    assert out.column("tag_bare").tolist() == batch.column("tag").tolist()
 
 
 # -- join ----------------------------------------------------------------------

@@ -107,6 +107,22 @@ class TestShmSerde:
         finally:
             unlink_block(ref.block)
 
+    @pytest.mark.parametrize("distinct, width", [(1, 1), (256, 1), (257, 2), (70_000, 4)])
+    def test_dictionary_codes_travel_at_the_narrowest_width(self, distinct, width):
+        values = [f"v{i}" for i in range(distinct)]
+        batch = Batch.from_pydict({"s": values + values[:3]}).dictionary_encode()
+        ref = write_batch(batch)
+        try:
+            (entry,) = ref.columns
+            assert np.dtype(entry[2]).itemsize == width
+            for out in (read_batch(ref, copy=True), read_batch(ref, BlockRegistry())):
+                codes = out.column_data("s").codes
+                # Widened back to int64 into private memory in both modes.
+                assert codes.dtype == np.int64 and codes.flags.owndata
+                assert out.column("s").tolist() == batch.column("s").tolist()
+        finally:
+            unlink_block(ref.block)
+
     def test_empty_batch_round_trip(self):
         schema = Schema.from_pairs([("a", DataType.INT64), ("s", DataType.STRING)])
         ref = write_batch(Batch.empty(schema))
