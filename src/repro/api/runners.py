@@ -177,6 +177,8 @@ class ParallelRunner:
 
         from repro.parallel.morsel import DEFAULT_MORSEL_ROWS
 
+        if workers is not None and workers < 0:
+            raise ConfigError(f"workers must be None or non-negative, got {workers}")
         self.workers = os.cpu_count() or 1 if workers is None else workers
         self.morsel_rows = DEFAULT_MORSEL_ROWS if morsel_rows is None else morsel_rows
         self.num_channels = num_channels or max(1, self.workers)

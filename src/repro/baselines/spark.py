@@ -38,6 +38,12 @@ from repro.plan.dataframe import DataFrame
 from repro.plan.nodes import LogicalPlan
 from repro.sim.core import Interrupt
 
+#: Factor by which Spark's kernels run slower than Quokka's.  The paper
+#: attributes part of Quokka's 2x over SparkSQL to kernel efficiency
+#: (vectorised DuckDB/Polars vs Spark's JVM operators); this factor models
+#: that difference explicitly.  1.0 isolates the execution-model effect.
+KERNEL_SLOWDOWN = 2.0
+
 
 @dataclass(frozen=True)
 class _TaskSpec:
@@ -69,19 +75,11 @@ class SparkLikeEngine:
         self,
         cluster_config: Optional[ClusterConfig] = None,
         cost_config: Optional[CostModelConfig] = None,
-        kernel_slowdown: float = 2.0,
     ):
         self.cluster_config = cluster_config or ClusterConfig()
         self.cost_config = cost_config or CostModelConfig()
         self.cluster_config.validate()
         self.cost_config.validate()
-        # The paper attributes part of Quokka's 2x over SparkSQL to kernel
-        # efficiency (vectorised DuckDB/Polars vs Spark's JVM operators); the
-        # slowdown factor models that difference explicitly.  Set it to 1.0
-        # to isolate the execution-model effect.
-        if kernel_slowdown <= 0:
-            raise ExecutionError("kernel_slowdown must be positive")
-        self.kernel_slowdown = kernel_slowdown
 
     def run(
         self,
@@ -95,7 +93,7 @@ class SparkLikeEngine:
         cluster = Cluster(self.cluster_config, self.cost_config)
         cluster.load_catalog(catalog)
         graph = compile_plan(plan, num_channels=cluster.num_workers)
-        driver = _SparkDriver(cluster, graph, kernel_slowdown=self.kernel_slowdown)
+        driver = _SparkDriver(cluster, graph)
         FailureInjector(cluster.env, cluster.workers, list(failure_plans or []))
         result = driver.run()
         result.query_name = query_name
@@ -105,18 +103,17 @@ class SparkLikeEngine:
 class _SparkDriver:
     """The driver process: schedules stages, detects lost outputs, recomputes."""
 
-    def __init__(self, cluster: Cluster, graph: StageGraph, kernel_slowdown: float = 2.0):
+    def __init__(self, cluster: Cluster, graph: StageGraph):
         self.cluster = cluster
         self.env = cluster.env
         self.cost = cluster.cost_model
         self.graph = graph
-        self.kernel_slowdown = kernel_slowdown
         self.metrics = QueryMetrics()
         self.shuffle: Dict[Tuple[int, int], _ShuffleOutput] = {}
         self._round_robin = 0
 
     def _cpu_seconds(self, rows: int, nbytes: float) -> float:
-        return self.cost.cpu_seconds(rows, nbytes) * self.kernel_slowdown
+        return self.cost.cpu_seconds(rows, nbytes) * KERNEL_SLOWDOWN
 
     # -- public entry ---------------------------------------------------------------
 

@@ -39,7 +39,7 @@ SYSTEM_CONFIGS: Dict[str, EngineConfig] = {
     "quokka-stagewise": SYSTEM_PRESETS["sparksql"].engine_config,
     "quokka-static8": EngineConfig(scheduling="static", static_batch_size=8, ft_strategy="wal"),
     "quokka-static128": EngineConfig(scheduling="static", static_batch_size=128, ft_strategy="wal"),
-    "quokka-checkpoint": EngineConfig(ft_strategy="checkpoint", checkpoint_interval_tasks=4),
+    "quokka-checkpoint": EngineConfig(ft_strategy="checkpoint"),
     # Ablation: write-ahead lineage but all lost channels rebuilt on one worker
     # instead of the paper's pipeline-parallel placement (Figure 3).
     "quokka-seqrecover": EngineConfig(ft_strategy="wal", recovery_placement="single-worker"),

@@ -115,9 +115,6 @@ class DifferentialHarness:
         data_seed: int = 0,
         num_workers: int = 4,
         cpus_per_worker: int = 2,
-        profile: Optional[ChaosProfile] = None,
-        engine_config: Optional[EngineConfig] = None,
-        cost_config: Optional[CostModelConfig] = None,
         strategy_factory=None,
         base_options: Optional[QueryOptions] = None,
         query_builder=None,
@@ -140,13 +137,12 @@ class DifferentialHarness:
         )
         # Fast failure detection keeps recovery (and therefore wall time) tight;
         # the defaults mirror the existing fault-injection tests.
-        self.cost_config = cost_config or CostModelConfig(
+        self.cost_config = CostModelConfig(
             failure_detection_delay=0.05, heartbeat_interval=0.02
         )
-        self.engine_config = engine_config or EngineConfig()
-        self.profile = profile or ChaosProfile(min_live_workers=max(2, num_workers - 2))
+        self.profile = ChaosProfile(min_live_workers=max(2, num_workers - 2))
         self.strategy_factory = strategy_factory or (
-            lambda name: make_strategy(self.engine_config.with_overrides(ft_strategy=name))
+            lambda name: make_strategy(EngineConfig(ft_strategy=name))
         )
         self.base_options = base_options or QueryOptions()
         self._references: Dict[int, Batch] = {}
@@ -184,7 +180,7 @@ class DifferentialHarness:
         return Session(
             cluster_config=self.cluster_config,
             cost_config=self.cost_config,
-            engine_config=self.engine_config.with_overrides(ft_strategy=strategy),
+            engine_config=EngineConfig(ft_strategy=strategy),
             strategy=self.strategy_factory(strategy),
             catalog=self.catalog,
             enable_output_cache=False,

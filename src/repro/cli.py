@@ -267,23 +267,14 @@ def _add_memory_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help="per-worker operator-state budget in MiB; stateful operators spill "
-        "when it is exceeded (default: unlimited, no spilling)",
-    )
-    parser.add_argument(
-        "--spill-target",
-        default="auto",
-        choices=("auto", "local", "s3", "hdfs"),
-        help="where spilled partitions go: auto follows the FT strategy's "
-        "durable store, local uses the worker disk (default: auto)",
+        "when it is exceeded, to the FT strategy's durable store when it spools "
+        "to one and to worker-local disk otherwise (default: unlimited, no spilling)",
     )
 
 
-def _memory_option_kwargs(args) -> dict:
-    budget = getattr(args, "memory_budget_mb", None)
-    return {
-        "memory_budget_bytes": None if budget is None else budget * 1024 * 1024,
-        "spill_target": getattr(args, "spill_target", "auto"),
-    }
+def _memory_budget_bytes(args) -> Optional[float]:
+    budget = args.memory_budget_mb
+    return None if budget is None else budget * 1024 * 1024
 
 
 def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
@@ -429,7 +420,7 @@ def run_tpch(args) -> int:
         adaptive=args.adaptive,
         runtime_filters=args.runtime_filters,
         query_name=f"tpch-q{args.query} ({args.system})",
-        **_memory_option_kwargs(args),
+        memory_budget_bytes=_memory_budget_bytes(args),
     )
     if args.fail_worker is not None:
         baseline = frame.submit(
@@ -469,7 +460,7 @@ def run_sql(args) -> int:
             optimize=args.optimize,
             adaptive=args.adaptive,
             runtime_filters=args.runtime_filters,
-            **_memory_option_kwargs(args),
+            memory_budget_bytes=_memory_budget_bytes(args),
         )
     ).wait()
     _print_result(result, args.rows)

@@ -34,10 +34,6 @@ class CostModel:
         """Bytes scaled by the configured I/O multiplier (emulating larger SF)."""
         return self.config.scaled_bytes(nbytes)
 
-    def gcs_op_seconds(self, num_ops: int = 1) -> float:
-        """Latency of ``num_ops`` simple GCS reads/writes."""
-        return self.config.gcs_op_latency * num_ops * self.gcs_latency_factor
-
     def gcs_txn_seconds(self) -> float:
         """Latency of one multi-key GCS transaction."""
         return self.config.gcs_txn_latency * self.gcs_latency_factor

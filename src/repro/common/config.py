@@ -9,8 +9,8 @@ The configuration is split in three layers:
     turn is faster than the effective per-partition throughput of S3/HDFS.
 
 ``ClusterConfig``
-    Shape of the simulated cluster: number of workers, CPU slots per worker,
-    local disk capacity.
+    Shape of the simulated cluster: number of workers, CPU slots and
+    TaskManager slots per worker.
 
 ``EngineConfig``
     Query-engine behaviour knobs: execution mode (pipelined / stagewise),
@@ -44,11 +44,6 @@ DEFAULT_BROADCAST_THRESHOLD_BYTES = 8_000_000.0
 #: `SpillContext(partitions=)` lets kernel tests force spill paths.
 DEFAULT_SPILL_PARTITIONS = 16
 
-#: Valid spill targets for out-of-core operators: "auto" resolves to the
-#: fault-tolerance strategy's durable store when it has one (spooling) and to
-#: the worker-local disk otherwise.
-SPILL_TARGETS = ("auto", "local", "s3", "hdfs")
-
 #: Valid placements for rewound channels during recovery: "pipelined" spreads
 #: the lost channels of different stages over different live workers (the
 #: paper's pipeline-parallel recovery, Figure 3); "single-worker" rebuilds all
@@ -78,7 +73,6 @@ class CostModelConfig:
     hdfs_write_bps: float = 140_000_000.0
     hdfs_read_bps: float = 260_000_000.0
     hdfs_request_latency: float = 0.008
-    gcs_op_latency: float = 0.0004
     gcs_txn_latency: float = 0.0009
     task_dispatch_overhead: float = 0.002
     heartbeat_interval: float = 0.5
@@ -110,7 +104,6 @@ class CostModelConfig:
             "network_latency",
             "s3_request_latency",
             "hdfs_request_latency",
-            "gcs_op_latency",
             "gcs_txn_latency",
             "task_dispatch_overhead",
             "heartbeat_interval",
@@ -129,7 +122,6 @@ class ClusterConfig:
     num_workers: int = 4
     cpus_per_worker: int = 4
     task_managers_per_worker: int = 1
-    seed: int = 0
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on an impossible cluster shape."""
@@ -155,7 +147,6 @@ class EngineConfig:
     static_batch_size: int = 8
     ft_strategy: str = "wal"
     recovery_placement: str = "pipelined"
-    checkpoint_interval_tasks: int = 4
 
     #: Session admission control: at most this many queries execute
     #: concurrently; further submissions wait in a FIFO queue.
@@ -187,8 +178,6 @@ class EngineConfig:
             )
         if self.static_batch_size < 1:
             raise ConfigError("static_batch_size must be at least 1")
-        if self.checkpoint_interval_tasks < 1:
-            raise ConfigError("checkpoint_interval_tasks must be at least 1")
         if self.max_concurrent_queries < 1:
             raise ConfigError("max_concurrent_queries must be at least 1")
         if self.result_cache_bytes < 0:

@@ -58,7 +58,6 @@ class ExecutionContext:
         query_name: str = "",
         scan_pool: Optional[SharedScanPool] = None,
         memory_budget_bytes: Optional[float] = None,
-        spill_target: str = "local",
         adaptive: bool = False,
         broadcast_threshold_bytes: float = 0.0,
     ):
@@ -81,8 +80,6 @@ class ExecutionContext:
         #: Per-worker memory budget for stateful operator state; None means
         #: the operators run their resident kernels and nothing below spills.
         self.memory_budget_bytes = memory_budget_bytes
-        #: Resolved spill destination: "local", "s3" or "hdfs".
-        self.spill_target = spill_target
         #: Lazily created per-worker accounting (usage / peak / forced grants).
         self.memory_managers: Dict[int, "MemoryManager"] = {}
         self.runtimes: Dict[int, Dict[Tuple[int, int], ChannelRuntime]] = {
@@ -224,10 +221,17 @@ class ExecutionContext:
         return manager
 
     def _spill_store_for(self, worker_id: int):
-        """The spill destination for ``worker_id``: ``(store, durable, target)``."""
-        if self.spill_target == "s3":
+        """The spill destination for ``worker_id``: ``(store, durable, target)``.
+
+        Spilled state goes where the FT strategy already keeps durable state
+        (a spooling strategy's S3 / HDFS), so a retraced channel re-reads its
+        spilled partitions instead of recomputing them; under every other
+        strategy it goes to the worker-local disk.
+        """
+        target = self.strategy.durable_store
+        if target == "s3":
             return self.cluster.s3, True, "s3"
-        if self.spill_target == "hdfs":
+        if target == "hdfs":
             return self.cluster.hdfs, True, "hdfs"
         return self.cluster.worker(worker_id).disk, False, "local"
 

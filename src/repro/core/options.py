@@ -1,7 +1,8 @@
 """Per-query execution options shared by every runner.
 
 Historically each execution path (the since-removed ``ctx.execute*``,
-``Session.submit``, ``Session.run_many``) grew its own kwarg sprawl.
+``Session.submit`` and ``Session.run``, and ``Session.run_many``) grew its
+own kwarg sprawl.
 :class:`QueryOptions` replaces all of them: one frozen dataclass carried from
 the user through a :class:`~repro.api.runners.Runner` down to
 :meth:`~repro.core.session.Session.submit_options`, the single place queries
@@ -86,13 +87,23 @@ class QueryOptions:
     #: traces to earlier releases.  A finite budget switches every stateful
     #: stage to a spill-capable operator (grace hash join, spilling group-by,
     #: spilling collect) with a fixed per-operator quota;
-    #: ``float("inf")`` tracks peak memory without ever spilling.
+    #: ``float("inf")`` tracks peak memory without ever spilling.  Spilled
+    #: state goes to the FT strategy's durable store when it spools to one
+    #: (so recovery re-reads it), to worker-local disk otherwise.
     memory_budget_bytes: Optional[float] = None
-    #: Where spilled partitions go: ``"local"`` (worker NVMe, lost with the
-    #: worker), ``"s3"`` / ``"hdfs"`` (durable, survives failures and lets
-    #: recovery re-read instead of recompute), or ``"auto"`` — the FT
-    #: strategy's durable store when it spools to one, local disk otherwise.
-    spill_target: str = "auto"
+
+    def __post_init__(self):
+        """Reject a budget or threshold no run could honour (negative or NaN)."""
+        budget = self.memory_budget_bytes
+        if budget is not None and not budget >= 0:
+            raise ConfigError(
+                f"memory_budget_bytes must be None or non-negative, got {budget!r}"
+            )
+        if not self.broadcast_threshold_bytes >= 0:
+            raise ConfigError(
+                "broadcast_threshold_bytes must be non-negative, "
+                f"got {self.broadcast_threshold_bytes!r}"
+            )
 
     def with_overrides(self, **overrides) -> "QueryOptions":
         """Return a copy with the given fields replaced.

@@ -23,15 +23,16 @@ class FairShareScheduler:
     """Admission control plus round-robin fair-share over admitted queries.
 
     ``max_concurrent`` caps how many queries execute at once; the rest wait in
-    submission order.  ``tasks_per_sweep`` is the committed-task budget one
-    query may use per TaskManager sweep while other queries are admitted —
-    small budgets interleave queries finely (low latency under load), large
-    budgets favour per-query locality.
+    submission order.
     """
 
-    def __init__(self, max_concurrent: int = 4, tasks_per_sweep: int = 1):
+    #: Committed-task budget one query may use per TaskManager sweep while
+    #: other queries are admitted: one task interleaves queries finely (low
+    #: latency under load) at the cost of per-query locality.
+    TASKS_PER_SWEEP = 1
+
+    def __init__(self, max_concurrent: int = 4):
         self.max_concurrent = max_concurrent
-        self.tasks_per_sweep = tasks_per_sweep
         #: Admitted queries, in admission order.
         self.active: List = []
         #: Submitted-but-not-admitted queries, in submission order.

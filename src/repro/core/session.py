@@ -27,8 +27,8 @@ realises that:
 Typical usage::
 
     session = Session(catalog=catalog)
-    handles = [session.submit(frame) for frame in frames]
-    results = [session.wait(h) for h in handles]
+    handles = [frame.submit(session) for frame in frames]
+    results = session.wait_all(handles)
     session.close()
 """
 
@@ -39,12 +39,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.cluster import Cluster
 from repro.cluster.faults import FailureInjector, FailurePlan
 from repro.cluster.worker import Worker
-from repro.common.config import (
-    SPILL_TARGETS,
-    ClusterConfig,
-    CostModelConfig,
-    EngineConfig,
-)
+from repro.common.config import ClusterConfig, CostModelConfig, EngineConfig
 from repro.common.errors import ConfigError, ExecutionError
 from repro.core.cache import OutputCache, SharedScanPool, plan_key
 from repro.core.engine import ExecutionContext
@@ -153,12 +148,11 @@ class Session:
         engine_config: Optional[EngineConfig] = None,
         strategy: Optional[FaultToleranceStrategy] = None,
         catalog: Optional[Catalog] = None,
-        cluster: Optional[Cluster] = None,
         enable_output_cache: bool = True,
     ):
         self.engine_config = engine_config or EngineConfig()
         self.engine_config.validate()
-        self.cluster = cluster or Cluster(cluster_config, cost_config)
+        self.cluster = Cluster(cluster_config, cost_config)
         if catalog is not None:
             self.cluster.load_catalog(catalog)
         self.catalog = catalog
@@ -194,34 +188,14 @@ class Session:
 
     # -- submission and admission -------------------------------------------------------
 
-    def submit(
-        self,
-        query: DataFrame | LogicalPlan,
-        query_name: str = "",
-        failure_plans: Optional[Sequence[FailurePlan]] = None,
-        tracer=None,
-    ) -> QueryHandle:
-        """Submit one query; returns immediately with a :class:`QueryHandle`.
-
-        Thin wrapper over :meth:`submit_options`, kept for convenience and
-        backward compatibility; prefer ``frame.submit(session)``.
-        """
-        return self.submit_options(
-            query,
-            QueryOptions(
-                query_name=query_name, failure_plans=failure_plans, tracer=tracer
-            ),
-        )
-
     def submit_options(
         self, query: DataFrame | LogicalPlan, options: QueryOptions
     ) -> QueryHandle:
         """Submit one query parameterised by ``options`` (the canonical path).
 
         Every public execution surface — ``frame.collect()``,
-        ``frame.submit()``, the one-shot runner and this session's own
-        :meth:`submit` / :meth:`run` / :meth:`run_many` wrappers — funnels
-        through here.
+        ``frame.submit()``, the one-shot runner and this session's
+        :meth:`run_many` — funnels through here.
 
         ``options.failure_plans`` are scheduled relative to the submission
         instant (their ``at_time`` counts virtual seconds from now); a
@@ -239,18 +213,6 @@ class Session:
                 "a Session's engine configuration is fixed at construction; "
                 "pass system/engine_config to QuokkaContext.session() or use a "
                 "one-shot runner for per-query presets"
-            )
-        if options.spill_target not in SPILL_TARGETS:
-            raise ConfigError(
-                f"unknown spill target {options.spill_target!r}; "
-                f"valid targets: {SPILL_TARGETS}"
-            )
-        # "auto" spills where the FT strategy already keeps durable state (so
-        # recovery can re-read spilled partitions) and locally otherwise.
-        spill_target = options.spill_target
-        if spill_target == "auto":
-            spill_target = (
-                getattr(self.strategy, "durable_spill_target", None) or "local"
             )
         plan = query.plan if isinstance(query, DataFrame) else query
         # Cost-based planning (and with it adaptive execution and runtime
@@ -305,7 +267,6 @@ class Session:
                     runtime_filters,
                     options.broadcast_threshold_bytes,
                     options.memory_budget_bytes,
-                    spill_target,
                 ),
             )
         if key is not None:
@@ -338,7 +299,6 @@ class Session:
             query_name=query_name,
             scan_pool=self.scan_pool,
             memory_budget_bytes=options.memory_budget_bytes,
-            spill_target=spill_target,
             adaptive=adaptive,
             broadcast_threshold_bytes=options.broadcast_threshold_bytes,
         )
@@ -448,20 +408,6 @@ class Session:
 
     # -- running and waiting --------------------------------------------------------------
 
-    def run(
-        self,
-        query: DataFrame | LogicalPlan,
-        query_name: str = "",
-        failure_plans: Optional[Sequence[FailurePlan]] = None,
-        tracer=None,
-    ) -> QueryResult:
-        """Submit one query and block (in virtual time) until it finishes."""
-        return self.wait(
-            self.submit(
-                query, query_name=query_name, failure_plans=failure_plans, tracer=tracer
-            )
-        )
-
     def run_many(
         self,
         queries: Sequence[DataFrame | LogicalPlan],
@@ -552,7 +498,7 @@ class Session:
         With a single admitted query (and one slot) this behaves exactly like
         the paper's per-query TaskManager; with several queries, each sweep
         visits them in rotating order and runs at most
-        ``FairShareScheduler.tasks_per_sweep`` committed tasks per query before
+        ``FairShareScheduler.TASKS_PER_SWEEP`` committed tasks per query before
         moving on.
         """
         pause_key = (worker.worker_id, slot)
@@ -579,7 +525,7 @@ class Session:
     def _serve_query(self, worker: Worker, execution: ExecutionContext):
         """Run one query's outstanding tasks on ``worker`` (one sweep's share)."""
         budget = (
-            self.scheduler.tasks_per_sweep if len(self.scheduler.active) > 1 else None
+            self.scheduler.TASKS_PER_SWEEP if len(self.scheduler.active) > 1 else None
         )
         progressed = False
         try:
@@ -654,14 +600,14 @@ class Session:
         (Algorithm 2), and clears the barrier; queries unaffected by the lost
         worker resume with all their progress intact.
         """
-        cost = self.cost_model.config
+        cost_config = self.cost_model.config
         while self._open:
-            yield self.env.timeout(cost.heartbeat_interval)
+            yield self.env.timeout(cost_config.heartbeat_interval)
             if not self._open:
                 return
             dead = self._unhandled_dead_workers()
             if dead:
-                yield self.env.timeout(cost.failure_detection_delay)
+                yield self.env.timeout(cost_config.failure_detection_delay)
                 self.gcs.control.set_recovery_in_progress(True)
                 yield from self._wait_for_barrier()
                 yield self.env.timeout(self.cost_model.gcs_txn_seconds() * 5)

@@ -23,11 +23,11 @@ class FaultToleranceStrategy:
     supports_intra_query_recovery = True
 
     #: Durable store name ("s3" / "hdfs") this strategy already funnels task
-    #: outputs to, or None.  ``QueryOptions.spill_target="auto"`` resolves to
-    #: this store when set — spilled operator state then survives worker
-    #: failures and recovery re-reads it instead of recomputing — and to the
-    #: worker-local disk otherwise.
-    durable_spill_target = None
+    #: outputs to, or None.  Out-of-core operators spill to this store when
+    #: set — spilled operator state then survives worker failures and
+    #: recovery re-reads it instead of recomputing — and to the worker-local
+    #: disk otherwise.
+    durable_store = None
 
     def persist_output(self, engine, worker, task_name: TaskName, payload: Any,
                        nbytes: float) -> Any:

@@ -64,7 +64,7 @@ class SpoolingStrategy(FaultToleranceStrategy):
             raise ConfigError(f"unknown spooling target {target!r}")
         self.target = target
         self.name = f"spool-{target}"
-        self.durable_spill_target = target
+        self.durable_store = target
 
     def _store(self, engine):
         return engine.cluster.s3 if self.target == "s3" else engine.cluster.hdfs
@@ -82,24 +82,20 @@ class CheckpointStrategy(WriteAheadLineageStrategy):
     of operator state.
 
     Mirrors the "custom checkpointing strategies to S3" the paper evaluated in
-    Section V-C: every ``interval_tasks`` committed tasks per channel, the
-    channel's operator state is written to S3 — incrementally, i.e. only the
-    growth since the previous snapshot (the paper's baseline).
+    Section V-C: every :attr:`INTERVAL_TASKS` committed tasks per channel,
+    the channel's operator state is written to S3 — incrementally, i.e. only
+    the growth since the previous snapshot (the paper's baseline).
     """
 
     name = "checkpoint"
-
-    def __init__(self, interval_tasks: int = 4):
-        """Snapshot operator state every ``interval_tasks`` committed tasks."""
-        if interval_tasks < 1:
-            raise ConfigError("checkpoint interval must be at least 1 task")
-        self.interval_tasks = interval_tasks
+    #: Committed tasks per channel between two snapshots.
+    INTERVAL_TASKS = 4
 
     def after_task_commit(self, engine, worker, runtime):
         if runtime.operator is None:
             return
         runtime.tasks_since_checkpoint += 1
-        if runtime.tasks_since_checkpoint < self.interval_tasks:
+        if runtime.tasks_since_checkpoint < self.INTERVAL_TASKS:
             return
         runtime.tasks_since_checkpoint = 0
         state_bytes = float(runtime.operator.state_nbytes)
@@ -119,8 +115,7 @@ def make_strategy(config: EngineConfig) -> FaultToleranceStrategy:
     """Build the strategy named by ``config.ft_strategy``.
 
     Valid names are ``"none"``, ``"wal"``, ``"spool-s3"``, ``"spool-hdfs"``
-    and ``"checkpoint"`` (the latter also reads
-    ``config.checkpoint_interval_tasks``).
+    and ``"checkpoint"``.
     """
     name = config.ft_strategy
     if name == "none":
@@ -132,5 +127,5 @@ def make_strategy(config: EngineConfig) -> FaultToleranceStrategy:
     if name == "spool-hdfs":
         return SpoolingStrategy("hdfs")
     if name == "checkpoint":
-        return CheckpointStrategy(interval_tasks=config.checkpoint_interval_tasks)
+        return CheckpointStrategy()
     raise ConfigError(f"unknown fault-tolerance strategy {name!r}")

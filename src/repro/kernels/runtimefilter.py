@@ -245,15 +245,8 @@ class RuntimeFilterBuilder:
     re-commit a retraced build task): every update is idempotent.
     """
 
-    def __init__(
-        self,
-        dtype: DataType,
-        exact_limit: int = EXACT_VALUE_LIMIT,
-        num_bits: int = BLOOM_BITS,
-    ):
+    def __init__(self, dtype: DataType):
         self.dtype = dtype
-        self.exact_limit = exact_limit
-        self.num_bits = num_bits
         self._values: Optional[np.ndarray] = None
         self._bits: Optional[np.ndarray] = None
         self._overflowed = False
@@ -286,16 +279,16 @@ class RuntimeFilterBuilder:
                 self._values = distinct
             else:
                 self._values = np.union1d(self._values, distinct)
-            if len(self._values) > self.exact_limit:
+            if len(self._values) > EXACT_VALUE_LIMIT:
                 # Degrade: seed the Bloom bits from everything seen so far.
                 # The final bit array is the OR over every distinct value's
                 # fixed pattern, whichever order the pieces arrived in.
                 self._overflowed = True
-                self._bits = np.zeros(self.num_bits // 64, dtype=np.uint64)
-                _bloom_or(self._bits, self._values, self.dtype, self.num_bits)
+                self._bits = np.zeros(BLOOM_BITS // 64, dtype=np.uint64)
+                _bloom_or(self._bits, self._values, self.dtype, BLOOM_BITS)
                 self._values = None
         else:
-            _bloom_or(self._bits, distinct, self.dtype, self.num_bits)
+            _bloom_or(self._bits, distinct, self.dtype, BLOOM_BITS)
 
     def finalize(self) -> RuntimeFilter:
         """The immutable filter for the build values accumulated so far."""
@@ -305,7 +298,7 @@ class RuntimeFilterBuilder:
                 "bloom",
                 None,
                 self._bits.copy(),
-                self.num_bits,
+                BLOOM_BITS,
                 self.min_value,
                 self.max_value,
                 self.has_nan,
@@ -323,7 +316,7 @@ class RuntimeFilterBuilder:
             "exact",
             values,
             None,
-            self.num_bits,
+            BLOOM_BITS,
             self.min_value,
             self.max_value,
             self.has_nan,

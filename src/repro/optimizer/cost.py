@@ -161,20 +161,16 @@ def _fmt(value: float) -> str:
 def explain_with_estimates(
     plan: LogicalPlan,
     estimator: Optional[CardinalityEstimator] = None,
-    broadcast_threshold_bytes: float = DEFAULT_BROADCAST_THRESHOLD_BYTES,
     probe_channels: int = 4,
     memory_budget_bytes: Optional[float] = None,
-    runtime_filters: bool = False,
 ) -> str:
     """Render ``plan`` with per-node cardinality/cost annotations.
 
     Every line carries the estimated output rows and bytes plus the
     cumulative ``C_out`` of its subtree; join nodes additionally show the
     physical strategy (``broadcast`` or ``shuffle``) the compiler would pick
-    at the given channel count.  With ``runtime_filters=True`` each join also
-    shows whether it publishes runtime semi-join filters
-    (:func:`runtime_filter_decision`).  With a ``memory_budget_bytes``, join and
-    aggregate nodes also show the predicted peak state bytes per channel and
+    at the given channel count and the default broadcast threshold.  With a
+    ``memory_budget_bytes``, join and aggregate nodes also show the predicted peak state bytes per channel and
     the predicted memory strategy (``resident`` / ``grace``).
     """
     estimator = estimator or CardinalityEstimator()
@@ -191,14 +187,11 @@ def explain_with_estimates(
             strategy = (
                 "broadcast"
                 if broadcast_build_side(
-                    node, estimator, broadcast_threshold_bytes, probe_channels
+                    node, estimator, DEFAULT_BROADCAST_THRESHOLD_BYTES, probe_channels
                 )
                 else "shuffle"
             )
             annotation += f" strategy={strategy}"
-            if runtime_filters:
-                state = "on" if runtime_filter_decision(node.join_type) else "off"
-                annotation += f" runtime_filter={state}"
             if memory_budget_bytes is not None:
                 build_bytes = estimator.bytes(node.right)
                 mem = memory_strategy(

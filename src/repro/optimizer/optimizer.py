@@ -77,12 +77,11 @@ class PlanOptimizer:
         self,
         config: Optional[OptimizerConfig] = None,
         estimator: Optional[CardinalityEstimator] = None,
-        cost_model: Optional[PlanCostModel] = None,
     ):
         self.config = config or OptimizerConfig()
         self.config.validate()
         self.estimator = estimator or CardinalityEstimator()
-        self.cost_model = cost_model or PlanCostModel(self.estimator)
+        self.cost_model = PlanCostModel(self.estimator)
 
     def optimize(self, plan: LogicalPlan) -> LogicalPlan:
         """Return an equivalent, cheaper plan."""

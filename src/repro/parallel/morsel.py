@@ -132,9 +132,11 @@ def scan_tasks(stage: Stage, next_id) -> List[ScanTask]:
     return tasks
 
 
-def agg_shard_count(
-    num_pieces: int, num_channels: int, workers: int, min_pieces_per_shard: int = 4
-) -> Optional[int]:
+#: Fewest input pieces per partial-aggregation shard for sharding to pay.
+MIN_PIECES_PER_SHARD = 4
+
+
+def agg_shard_count(num_pieces: int, num_channels: int, workers: int) -> Optional[int]:
     """How many partial-aggregation shards to split one channel into.
 
     ``None`` means "do not shard" — either the pool already has enough
@@ -145,5 +147,5 @@ def agg_shard_count(
     """
     if workers <= 1 or num_channels >= workers:
         return None
-    shards = min(workers, num_pieces // min_pieces_per_shard)
+    shards = min(workers, num_pieces // MIN_PIECES_PER_SHARD)
     return shards if shards >= 2 else None

@@ -208,14 +208,12 @@ class CollectOperator(Operator):
         sort_keys: Optional[Sequence[str]] = None,
         descending: Optional[Sequence[bool]] = None,
         limit: Optional[int] = None,
-        final_ops: Optional[Sequence] = None,
         quota: Optional[float] = None,
     ):
         self.schema = schema
         self.sort_keys = list(sort_keys) if sort_keys else None
         self.descending = list(descending) if descending is not None else None
         self.limit = limit
-        self.final_ops = list(final_ops) if final_ops else []
         if quota is None:
             self._rows = RowBuffer()
         else:
@@ -233,8 +231,6 @@ class CollectOperator(Operator):
             merged = sort_batch(merged, self.sort_keys, self.descending)
         if self.limit is not None:
             merged = merged.slice(0, min(self.limit, merged.num_rows))
-        for op in self.final_ops:
-            merged = op.apply(merged)
         return [merged]
 
     @property

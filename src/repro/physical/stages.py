@@ -138,8 +138,9 @@ def partition_for_link(
     always has exactly ``num_channels`` entries (empty pieces for channels
     that receive nothing), which the push, persist and replay paths rely on.
 
-    When ``link.base_parts`` is set (an adaptive controller revised the link
-    after some outputs were already pushed), partitioning goes through the
+    When ``link.base_parts`` is set on a partition or broadcast link (an
+    adaptive controller revised it after some outputs were already pushed),
+    partitioning goes through the
     canonical two-level form: hash into ``base_parts`` pieces first, then
     coalesce or concatenate exactly like the controller's rewrite of
     already-buffered pieces — so fresh outputs and rewritten ones are
@@ -151,9 +152,6 @@ def partition_for_link(
             batch = concat_batches(parts, schema=batch.schema)
         return [batch] * num_channels
     if link.mode == "aligned":
-        if link.base_parts and link.partition_keys:
-            parts = hash_partition(batch, link.partition_keys, link.base_parts)
-            batch = concat_batches(parts, schema=batch.schema)
         target = producer_channel % num_channels
         return [
             batch if channel == target else batch.slice(0, 0)

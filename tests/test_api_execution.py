@@ -173,6 +173,25 @@ class TestQueryOptions:
         with pytest.raises(ConfigError):
             sales_query(ctx).collect(system="duckdb")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("memory_budget_bytes", -5.0),
+            ("memory_budget_bytes", float("nan")),
+            ("broadcast_threshold_bytes", -1.0),
+            ("broadcast_threshold_bytes", float("nan")),
+        ],
+    )
+    def test_negative_or_nan_sizes_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            QueryOptions(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            QueryOptions().with_overrides(**{field: value})
+
+    @pytest.mark.parametrize("budget", [None, 0, 0.0, float("inf")])
+    def test_boundary_budgets_stay_valid(self, budget):
+        assert QueryOptions(memory_budget_bytes=budget).memory_budget_bytes == budget
+
     def test_unknown_override_field_rejected(self, ctx):
         with pytest.raises(ConfigError):
             sales_query(ctx).submit(query="typo-for-query_name")

@@ -75,11 +75,6 @@ EXPECTED_SIGNATURES = {
         "(self, query: DataFrame | LogicalPlan, options: QueryOptions) "
         "-> QueryHandle"
     ),
-    "Session.submit": (
-        "(self, query: DataFrame | LogicalPlan, query_name: str = , "
-        "failure_plans: Optional[Sequence[FailurePlan]] = None, tracer=None) "
-        "-> QueryHandle"
-    ),
     "Session.wait": "(self, handle: QueryHandle) -> QueryResult",
     "Session.wait_all": (
         "(self, handles: Sequence[QueryHandle]) -> List[QueryResult]"
@@ -160,7 +155,6 @@ def test_query_options_fields_are_stable():
         "use_table_stats",
         "broadcast_threshold_bytes",
         "memory_budget_bytes",
-        "spill_target",
     ]
 
 

@@ -133,7 +133,7 @@ class TestCorrectness:
             cluster_config=ClusterConfig(num_workers=2, cpus_per_worker=2),
             catalog=catalog,
         ) as session:
-            handle = session.submit(build_query(catalog, number))
+            handle = build_query(catalog, number).submit(session)
             result = session.wait(handle)
             assert broadcast_links(handle.execution.graph)
             assert batches_match(result.batch, reference_answer(catalog, number))
@@ -196,7 +196,7 @@ class TestRecovery:
                            enable_output_cache=False)
 
         with session() as s:
-            baseline = s.wait(s.submit(query))
+            baseline = query.submit(s).wait()
         with session() as s:
             handle = s.submit_options(
                 query,

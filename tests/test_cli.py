@@ -141,6 +141,14 @@ class TestSqlCommand:
         assert "o_orderpriority |   n" in out
         assert "(5 rows)" in out
 
+    def test_negative_memory_budget_is_reported(self, capsys):
+        code, _out, err = run_cli(
+            capsys, "sql", "SELECT count(*) AS n FROM orders",
+            "--workers", "2", "--scale-factor", "0.001", "--memory-budget-mb", "-1",
+        )
+        assert code == 1
+        assert "error:" in err and "memory_budget_bytes" in err
+
     def test_sql_error_is_reported(self, capsys):
         code, _out, err = run_cli(
             capsys, "sql", "SELECT FROM WHERE", "--workers", "2", "--scale-factor", "0.001"

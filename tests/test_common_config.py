@@ -26,7 +26,7 @@ class TestCostModelConfig:
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigError):
-            CostModelConfig(gcs_op_latency=-0.1).validate()
+            CostModelConfig(gcs_txn_latency=-0.1).validate()
 
     def test_bad_io_multiplier_rejected(self):
         with pytest.raises(ConfigError):
@@ -35,6 +35,27 @@ class TestCostModelConfig:
     def test_disk_faster_than_network_faster_than_s3(self):
         cost = CostModelConfig()
         assert cost.local_disk_write_bps >= cost.network_bps > cost.s3_write_bps
+
+    def test_fields_are_stable(self):
+        assert _field_names(CostModelConfig) == [
+            "cpu_rows_per_second",
+            "cpu_bytes_per_second",
+            "local_disk_write_bps",
+            "local_disk_read_bps",
+            "network_bps",
+            "network_latency",
+            "s3_write_bps",
+            "s3_read_bps",
+            "s3_request_latency",
+            "hdfs_write_bps",
+            "hdfs_read_bps",
+            "hdfs_request_latency",
+            "gcs_txn_latency",
+            "task_dispatch_overhead",
+            "heartbeat_interval",
+            "failure_detection_delay",
+            "io_scale_multiplier",
+        ]
 
 
 def _field_names(config_class):
@@ -52,7 +73,6 @@ class TestClusterConfig:
             "num_workers",
             "cpus_per_worker",
             "task_managers_per_worker",
-            "seed",
         ]
 
     def test_total_cpus(self):
@@ -82,7 +102,6 @@ class TestEngineConfig:
             "static_batch_size",
             "ft_strategy",
             "recovery_placement",
-            "checkpoint_interval_tasks",
             "max_concurrent_queries",
             "result_cache_bytes",
         ]

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.api import QuokkaContext
-from repro.common.config import CostModelConfig, EngineConfig
+from repro.common.config import ClusterConfig, CostModelConfig, EngineConfig
+from repro.core.session import Session
 from repro.data import Batch
+from repro.ft.strategies import CheckpointStrategy
 from repro.expr import col, lit
 from repro.plan import Catalog, DataFrame, TableScan, execute_plan
 from repro.plan.dataframe import avg_agg, count_agg, sum_agg
@@ -185,7 +187,15 @@ class TestExecutionModes:
         catalog = make_catalog()
         query = join_query(catalog)
         expected = execute_plan(query.plan)
-        result = run(query, catalog, 4, ft_strategy="checkpoint", checkpoint_interval_tasks=2)
+        strategy = CheckpointStrategy()
+        strategy.INTERVAL_TASKS = 2
+        with Session(
+            cluster_config=ClusterConfig(num_workers=4, cpus_per_worker=2),
+            engine_config=EngineConfig(ft_strategy="checkpoint"),
+            strategy=strategy,
+            catalog=catalog,
+        ) as session:
+            result = query.submit(session).wait()
         assert result.batch.equals(expected, sort_keys=["c_nation"])
         assert result.metrics.checkpoints_taken > 0
         assert result.metrics.s3_write_bytes > 0

@@ -23,25 +23,26 @@ class TestStrategyFactory:
         with pytest.raises(ConfigError):
             EngineConfig(ft_strategy="raid5").validate()
 
-    def test_checkpoint_interval_flows_through(self):
-        strategy = make_strategy(
-            EngineConfig(ft_strategy="checkpoint", checkpoint_interval_tasks=7)
-        )
+    def test_checkpoint_interval_is_a_class_constant(self):
+        strategy = make_strategy(EngineConfig(ft_strategy="checkpoint"))
         assert isinstance(strategy, CheckpointStrategy)
-        assert strategy.interval_tasks == 7
+        assert strategy.INTERVAL_TASKS == 4
 
     def test_only_none_disables_intra_query_recovery(self):
         assert not NoFaultTolerance().supports_intra_query_recovery
         assert WriteAheadLineageStrategy().supports_intra_query_recovery
         assert SpoolingStrategy("s3").supports_intra_query_recovery
 
+    def test_only_spooling_names_a_durable_store(self):
+        # Out-of-core operators spill to this store; None means local disk.
+        assert SpoolingStrategy("s3").durable_store == "s3"
+        assert SpoolingStrategy("hdfs").durable_store == "hdfs"
+        for strategy in (NoFaultTolerance(), WriteAheadLineageStrategy(), CheckpointStrategy()):
+            assert strategy.durable_store is None
+
     def test_spooling_rejects_unknown_target(self):
         with pytest.raises(ConfigError):
             SpoolingStrategy("floppy")
-
-    def test_checkpoint_rejects_bad_interval(self):
-        with pytest.raises(ConfigError):
-            CheckpointStrategy(interval_tasks=0)
 
 
 class TestRecoveryPlacementConfig:

@@ -334,6 +334,10 @@ class TestRunnerSurface:
             with pytest.raises(ConfigError, match="cannot honor"):
                 runner.submit(frame, bad)
 
+    def test_negative_worker_count_rejected(self):
+        with pytest.raises(ConfigError, match="workers"):
+            ParallelRunner(workers=-1)
+
     def test_adaptive_rejected(self):
         catalog = _catalog("standard")
         runner = ParallelRunner(workers=0)

@@ -36,7 +36,7 @@ class TestConcurrentQueries:
     def test_interleaved_queries_match_reference(self, catalog):
         with make_session(catalog) as session:
             handles = [
-                session.submit(build_query(catalog, q), query_name=f"q{q}")
+                build_query(catalog, q).submit(session, query_name=f"q{q}")
                 for q in (1, 6, 3)
             ]
             results = session.wait_all(handles)
@@ -53,12 +53,12 @@ class TestConcurrentQueries:
             baseline.run_many([build_query(catalog, 9), build_query(catalog, 6)])
             base_makespan = baseline.env.now
         with make_session(catalog) as session:
-            first = session.submit(
-                build_query(catalog, 9),
+            first = build_query(catalog, 9).submit(
+                session,
                 query_name="q9",
                 failure_plans=[FailurePlan(1, 0.5 * base_makespan)],
             )
-            second = session.submit(build_query(catalog, 6), query_name="q6")
+            second = build_query(catalog, 6).submit(session, query_name="q6")
             results = session.wait_all([first, second])
         for query_number, result in zip((9, 6), results):
             assert result.batch.equals(reference_answer(catalog, query_number))
@@ -73,11 +73,10 @@ class TestConcurrentQueries:
             baseline.run_many([build_query(catalog, 3), build_query(catalog, 1)])
             base_makespan = baseline.env.now
         with make_session(catalog) as session:
-            affected = session.submit(
-                build_query(catalog, 3),
-                failure_plans=[FailurePlan(2, 0.4 * base_makespan)],
+            affected = build_query(catalog, 3).submit(
+                session, failure_plans=[FailurePlan(2, 0.4 * base_makespan)]
             )
-            bystander = session.submit(build_query(catalog, 1))
+            bystander = build_query(catalog, 1).submit(session)
             results = session.wait_all([affected, bystander])
         assert all(r.metrics.query_restarts == 0 for r in results)
         assert results[0].batch.equals(reference_answer(catalog, 3))
@@ -89,11 +88,10 @@ class TestConcurrentQueries:
             base_makespan = baseline.env.now
         with make_session(catalog, ft_strategy="none") as session:
             handles = [
-                session.submit(
-                    build_query(catalog, 6),
-                    failure_plans=[FailurePlan(1, 0.5 * base_makespan)],
+                build_query(catalog, 6).submit(
+                    session, failure_plans=[FailurePlan(1, 0.5 * base_makespan)]
                 ),
-                session.submit(build_query(catalog, 1)),
+                build_query(catalog, 1).submit(session),
             ]
             results = session.wait_all(handles)
         for query_number, result in zip((6, 1), results):
@@ -117,7 +115,7 @@ class TestConcurrentQueries:
     def test_admission_queue_limits_concurrency(self, catalog):
         with make_session(catalog, max_concurrent_queries=1) as session:
             handles = [
-                session.submit(build_query(catalog, q), query_name=f"q{q}")
+                build_query(catalog, q).submit(session, query_name=f"q{q}")
                 for q in (6, 3)
             ]
             assert len(session.active_queries) == 1
@@ -130,14 +128,14 @@ class TestConcurrentQueries:
         session = make_session(catalog)
         session.close()
         with pytest.raises(ExecutionError):
-            session.submit(build_query(catalog, 6))
+            build_query(catalog, 6).submit(session)
 
 
 class TestOutputReuse:
     def test_repeated_query_served_from_result_cache(self, catalog):
         with make_session(catalog) as session:
-            first = session.wait(session.submit(build_query(catalog, 6)))
-            second = session.wait(session.submit(build_query(catalog, 6)))
+            first = build_query(catalog, 6).submit(session).wait()
+            second = build_query(catalog, 6).submit(session).wait()
         assert not first.metrics.result_from_cache
         assert second.metrics.result_from_cache
         assert second.metrics.tasks_executed == 0
@@ -146,7 +144,7 @@ class TestOutputReuse:
 
     def test_concurrent_duplicates_coalesce(self, catalog):
         with make_session(catalog) as session:
-            handles = [session.submit(build_query(catalog, 1)) for _ in range(3)]
+            handles = [build_query(catalog, 1).submit(session) for _ in range(3)]
             results = session.wait_all(handles)
         assert sum(r.metrics.result_from_cache for r in results) == 2
         for result in results:
@@ -174,8 +172,8 @@ class TestOutputReuse:
         plus = ctx.read_table("t").select(("x", col("a") + lit(1.0))).agg(sum_agg("s", col("x")))
         times = ctx.read_table("t").select(("x", col("a") * lit(2.0))).agg(sum_agg("s", col("x")))
         with ctx.session() as session:
-            first = session.run(plus)
-            second = session.run(times)        # result-cache path
+            first = plus.submit(session).wait()
+            second = times.submit(session).wait()        # result-cache path
         assert first.batch.to_pydict()["s"] == [14.0]
         assert second.batch.to_pydict()["s"] == [20.0]
         assert not second.metrics.result_from_cache
@@ -193,11 +191,10 @@ class TestOutputReuse:
         """A failure-injection experiment must really execute, not be served
         from the cache of an earlier identical run."""
         with make_session(catalog) as session:
-            base = session.run(build_query(catalog, 3))
-            failed = session.run(
-                build_query(catalog, 3),
-                failure_plans=[FailurePlan.at_fraction(1, 0.5, base.runtime)],
-            )
+            base = build_query(catalog, 3).submit(session).wait()
+            failed = build_query(catalog, 3).submit(
+                session, failure_plans=[FailurePlan.at_fraction(1, 0.5, base.runtime)]
+            ).wait()
         assert not failed.metrics.result_from_cache
         assert failed.metrics.tasks_executed > 0
         assert failed.batch.equals(reference_answer(catalog, 3))
@@ -248,7 +245,7 @@ class TestGcsNamespacing:
 
 class TestSchedulerAndCacheUnits:
     def test_fair_share_admission_and_rotation(self):
-        scheduler = FairShareScheduler(max_concurrent=2, tasks_per_sweep=1)
+        scheduler = FairShareScheduler(max_concurrent=2)
         for name in ("a", "b", "c"):
             scheduler.enqueue(name)
         assert scheduler.admit() == ["a", "b"]

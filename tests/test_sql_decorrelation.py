@@ -200,5 +200,5 @@ def test_engine_matches_reference_interpreter(case):
     with Session(
         cluster_config=ClusterConfig(num_workers=2, cpus_per_worker=2), catalog=catalog
     ) as session:
-        result = session.run(frame, query_name=f"decorrelation-shape-{shape}").batch
+        result = frame.submit(session, query_name=f"decorrelation-shape-{shape}").wait().batch
     assert batches_match(result, reference)

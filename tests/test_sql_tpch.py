@@ -94,7 +94,7 @@ def test_sql_queries_run_on_distributed_engine(catalog, session, query_number):
     """Every SQL query goes through the WAL engine unchanged."""
     frame = build_sql_query(catalog, query_number)
     reference = execute_plan(frame.plan)
-    result = session.run(frame, query_name=f"sql-q{query_number}").batch
+    result = frame.submit(session, query_name=f"sql-q{query_number}").wait().batch
     assert batches_match(result, reference), (
         f"Q{query_number}: distributed SQL result differs from the reference"
     )

@@ -114,7 +114,7 @@ class TestAdversarialDifferential:
         profile, catalog, session = profiled
         frame = build_sql_query(catalog, query_number)
         reference = execute_plan(frame.plan)
-        result = session.run(frame, query_name=f"{profile}-sql-q{query_number}").batch
+        result = frame.submit(session, query_name=f"{profile}-sql-q{query_number}").wait().batch
         assert batches_match(result, reference), (
             f"Q{query_number} on {profile} data: engine differs from reference"
         )
@@ -129,5 +129,5 @@ class TestAdversarialDifferential:
             cluster_config=ClusterConfig(num_workers=2, cpus_per_worker=2),
             catalog=catalog,
         ) as session:
-            result = session.run(frame, query_name=f"empty-sql-q{query_number}").batch
+            result = frame.submit(session, query_name=f"empty-sql-q{query_number}").wait().batch
         assert batches_match(result, reference)

@@ -89,9 +89,9 @@ class TestGoldenEngineResults:
     @pytest.mark.parametrize("number", sorted(QUERIES))
     def test_engine_result_matches_reference(self, catalog, engine_session, number):
         expected = reference_answer(catalog, number)
-        result = engine_session.run(
-            build_query(catalog, number), query_name=f"golden-q{number}"
-        ).batch
+        result = build_query(catalog, number).submit(
+            engine_session, query_name=f"golden-q{number}"
+        ).wait().batch
         assert batches_match(result, expected), (
             f"Q{number}: distributed engine result differs from the reference"
         )
