@@ -33,9 +33,10 @@ Per-query knobs (system preset, failure injection, optimizer, tracer) travel
 in one :class:`~repro.core.options.QueryOptions` — e.g.
 ``frame.collect(system="trino")`` or
 ``frame.submit(failure_plans=[plan], query_name="q3")``.  The presets stand
-in for the paper's comparison systems (``"sparksql"`` for the stage-wise
-baseline, ``"trino"`` for the spooling pipelined baseline), which is what
-the benchmark harness uses to regenerate the figures.
+in for the paper's comparison systems (``"trino"`` for the spooling
+pipelined baseline) and its ablations (``"quokka-stagewise"``,
+``"quokka-noft"``, ...), which is what the benchmark harness uses to
+regenerate the figures.
 """
 
 from __future__ import annotations

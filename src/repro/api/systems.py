@@ -2,10 +2,10 @@
 
 A preset bundles the :class:`~repro.common.config.EngineConfig` knobs that
 make the engine behave like one of the systems the paper evaluates — the
-paper's own write-ahead-lineage engine (``"quokka"``), a stage-wise SparkSQL
-stand-in, a statically scheduled spooling Trino stand-in, and their
-fault-tolerance ablations.  Pass a preset name via
-:class:`~repro.core.options.QueryOptions` (``system="sparksql"``) or to
+paper's own write-ahead-lineage engine (``"quokka"``), a statically
+scheduled spooling Trino stand-in, and their execution and fault-tolerance
+ablations.  Pass a preset name via
+:class:`~repro.core.options.QueryOptions` (``system="trino"``) or to
 :meth:`~repro.api.context.QuokkaContext.session`.
 """
 
@@ -35,9 +35,9 @@ SYSTEM_PRESETS: Dict[str, SystemUnderTest] = {
     "quokka-noft": SystemUnderTest("quokka-noft", EngineConfig(ft_strategy="none")),
     # Quokka persisting shuffle partitions durably, like Trino's spooling.
     "quokka-spool": SystemUnderTest("quokka-spool", EngineConfig(ft_strategy="spool-s3")),
-    # Stage-wise (blocking) execution with local shuffle files: SparkSQL stand-in.
-    "sparksql": SystemUnderTest(
-        "sparksql", EngineConfig(execution_mode="stagewise", ft_strategy="wal")
+    # Stage-wise (blocking) execution with local shuffle files.
+    "quokka-stagewise": SystemUnderTest(
+        "quokka-stagewise", EngineConfig(execution_mode="stagewise", ft_strategy="wal")
     ),
     # Pipelined execution with static dependencies and HDFS spooling: Trino stand-in.
     "trino": SystemUnderTest(

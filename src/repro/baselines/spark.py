@@ -252,7 +252,7 @@ class _SparkDriver:
             worker.cpu.release(request)
 
     def _run_input_task(self, spec: _TaskSpec, stage: Stage, worker: Worker):
-        split_batch = yield from self.cluster.s3.get(("table", stage.table.name, spec.index))
+        split_batch = yield from self.cluster.s3.read(("table", stage.table.name, spec.index))
         rows, nbytes = split_batch.num_rows, split_batch.nbytes
         yield self.env.timeout(self._cpu_seconds(rows, nbytes))
         return self._finish(stage, [split_batch])

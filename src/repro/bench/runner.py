@@ -28,15 +28,10 @@ from repro.tpch.generator import BENCHMARK_SPLITS
 
 #: Engine configurations for every system / ablation used in the figures:
 #: the shared systems come from :data:`repro.api.systems.SYSTEM_PRESETS`, only
-#: the ablation-only configurations are declared here.  The ``sparksql``
-#: *preset* (stage-wise Quokka) is the ablation called ``quokka-stagewise``;
-#: the figures' ``sparksql`` system is :class:`SparkLikeEngine` instead.
+#: the ablation-only configurations are declared here.  The figures'
+#: ``sparksql`` system is :class:`SparkLikeEngine`, not an engine configuration.
 SYSTEM_CONFIGS: Dict[str, EngineConfig] = {
-    **{
-        name: SYSTEM_PRESETS[name].engine_config
-        for name in ("quokka", "quokka-noft", "quokka-spool", "trino", "trino-noft")
-    },
-    "quokka-stagewise": SYSTEM_PRESETS["sparksql"].engine_config,
+    **{name: preset.engine_config for name, preset in SYSTEM_PRESETS.items()},
     "quokka-static8": EngineConfig(scheduling="static", static_batch_size=8, ft_strategy="wal"),
     "quokka-static128": EngineConfig(scheduling="static", static_batch_size=128, ft_strategy="wal"),
     "quokka-checkpoint": EngineConfig(ft_strategy="checkpoint"),

@@ -4,10 +4,11 @@ The injector is the bridge between a declarative fault schedule and the
 simulated cluster: for every primitive it starts one simulation process that
 sleeps until the primitive's fire time (relative to the moment the injector is
 created, i.e. query submission) and then perturbs the cluster through the
-public chaos hooks — ``Worker.fail``, ``LocalDisk.set_throttle`` /
-``Network.set_worker_throttle``, ``DurableObjectStore.inject_outage`` and the
-cost model's ``gcs_latency_factor``.  Recovery itself stays entirely with the
-session's coordinator (:mod:`repro.core.recovery`); chaos only breaks things.
+public chaos hooks — ``Worker.fail``, ``ObjectStore.set_throttle`` on the
+worker's disk / ``Network.set_worker_throttle``, ``ObjectStore.inject_outage``
+on S3 or HDFS and the cost model's ``gcs_latency_factor``.  Recovery itself
+stays entirely with the session's coordinator (:mod:`repro.core.recovery`);
+chaos only breaks things.
 
 Every fired event is counted in :class:`InjectionStats`, recorded on the
 optional tracer (so it lands in the trace digest used for replay equality)

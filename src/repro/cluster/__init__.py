@@ -8,7 +8,7 @@ virtual.
 """
 
 from repro.cluster.costmodel import CostModel
-from repro.cluster.storage import DurableObjectStore, LocalDisk
+from repro.cluster.storage import ObjectStore
 from repro.cluster.network import Network
 from repro.cluster.flight import FlightServer
 from repro.cluster.worker import Worker
@@ -17,8 +17,7 @@ from repro.cluster.faults import FailurePlan, FailureInjector
 
 __all__ = [
     "CostModel",
-    "DurableObjectStore",
-    "LocalDisk",
+    "ObjectStore",
     "Network",
     "FlightServer",
     "Worker",

@@ -8,7 +8,7 @@ from repro.common.config import ClusterConfig, CostModelConfig
 from repro.common.errors import ConfigError
 from repro.cluster.costmodel import CostModel
 from repro.cluster.network import Network
-from repro.cluster.storage import DurableObjectStore
+from repro.cluster.storage import ObjectStore
 from repro.cluster.worker import Worker
 from repro.plan.catalog import Catalog
 from repro.sim.core import Environment
@@ -48,19 +48,21 @@ class Cluster:
         # durable stores expose cluster-wide bandwidth proportional to the
         # worker count while per-request latency stays constant.
         workers = self.cluster_config.num_workers
-        self.s3 = DurableObjectStore(
+        self.s3 = ObjectStore(
             self.env,
             name="s3",
             write_bps=self.cost_config.s3_write_bps * workers,
             read_bps=self.cost_config.s3_read_bps * workers,
             request_latency=self.cost_config.s3_request_latency,
+            durable=True,
         )
-        self.hdfs = DurableObjectStore(
+        self.hdfs = ObjectStore(
             self.env,
             name="hdfs",
             write_bps=self.cost_config.hdfs_write_bps * workers,
             read_bps=self.cost_config.hdfs_read_bps * workers,
             request_latency=self.cost_config.hdfs_request_latency,
+            durable=True,
         )
 
     # -- workers ----------------------------------------------------------------

@@ -7,7 +7,7 @@ from typing import List, Optional
 from repro.common.config import ClusterConfig, CostModelConfig
 from repro.common.errors import WorkerFailedError
 from repro.cluster.flight import FlightServer
-from repro.cluster.storage import LocalDisk
+from repro.cluster.storage import ObjectStore
 from repro.sim.core import Environment, Process
 from repro.sim.resources import Resource
 
@@ -28,8 +28,9 @@ class Worker:
         self.env = env
         self.worker_id = worker_id
         self.cpu = Resource(env, capacity=cluster_config.cpus_per_worker)
-        self.disk = LocalDisk(
+        self.disk = ObjectStore(
             env,
+            "local",
             write_bps=cost_config.local_disk_write_bps,
             read_bps=cost_config.local_disk_read_bps,
             capacity_bytes=LOCAL_DISK_CAPACITY_BYTES,

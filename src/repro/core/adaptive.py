@@ -379,16 +379,9 @@ class AdaptiveController:
         location = execution.gcs.objects.get(task)
         if location is None:
             return
-        if location.durable:
-            key = ("spool", task)
-            for store in (execution.cluster.s3, execution.cluster.hdfs):
-                if store.contains(key):
-                    store.replace(key, payload)
-                    return
-            return
-        host = execution.cluster.worker(location.worker_id)
-        if host.alive and host.disk.contains(task):
-            host.disk.replace(task, payload)
+        store = execution.strategy.store(execution.cluster, location.worker_id)
+        if store.contains(task):
+            store.replace(task, payload)
 
     def _charge_moves(self, moves: List[Tuple[int, int, float]]):
         """Process: charge the network for the rewrite's piece movements.

@@ -181,7 +181,7 @@ class SharedScanPool:
                 event = self.env.event()
                 self._inflight[key] = event
                 try:
-                    payload = yield from store.get(key)
+                    payload = yield from store.read(key)
                 except BaseException:
                     self._inflight.pop(key, None)
                     if not event.triggered:

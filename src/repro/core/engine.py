@@ -195,7 +195,7 @@ class ExecutionContext:
             runtime = ChannelRuntime(stage, channel)
             operator = runtime.operator
             if operator is not None and operator.spill is not None:
-                store, _durable, _target = self._spill_store_for(worker_id)
+                store = self.strategy.store(self.cluster, worker_id)
                 operator.spill.attach(
                     stage.stage_id, channel,
                     self.memory_manager_for(worker_id), store.peek,
@@ -220,30 +220,16 @@ class ExecutionContext:
             self.memory_managers[worker_id] = manager
         return manager
 
-    def _spill_store_for(self, worker_id: int):
-        """The spill destination for ``worker_id``: ``(store, durable, target)``.
-
-        Spilled state goes where the FT strategy already keeps durable state
-        (a spooling strategy's S3 / HDFS), so a retraced channel re-reads its
-        spilled partitions instead of recomputing them; under every other
-        strategy it goes to the worker-local disk.
-        """
-        target = self.strategy.durable_store
-        if target == "s3":
-            return self.cluster.s3, True, "s3"
-        if target == "hdfs":
-            return self.cluster.hdfs, True, "hdfs"
-        return self.cluster.worker(worker_id).disk, False, "local"
-
     def _drain_spill(self, worker: Worker, runtime: ChannelRuntime):
         """Process: perform the store I/O an operator's spill context logged.
 
         Operators restore payloads synchronously mid-task; this drain charges
         the corresponding (outage-aware, bandwidth-shared) storage time after
-        the operator step and keeps the stats and trace honest.  Durable spill
-        chunks a retraced channel re-writes are skipped when already present
-        (``spill_write_rehits``) — that is the recovery benefit of durable
-        spill: re-read instead of recompute.
+        the operator step and keeps the stats and trace honest.  Spilled
+        chunks live in the strategy's store, next to its task backups.
+        Durable spill chunks a retraced channel re-writes are skipped when
+        already present (``spill_write_rehits``) — that is the recovery
+        benefit of durable spill: re-read instead of recompute.
         """
         spill = runtime.operator.spill
         if spill is None:
@@ -251,44 +237,34 @@ class ExecutionContext:
         records = spill.take_io()
         if not records:
             return
-        store, durable, target = self._spill_store_for(worker.worker_id)
+        store = self.strategy.store(self.cluster, worker.worker_id)
         metrics = self.metrics
         for record in records:
             key = record.key
             kind = record.kind
             if kind == "write":
-                if durable and store.contains(key):
+                if store.durable and store.contains(key):
                     metrics.spill_write_rehits += 1
                     spill.mark_flushed(key)
                     kind = "rehit"
                 else:
                     payload, _size = spill.staged_payload(key)
                     scaled = self.cost_model.scaled(record.nbytes)
-                    if durable:
-                        yield from store.put(key, payload, scaled)
-                    else:
-                        yield from store.write(key, payload, scaled)
+                    yield from store.write(key, payload, scaled)
                     spill.mark_flushed(key)
                     metrics.spill_writes += 1
                     metrics.spill_bytes_written += record.nbytes
-                    store.stats.spill_writes += 1
-                    store.stats.spill_bytes_written += record.nbytes
             elif kind == "read":
-                if durable:
-                    yield from store.get(key)
-                else:
-                    yield from store.read(key)
+                yield from store.read(key)
                 metrics.spill_reads += 1
                 metrics.spill_bytes_read += record.nbytes
-                store.stats.spill_reads += 1
-                store.stats.spill_bytes_read += record.nbytes
             else:  # delete
                 store.delete(key)
                 spill.forget(key)
             if self.tracer.enabled:
                 self.tracer.record_spill(
                     self.env.now, key.stage, key.channel, key.label, key.seq,
-                    kind, target, record.nbytes,
+                    kind, store.name, record.nbytes,
                 )
 
     # -- task execution (driven by the session's TaskManager loop) --------------------
@@ -396,7 +372,7 @@ class ExecutionContext:
         if self.scan_pool is not None:
             batch = yield from self.scan_pool.read(self.cluster.s3, key)
         else:
-            batch = yield from self.cluster.s3.get(key)
+            batch = yield from self.cluster.s3.read(key)
         return batch
 
     # -- stateful channel tasks ----------------------------------------------------------
@@ -789,22 +765,14 @@ class ExecutionContext:
         yield request
         try:
             yield self.env.timeout(self.cost_model.dispatch_seconds())
-            if location.durable:
-                key = ("spool", descriptor.name)
-                store = self.cluster.s3 if self.cluster.s3.contains(key) else self.cluster.hdfs
-                payload = yield from store.get(key)
+            store = self.strategy.store(self.cluster, worker.worker_id)
+            if not store.contains(descriptor.name):
+                self.gcs.tasks.remove(descriptor.name)
+                return True
+            payload = yield from store.read(descriptor.name)
 
-                def refresh(store=store, key=key):
-                    return store.peek(key) if store.contains(key) else None
-
-            else:
-                if not worker.disk.contains(descriptor.name):
-                    self.gcs.tasks.remove(descriptor.name)
-                    return True
-                payload = yield from worker.disk.read(descriptor.name)
-
-                def refresh(disk=worker.disk, key=descriptor.name):
-                    return disk.peek(key) if disk.contains(key) else None
+            def refresh(key=descriptor.name):
+                return store.peek(key) if store.contains(key) else None
 
             yield from self._push_payload(worker, descriptor, payload, refresh=refresh)
             self.gcs.tasks.remove(descriptor.name)

@@ -36,7 +36,7 @@ class QueryOptions:
     """
 
     #: Named preset from :data:`repro.api.systems.SYSTEM_PRESETS`
-    #: (``"quokka"``, ``"sparksql"``, ``"trino"``, ...).
+    #: (``"quokka"``, ``"quokka-stagewise"``, ``"trino"``, ...).
     system: Optional[str] = None
     #: Full engine configuration; overrides ``system`` entirely when given.
     engine_config: Optional["EngineConfig"] = None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.gcs.naming import TaskName
+from repro.gcs.naming import ObjectLocation, TaskName
 
 
 class FaultToleranceStrategy:
@@ -22,22 +22,28 @@ class FaultToleranceStrategy:
     #: query without restarting it from scratch.
     supports_intra_query_recovery = True
 
-    #: Durable store name ("s3" / "hdfs") this strategy already funnels task
-    #: outputs to, or None.  Out-of-core operators spill to this store when
-    #: set — spilled operator state then survives worker failures and
-    #: recovery re-reads it instead of recomputing — and to the worker-local
-    #: disk otherwise.
-    durable_store = None
+    def store(self, cluster, worker_id: int):
+        """The :class:`~repro.cluster.storage.ObjectStore` that holds this
+        strategy's task backups and spilled operator chunks for ``worker_id``.
+
+        The worker's own disk by default.  A strategy that names a durable
+        store makes both survive worker failures: replays re-read the
+        backups and a retraced channel re-reads its spilled chunks instead of
+        recomputing them.
+        """
+        return cluster.worker(worker_id).disk
 
     def persist_output(self, engine, worker, task_name: TaskName, payload: Any,
                        nbytes: float) -> Any:
         """Persist one task output object; return an :class:`ObjectLocation` or None.
 
         ``payload`` is the mapping of consumer channel to output piece that a
-        replay task would need to re-push.
+        replay task would need to re-push; it is stored under ``task_name``.
         """
-        raise NotImplementedError
-        yield  # pragma: no cover - makes this a generator in subclasses' image
+        store = self.store(engine.cluster, worker.worker_id)
+        yield from store.write(task_name, payload, engine.cost_model.scaled(nbytes))
+        return ObjectLocation(task=task_name, worker_id=worker.worker_id,
+                              nbytes=nbytes, durable=store.durable)
 
     def after_task_commit(self, engine, worker, runtime) -> Any:
         """Hook running after a task's lineage commit (e.g. periodic checkpoints)."""

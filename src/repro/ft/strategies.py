@@ -19,11 +19,9 @@ coordinator does on a worker failure: reconcile the query's lineage
 
 from __future__ import annotations
 
-
 from repro.common.config import EngineConfig
 from repro.common.errors import ConfigError
 from repro.ft.base import FaultToleranceStrategy
-from repro.gcs.naming import ObjectLocation
 
 
 class NoFaultTolerance(FaultToleranceStrategy):
@@ -43,12 +41,6 @@ class WriteAheadLineageStrategy(FaultToleranceStrategy):
 
     name = "wal"
 
-    def persist_output(self, engine, worker, task_name, payload, nbytes):
-        scaled = engine.cost_model.scaled(nbytes)
-        yield from worker.disk.write(task_name, payload, scaled)
-        return ObjectLocation(task=task_name, worker_id=worker.worker_id,
-                              nbytes=nbytes, durable=False)
-
 
 class SpoolingStrategy(FaultToleranceStrategy):
     """Trino-style spooling: every output object is persisted durably.
@@ -64,17 +56,9 @@ class SpoolingStrategy(FaultToleranceStrategy):
             raise ConfigError(f"unknown spooling target {target!r}")
         self.target = target
         self.name = f"spool-{target}"
-        self.durable_store = target
 
-    def _store(self, engine):
-        return engine.cluster.s3 if self.target == "s3" else engine.cluster.hdfs
-
-    def persist_output(self, engine, worker, task_name, payload, nbytes):
-        scaled = engine.cost_model.scaled(nbytes)
-        store = self._store(engine)
-        yield from store.put(("spool", task_name), payload, scaled)
-        return ObjectLocation(task=task_name, worker_id=worker.worker_id,
-                              nbytes=nbytes, durable=True)
+    def store(self, cluster, worker_id):
+        return cluster.s3 if self.target == "s3" else cluster.hdfs
 
 
 class CheckpointStrategy(WriteAheadLineageStrategy):
@@ -106,7 +90,7 @@ class CheckpointStrategy(WriteAheadLineageStrategy):
         scaled = engine.cost_model.scaled(delta)
         key = ("checkpoint", runtime.stage_id, runtime.channel, runtime.next_seq)
         snapshot = runtime.operator.snapshot()
-        yield from engine.cluster.s3.put(key, snapshot, scaled)
+        yield from engine.cluster.s3.write(key, snapshot, scaled)
         engine.metrics.checkpoint_bytes += delta
         engine.metrics.checkpoints_taken += 1
 

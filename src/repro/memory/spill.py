@@ -39,7 +39,7 @@ from repro.memory.manager import MemoryManager
 class SpillKey:
     """Identity of one spilled chunk.
 
-    Carries the owning stage id so :meth:`LocalDisk.wipe_stages` drops a
+    Carries the owning stage id so :meth:`ObjectStore.wipe_stages` drops a
     restarted query's spill chunks together with its task backups.
     """
 

@@ -45,11 +45,11 @@ class TestQuokkaContext:
         assert result.batch.equals(expected, sort_keys=["region"])
 
     def test_system_presets_exist(self):
-        assert {"quokka", "sparksql", "trino", "quokka-spool", "trino-noft", "quokka-noft"} <= set(
-            SYSTEM_PRESETS
-        )
+        assert set(SYSTEM_PRESETS) == {
+            "quokka", "quokka-stagewise", "quokka-spool", "quokka-noft", "trino", "trino-noft",
+        }
 
-    @pytest.mark.parametrize("system", ["quokka", "sparksql", "trino"])
+    @pytest.mark.parametrize("system", ["quokka", "quokka-stagewise", "trino"])
     def test_each_preset_system_produces_the_same_answer(self, ctx, system):
         query = sales_query(ctx)
         expected = query.collect_reference()

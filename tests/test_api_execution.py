@@ -199,7 +199,7 @@ class TestQueryOptions:
     def test_each_preset_system_produces_the_same_answer(self, ctx):
         frame = sales_query(ctx)
         expected = frame.collect_reference()
-        for system in ("quokka", "sparksql", "trino"):
+        for system in ("quokka", "quokka-stagewise", "trino"):
             assert frame.collect(system=system).equals(expected, sort_keys=["region"])
 
     def test_optimize_option_preserves_the_answer(self, ctx):

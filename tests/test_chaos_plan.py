@@ -19,7 +19,7 @@ from repro.chaos import (
     generate_plan,
 )
 from repro.cluster.costmodel import CostModel
-from repro.cluster.storage import DurableObjectStore
+from repro.cluster.storage import ObjectStore
 from repro.common.config import CostModelConfig
 from repro.common.errors import ConfigError
 from repro.sim.core import Environment
@@ -125,12 +125,12 @@ class TestChaosHooks:
 
     def test_storage_outage_delays_requests_and_counts_retries(self):
         env = Environment()
-        store = DurableObjectStore(env, "s3", write_bps=1e6, read_bps=1e6, request_latency=0.0)
+        store = ObjectStore(env, "s3", write_bps=1e6, read_bps=1e6, durable=True)
         store.register("key", "payload", 1000.0)
         store.inject_outage(0.0, 1.0, retry_latency=0.1)
 
         def read():
-            payload = yield from store.get("key")
+            payload = yield from store.read("key")
             return payload
 
         process = env.process(read())
@@ -141,7 +141,7 @@ class TestChaosHooks:
 
     def test_storage_outage_validation(self):
         env = Environment()
-        store = DurableObjectStore(env, "s3", write_bps=1e6, read_bps=1e6, request_latency=0.0)
+        store = ObjectStore(env, "s3", write_bps=1e6, read_bps=1e6, durable=True)
         with pytest.raises(ConfigError):
             store.inject_outage(1.0, 1.0)
         with pytest.raises(ConfigError):

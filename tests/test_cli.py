@@ -34,8 +34,10 @@ class TestSystems:
     def test_lists_all_presets(self, capsys):
         code, out, _err = run_cli(capsys, "systems")
         assert code == 0
-        for name in ("quokka", "sparksql", "trino", "quokka-spool"):
+        for name in ("quokka", "quokka-stagewise", "trino", "quokka-spool"):
             assert name in out
+        # `sparksql` names only the baseline engine of the paper's figures.
+        assert "sparksql" not in out
 
 
 class TestExplain:

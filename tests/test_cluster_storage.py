@@ -1,10 +1,10 @@
-"""Unit tests for the simulated storage services (local NVMe and durable stores)."""
+"""Unit tests for the simulated storage service (worker disks and durable stores)."""
 
 import pytest
 
 from repro.common.config import ClusterConfig, CostModelConfig
 from repro.common.errors import ExecutionError
-from repro.cluster.storage import DurableObjectStore, LocalDisk
+from repro.cluster.storage import ObjectStore
 from repro.cluster.worker import Worker
 from repro.sim.core import Environment
 
@@ -25,101 +25,119 @@ def env():
     return Environment()
 
 
-class TestLocalDisk:
-    def make_disk(self, env, capacity=10_000.0):
-        return LocalDisk(env, write_bps=1000.0, read_bps=2000.0, capacity_bytes=capacity)
+#: A worker disk and an S3-like durable store: one class, two parameter sets.
+SHAPES = {
+    "disk": dict(name="local", write_bps=1000.0, read_bps=2000.0, capacity_bytes=1500.0),
+    "s3": dict(name="s3", write_bps=100.0, read_bps=100.0, request_latency=0.25,
+               durable=True),
+}
 
-    def test_write_then_read_round_trips_payload(self, env):
-        disk = self.make_disk(env)
-        drive(env, disk.write("key", {"payload": 1}, 1000.0))
-        assert disk.contains("key")
-        assert drive(env, disk.read("key")) == {"payload": 1}
-        assert disk.stats.bytes_written == 1000.0
-        assert disk.stats.bytes_read == 1000.0
 
-    def test_write_and_read_charge_bandwidth_time(self, env):
-        disk = self.make_disk(env)
-        drive(env, disk.write("key", "x", 1000.0))
-        assert env.now == pytest.approx(1.0)  # 1000 bytes at 1000 B/s
-        drive(env, disk.read("key"))
-        assert env.now == pytest.approx(1.5)  # +1000 bytes at 2000 B/s
+@pytest.fixture(params=sorted(SHAPES))
+def shape(request):
+    return SHAPES[request.param]
 
-    def test_capacity_is_enforced(self, env):
-        disk = self.make_disk(env, capacity=1500.0)
-        drive(env, disk.write("a", "x", 1000.0))
+
+@pytest.fixture()
+def store(env, shape):
+    return ObjectStore(env, **shape)
+
+
+class TestObjectStore:
+    def test_write_then_read_round_trips_payload(self, env, store):
+        drive(env, store.write("key", {"payload": 1}, 100.0))
+        assert store.contains("key")
+        assert drive(env, store.read("key")) == {"payload": 1}
+        assert store.stats.bytes_written == 100.0
+        assert store.stats.bytes_read == 100.0
+
+    def test_write_and_read_charge_bandwidth_plus_request_latency(self, env, store, shape):
+        latency = shape.get("request_latency", 0.0)
+        drive(env, store.write("key", "x", 100.0))
+        written = 100.0 / shape["write_bps"] + latency
+        assert env.now == pytest.approx(written)
+        drive(env, store.read("key"))
+        assert env.now == pytest.approx(written + 100.0 / shape["read_bps"] + latency)
+
+    def test_capacity_is_enforced_only_when_bounded(self, env, store):
+        drive(env, store.write("a", "x", 1000.0))
+        if store.capacity_bytes is None:
+            drive(env, store.write("b", "y", 1000.0))
+            assert store.used_bytes == 2000
+        else:
+            with pytest.raises(ExecutionError):
+                drive(env, store.write("b", "y", 1000.0))
+
+    def test_delete_frees_capacity(self, env, store):
+        drive(env, store.write("a", "x", 1000.0))
+        store.delete("a")
+        assert not store.contains("a")
+        drive(env, store.write("b", "y", 1000.0))  # fits again
+        assert store.used_bytes == 1000
+
+    def test_missing_key_raises(self, env, store):
         with pytest.raises(ExecutionError):
-            drive(env, disk.write("b", "y", 1000.0))
-
-    def test_missing_key_raises(self, env):
-        disk = self.make_disk(env)
+            drive(env, store.read("nope"))
         with pytest.raises(ExecutionError):
-            drive(env, disk.read("nope"))
+            store.peek("nope")
+        with pytest.raises(ExecutionError):
+            store.replace("nope", 1)
 
-    def test_delete_frees_capacity(self, env):
-        disk = self.make_disk(env, capacity=1500.0)
-        drive(env, disk.write("a", "x", 1000.0))
-        disk.delete("a")
-        assert not disk.contains("a")
-        drive(env, disk.write("b", "y", 1000.0))  # fits again
+    def test_register_charges_no_time(self, env, store):
+        store.register("table", "data", 1234.0)
+        assert env.now == 0.0
+        assert store.contains("table")
+        assert store.peek("table") == "data"
 
-    def test_wipe_reports_lost_objects(self, env):
-        disk = self.make_disk(env)
-        drive(env, disk.write("a", 1, 10.0))
-        drive(env, disk.write("b", 2, 10.0))
-        assert disk.wipe() == 2
-        assert disk.used_bytes == 0
+    def test_replace_swaps_payload_and_keeps_size(self, env, store):
+        drive(env, store.write("a", "old", 100.0))
+        store.replace("a", "new")
+        assert store.peek("a") == "new"
+        assert store.used_bytes == 100
 
-    def test_object_lost_while_read_in_flight_raises(self, env):
+    def test_wipe_reports_lost_objects(self, env, store):
+        drive(env, store.write("a", 1, 10.0))
+        drive(env, store.write("b", 2, 10.0))
+        assert store.wipe() == 2
+        assert store.used_bytes == 0
+
+    def test_wipe_stages_drops_only_those_stages(self, env, store):
+        from repro.gcs.naming import TaskName
+
+        store.register(TaskName(1, 0, 0), "a", 10.0)
+        store.register(TaskName(2, 0, 0), "b", 10.0)
+        store.register(("table", "t", 0), "c", 10.0)
+        assert store.wipe_stages({1}) == 1
+        assert store.contains(TaskName(2, 0, 0)) and store.contains(("table", "t", 0))
+
+    def test_object_lost_while_read_in_flight_raises(self, env, store):
         """A wipe (worker failure) during the read's transfer must not return stale data."""
-        disk = self.make_disk(env)
-        drive(env, disk.write("a", 1, 2000.0))
+        drive(env, store.write("a", 1, 1000.0))
         outcome = {}
 
         def reader():
             try:
-                yield from disk.read("a")
+                yield from store.read("a")
                 outcome["result"] = "read"
             except ExecutionError:
                 outcome["result"] = "lost"
 
         def saboteur():
-            yield env.timeout(0.5)  # mid-read: the read takes 1s at 2000 B/s
-            disk.wipe()
+            yield env.timeout(0.01)  # mid-read on both shapes
+            store.wipe()
 
         done = env.process(reader())
         env.process(saboteur())
         env.run(done)
         assert outcome["result"] == "lost"
 
-
-class TestDurableObjectStore:
-    def make_store(self, env):
-        return DurableObjectStore(env, name="s3", write_bps=100.0, read_bps=100.0,
-                                  request_latency=0.25)
-
-    def test_put_get_round_trip_with_latency(self, env):
-        store = self.make_store(env)
-        drive(env, store.put("k", [1, 2, 3], 100.0))
-        assert env.now == pytest.approx(1.25)  # 1s transfer + 0.25s request latency
-        assert drive(env, store.get("k")) == [1, 2, 3]
-
-    def test_register_charges_no_time(self, env):
-        store = self.make_store(env)
-        store.register("table", "data", 1234.0)
-        assert env.now == 0.0
-        assert store.contains("table")
-
-    def test_missing_key_raises(self, env):
-        store = self.make_store(env)
-        with pytest.raises(ExecutionError):
-            drive(env, store.get("nope"))
-
-    def test_contents_survive_worker_failure(self, env):
-        store = self.make_store(env)
+    def test_only_the_worker_disk_loses_contents_on_failure(self, env, store):
         worker = Worker(env, 0, ClusterConfig(num_workers=1), CostModelConfig())
-        drive(env, store.put("spill", "payload", 10.0))
+        if not store.durable:
+            worker.disk = store  # the disk-shaped store is this worker's disk
+        drive(env, store.write("backup", "payload", 10.0))
         worker.fail()
-        assert store.contains("spill")
+        assert store.contains("backup") == store.durable
 
 
 class TestWorkerFailure:

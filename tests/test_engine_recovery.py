@@ -173,15 +173,20 @@ class TestOtherStrategiesUnderFailure:
         assert failed.metrics.query_restarts == 1
         assert failed.runtime > baseline.runtime
 
-    def test_spooling_recovers_from_durable_storage(self):
+    @pytest.mark.parametrize("target", ["s3", "hdfs"])
+    def test_spooling_recovers_from_durable_storage(self, target):
         catalog = make_catalog()
         query = join_query(catalog)
         expected = execute_plan(query.plan)
         _baseline, failed = run_with_failure(
-            query, catalog, worker_id=2, fraction=0.5, ft_strategy="spool-s3"
+            query, catalog, worker_id=2, fraction=0.5, ft_strategy=f"spool-{target}"
         )
         assert failed.batch.equals(expected, sort_keys=["c_nation"])
-        assert failed.metrics.s3_write_bytes > 0
+        assert getattr(failed.metrics, f"{target}_write_bytes") > 0
+        # The lost worker's outputs are replayed from the durable store.
+        assert failed.metrics.replay_tasks > 0
+        if target == "hdfs":
+            assert failed.metrics.hdfs_read_bytes > 0
 
     def test_stagewise_mode_recovers(self):
         catalog = make_catalog()

@@ -33,12 +33,16 @@ class TestStrategyFactory:
         assert WriteAheadLineageStrategy().supports_intra_query_recovery
         assert SpoolingStrategy("s3").supports_intra_query_recovery
 
-    def test_only_spooling_names_a_durable_store(self):
-        # Out-of-core operators spill to this store; None means local disk.
-        assert SpoolingStrategy("s3").durable_store == "s3"
-        assert SpoolingStrategy("hdfs").durable_store == "hdfs"
+    def test_only_spooling_stores_outside_the_worker_disk(self):
+        # Task backups and spilled chunks live in this store.
+        from repro.cluster.cluster import Cluster
+        from repro.common.config import ClusterConfig
+
+        cluster = Cluster(ClusterConfig(num_workers=2))
+        assert SpoolingStrategy("s3").store(cluster, 1) is cluster.s3
+        assert SpoolingStrategy("hdfs").store(cluster, 1) is cluster.hdfs
         for strategy in (NoFaultTolerance(), WriteAheadLineageStrategy(), CheckpointStrategy()):
-            assert strategy.durable_store is None
+            assert strategy.store(cluster, 1) is cluster.worker(1).disk
 
     def test_spooling_rejects_unknown_target(self):
         with pytest.raises(ConfigError):
@@ -102,14 +106,17 @@ class TestStrategyBehaviourOnCluster:
         assert worker.disk.contains(task)
         assert cluster.s3.stats.bytes_written == 0
 
-    def test_spooling_writes_durably(self, harness):
+    @pytest.mark.parametrize("target", ["s3", "hdfs"])
+    def test_spooling_writes_durably(self, harness, target):
         cluster, payload, task = harness
-        location, worker = self._run_persist(cluster, SpoolingStrategy("s3"), task, payload)
+        location, worker = self._run_persist(cluster, SpoolingStrategy(target), task, payload)
+        store = getattr(cluster, target)
         assert location is not None and location.durable
-        assert cluster.s3.contains(("spool", task))
-        # Durable copies survive wiping the local disk.
-        worker.disk.wipe()
-        assert cluster.s3.contains(("spool", task))
+        assert store.contains(task)
+        assert not worker.disk.contains(task)
+        # Durable copies survive the worker's failure.
+        worker.fail()
+        assert store.contains(task)
 
     def test_none_persists_nothing(self, harness):
         cluster, payload, task = harness
