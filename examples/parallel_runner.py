@@ -31,34 +31,36 @@ def main() -> None:
     catalog = generate_catalog(scale_factor=0.01, seed=7)
     ctx = QuokkaContext(num_workers=4, catalog=catalog)
 
-    parallel = ParallelRunner(workers=4)
-    print(f"parallel backend: {parallel.workers} worker processes, "
-          f"morsels of {parallel.morsel_rows:,} rows\n")
+    # One runner forks its workers once and reuses them for every query;
+    # leaving the block stops them.
+    with ParallelRunner(workers=4) as parallel:
+        print(f"parallel backend: {parallel.workers} worker processes, "
+              f"morsels of {parallel.morsel_rows:,} rows\n")
 
-    all_ok = True
-    for number in (1, 3):
-        frame = build_query(catalog, number).bind(ctx)
+        all_ok = True
+        for number in (1, 3):
+            frame = build_query(catalog, number).bind(ctx)
 
-        started = time.perf_counter()
-        simulated = frame.collect()  # one-shot simulated cluster
-        simulated_wall = time.perf_counter() - started
+            started = time.perf_counter()
+            simulated = frame.collect()  # one-shot simulated cluster
+            simulated_wall = time.perf_counter() - started
 
-        started = time.perf_counter()
-        handle = parallel.submit(frame)
-        result = handle.wait()
-        parallel_wall = time.perf_counter() - started
+            started = time.perf_counter()
+            handle = parallel.submit(frame)
+            result = handle.wait()
+            parallel_wall = time.perf_counter() - started
 
-        ok = batches_match(result.batch, simulated)
-        all_ok = all_ok and ok
-        print(f"TPC-H Q{number}: {result.batch.num_rows} rows | "
-              f"simulated {simulated_wall:.2f}s wall, "
-              f"parallel {parallel_wall:.2f}s wall over "
-              f"{result.metrics.tasks_executed} tasks | "
-              f"match={'yes' if ok else 'NO'}")
-        if number == 1:
-            print()
-            print(format_batch(result.batch, 4))
-            print()
+            ok = batches_match(result.batch, simulated)
+            all_ok = all_ok and ok
+            print(f"TPC-H Q{number}: {result.batch.num_rows} rows | "
+                  f"simulated {simulated_wall:.2f}s wall, "
+                  f"parallel {parallel_wall:.2f}s wall over "
+                  f"{result.metrics.tasks_executed} tasks | "
+                  f"match={'yes' if ok else 'NO'}")
+            if number == 1:
+                print()
+                print(format_batch(result.batch, 4))
+                print()
 
     finish(all_ok, "ParallelRunner matches the simulated cluster on Q1 and Q3"
            if all_ok else "parallel results diverged from the simulated cluster")

@@ -15,8 +15,8 @@ and four implementations cover the engine's execution modes:
 * :class:`ReferenceRunner` — the single-node reference interpreter, returning
   an already-finished handle;
 * :class:`ParallelRunner` — real multi-core execution: the compiled stage
-  graph runs morsel-driven across forked worker processes exchanging batches
-  through shared memory (:mod:`repro.parallel`).
+  graph runs morsel-driven across the runner's forked worker processes,
+  which exchange batches through shared memory (:mod:`repro.parallel`).
 
 All of them accept the same :class:`~repro.core.options.QueryOptions` and
 return the same :class:`~repro.core.session.QueryHandle` future shape, so
@@ -26,6 +26,7 @@ swap the runner, keep the call sites.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Protocol, Union, runtime_checkable
 
 from repro.api.systems import resolve_engine_config
@@ -161,6 +162,11 @@ class ParallelRunner:
     The returned handle is already finished (execution is synchronous);
     ``metrics.runtime_seconds`` holds real wall-clock time, not virtual
     simulator time.
+
+    The runner forks its worker pool at the first ``submit`` and keeps it for
+    every later one (re-forking only when a query scans a table registered
+    after the fork, or after a statement failed).  :meth:`close` — or leaving
+    a ``with`` block, or garbage collection — shuts the pool down.
     """
 
     def __init__(
@@ -176,12 +182,25 @@ class ParallelRunner:
         import os
 
         from repro.parallel.morsel import DEFAULT_MORSEL_ROWS
+        from repro.parallel.runner import WarmPool
 
         if workers is not None and workers < 0:
             raise ConfigError(f"workers must be None or non-negative, got {workers}")
         self.workers = os.cpu_count() or 1 if workers is None else workers
         self.morsel_rows = DEFAULT_MORSEL_ROWS if morsel_rows is None else morsel_rows
         self.num_channels = num_channels or max(1, self.workers)
+        self._pool = WarmPool(self.workers)
+        self._closer = weakref.finalize(self, self._pool.close)
+
+    def close(self) -> None:
+        """Shut the worker pool down (idempotent); later submits are rejected."""
+        self._closer()
+
+    def __enter__(self) -> "ParallelRunner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def submit(self, query: Query, options: Optional[QueryOptions] = None) -> QueryHandle:
         import time
@@ -189,6 +208,8 @@ class ParallelRunner:
         from repro.parallel.runner import execute_graph_parallel
         from repro.physical.compiler import compile_plan
 
+        if not self._closer.alive:
+            raise ConfigError("this ParallelRunner is closed")
         options = options or QueryOptions()
         _reject_set_fields(
             options,
@@ -216,7 +237,7 @@ class ParallelRunner:
         )
         started = time.perf_counter()
         batch, stats = execute_graph_parallel(
-            graph, workers=self.workers, morsel_rows=self.morsel_rows
+            graph, workers=self.workers, morsel_rows=self.morsel_rows, pool=self._pool
         )
         metrics = QueryMetrics(
             runtime_seconds=time.perf_counter() - started,

@@ -21,6 +21,7 @@ from repro.parallel.runner import (
     ParallelExecutionStats,
     ParallelExecutor,
     StageGraphTaskHandler,
+    WarmPool,
     execute_graph_parallel,
 )
 from repro.parallel.shm import (
@@ -47,6 +48,7 @@ __all__ = [
     "ParallelExecutor",
     "ParallelExecutionStats",
     "StageGraphTaskHandler",
+    "WarmPool",
     "execute_graph_parallel",
     "ShmBatchRef",
     "BlockRegistry",

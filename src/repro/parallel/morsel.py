@@ -61,6 +61,8 @@ class ScanTask:
     split_position: int
     #: Runtime filters to apply to every output morsel before routing.
     filters: List[FilterHandle] = field(default_factory=list)
+    #: Handle of the statement's shipped stage graph, stamped at dispatch.
+    graph: Optional[ShmBlobRef] = None
 
 
 @dataclass
@@ -77,6 +79,8 @@ class ChannelTask:
     inputs: List[List[ShmBatchRef]] = field(default_factory=list)
     #: Runtime filters to apply to every output batch before routing.
     filters: List[FilterHandle] = field(default_factory=list)
+    #: Handle of the statement's shipped stage graph, stamped at dispatch.
+    graph: Optional[ShmBlobRef] = None
 
 
 @dataclass
@@ -93,6 +97,8 @@ class PartialAggTask:
     channel: int
     shard_index: int
     inputs: List[ShmBatchRef] = field(default_factory=list)
+    #: Handle of the statement's shipped stage graph, stamped at dispatch.
+    graph: Optional[ShmBlobRef] = None
 
 
 @dataclass
@@ -107,6 +113,8 @@ class MergeAggTask:
     states: List[object] = field(default_factory=list)
     #: Runtime filters to apply to the merged channel output before routing.
     filters: List[FilterHandle] = field(default_factory=list)
+    #: Handle of the statement's shipped stage graph, stamped at dispatch.
+    graph: Optional[ShmBlobRef] = None
 
 
 def split_sizes(num_rows: int, num_splits: int) -> List[int]:

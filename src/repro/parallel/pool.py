@@ -1,12 +1,11 @@
 """Fork-based worker pool with a shared morsel queue.
 
 The pool is deliberately minimal: one task queue, one result queue, N forked
-worker processes running a pull loop.  Workers are forked *after* the driver
-has compiled the stage graph and bound it into the task handler, so the
-graph, the catalog's resident tables and the operator factories (closures —
-not picklable) all reach the workers by fork inheritance / copy-on-write
-instead of serialisation; only task descriptors and shared-memory handles
-ever cross the queues.
+worker processes running a pull loop.  The handler is captured at fork time;
+everything a task needs beyond it travels with the task as a small picklable
+descriptor (the parallel executor ships each statement's stage graph as one
+shared-memory handle on every task), and the catalog's resident tables reach
+the workers by fork inheritance / copy-on-write instead of serialisation.
 
 ``workers=0`` runs every task inline in the driver process (no fork, no
 queues) — the degenerate mode used on platforms without ``fork`` and by
@@ -58,8 +57,9 @@ class WorkerPool:
     """A fixed set of forked workers pulling tasks from one shared queue.
 
     ``handler`` is any object with a ``run(task) -> payload`` method; it is
-    captured at fork time, so bind everything heavy (stage graph, resident
-    tables) into it *before* constructing the pool.
+    captured at fork time.  A pool serves any number of :meth:`run` calls,
+    but a failed one leaves results of the failed batch in flight, so the
+    caller must close the pool after a failure rather than reuse it.
     """
 
     def __init__(self, workers: int, handler):
@@ -93,8 +93,9 @@ class WorkerPool:
 
         This is a barrier: it returns once every task has reported.  A task
         failure raises :class:`ExecutionError` carrying the worker traceback;
-        a worker process dying raises as well (``on_error`` runs first so the
-        caller can release shared-memory blocks).
+        a worker process that has died — before or during the call — raises
+        as well (``on_error`` runs first so the caller can release
+        shared-memory blocks).
         """
         if self._closed:
             raise ExecutionError("worker pool is closed")
@@ -119,39 +120,58 @@ class WorkerPool:
         return payloads
 
     def _run_forked(self, tasks: Sequence) -> Dict[int, object]:
+        # A worker that died between calls may have taken a queue lock with
+        # it, so the survivors could stall: fail before dispatching anything.
+        self._raise_if_dead(len(tasks))
         for task in tasks:
             self._tasks.put(task)
         payloads: Dict[int, object] = {}
         while len(payloads) < len(tasks):
             try:
-                task_id, ok, payload = self._results.get(timeout=_POLL_SECONDS)
+                result = self._results.get(timeout=_POLL_SECONDS)
             except queue_module.Empty:
-                dead = [p.name for p in self._procs if not p.is_alive()]
-                if dead:
-                    raise ExecutionError(
-                        f"parallel worker(s) {dead} died while "
-                        f"{len(tasks) - len(payloads)} task(s) were outstanding"
-                    ) from None
+                result = None
+            if result is None:
+                self._raise_if_dead(len(tasks) - len(payloads))
                 continue
+            task_id, ok, payload = result
             if not ok:
                 raise ExecutionError(f"parallel task {task_id} failed in worker:\n{payload}")
             payloads[task_id] = payload
         return payloads
 
+    def _raise_if_dead(self, outstanding: int) -> None:
+        dead = [p.name for p in self._procs if not p.is_alive()]
+        if dead:
+            raise ExecutionError(
+                f"parallel worker(s) {dead} died while "
+                f"{outstanding} task(s) were outstanding"
+            )
+
     # -- lifecycle --------------------------------------------------------------
 
-    def close(self) -> None:
-        """Shut the workers down (idempotent)."""
+    def close(self, terminate: bool = False) -> None:
+        """Shut the workers down (idempotent).
+
+        By default each worker finishes the tasks still queued and exits at
+        its sentinel.  ``terminate=True`` kills them at once instead — for a
+        pool that failed, whose queues may be stalled or hold work nobody
+        will collect.
+        """
         if self._closed:
             return
         self._closed = True
         if not self._procs:
             return
-        for _ in self._procs:
-            try:
-                self._tasks.put(None)
-            except (ValueError, OSError):  # pragma: no cover - queue torn down
-                break
+        if terminate:
+            for proc in self._procs:
+                proc.terminate()
+        else:
+            for _ in self._procs:
+                try:
+                    self._tasks.put(None)
+                except (ValueError, OSError):  # pragma: no cover - queue torn down
+                    break
         for proc in self._procs:
             proc.join(timeout=5.0)
         for proc in self._procs:

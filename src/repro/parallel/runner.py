@@ -4,6 +4,10 @@
 .StageGraph` the simulator executes and drives it across a pool of forked
 worker processes, stage by stage:
 
+0. the pool is a :class:`WarmPool` that outlives the statement — forked once
+   per runner and re-forked only when a graph scans a table registered after
+   the fork — so the driver ships each statement's graph to the workers as
+   one pickled shared-memory blob whose handle every task carries;
 1. every stage is decomposed into tasks (see :mod:`repro.parallel.morsel`)
    that workers pull from one shared queue — morsel-driven scheduling, so a
    slow split or a hot channel never idles the rest of the pool;
@@ -30,9 +34,10 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ExecutionError
 from repro.data.batch import Batch, concat_batches
@@ -69,6 +74,7 @@ from repro.physical.task import (
     route_output,
     split_prunable,
 )
+from repro.plan.catalog import newest_table_token
 
 #: Unique-per-driver-process counter feeding block name prefixes.
 _query_counter = itertools.count()
@@ -104,21 +110,33 @@ class ParallelExecutionStats:
 class StageGraphTaskHandler:
     """Executes one task inside a worker (or inline at ``workers=0``).
 
-    Constructed in the driver *before* the pool forks, so the stage graph —
-    operator-factory closures, resident catalog batches and all — reaches
-    every worker by inheritance, never by pickling.
+    Holds no statement until a task arrives.  Every task carries the handle
+    of its statement's shipped ``(graph, morsel_rows)`` blob, and the handler
+    keeps the one it unpickled last.  The first task of a new statement
+    resets the handler, releasing the previous statement's block mappings
+    and filters, so a warm worker's state is bounded by one statement.
+    Tables inside the graph unpickle to the worker's fork-inherited copies
+    (:meth:`~repro.plan.catalog.TableMetadata.__reduce_ex__`).
     """
 
-    def __init__(self, graph: StageGraph, morsel_rows: int, block_prefix: str):
-        self.graph = graph
-        self.morsel_rows = morsel_rows
-        self.block_prefix = block_prefix
-        # Keeps zero-copy mappings open for this process's lifetime.
+    def __init__(self):
+        self.graph: Optional[StageGraph] = None
+        self.morsel_rows = DEFAULT_MORSEL_ROWS
+        self.block_prefix = ""
+        # Holds the statement's zero-copy mappings; cleared when it changes.
         self.registry = BlockRegistry()
         # Runtime filters deserialised once per process, keyed by block name.
         self._filter_cache: Dict[str, object] = {}
+        self._statement: Optional[str] = None
 
     def run(self, task):
+        if task.graph.block != self._statement:
+            self.reset()
+            self.graph, self.morsel_rows = read_blob(task.graph)
+            # The blob's name starts with the statement's block prefix, so
+            # blocks named under it are swept with the statement's.
+            self.block_prefix = task.graph.block + "_"
+            self._statement = task.graph.block
         if isinstance(task, ScanTask):
             return self._run_scan(task)
         if isinstance(task, ChannelTask):
@@ -129,11 +147,18 @@ class StageGraphTaskHandler:
             return self._run_merge_agg(task)
         raise ExecutionError(f"unknown parallel task type {type(task).__name__}")
 
+    def reset(self) -> None:
+        """Forget the current statement and unmap the blocks it read."""
+        self.graph = None
+        self._statement = None
+        self._filter_cache.clear()
+        self.registry.clear()
+
     # -- task bodies ------------------------------------------------------------
 
     def _run_scan(self, task: ScanTask):
         stage = self.graph.stage(task.stage_id)
-        split = stage.table.splits()[task.split_index]
+        split = stage.table.split(task.split_index)
         return self._emit(
             stage, task, (task.channel, task.split_position),
             split.split(self.morsel_rows),
@@ -203,12 +228,65 @@ class StageGraphTaskHandler:
         return rf
 
 
-class ParallelExecutor:
-    """Drives one compiled stage graph over a fresh worker pool.
+class WarmPool:
+    """The worker pool one :class:`~repro.api.ParallelRunner` keeps warm.
 
-    One executor serves one query: the pool is forked *after* compilation so
-    workers inherit the graph, and torn down (with a shared-memory sweep) in
-    ``execute``'s ``finally``.
+    Forked lazily by the first :meth:`acquire` and reused by every later
+    statement.  Tables reach the workers by fork inheritance only, so a
+    graph that scans a table registered after the fork — its token is above
+    the fork-time watermark — re-forks the pool first.  A statement that
+    fails discards the pool (:meth:`discard`); the next one forks afresh.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        #: Held for a whole statement: task ids restart at 0 per statement,
+        #: so two statements must never share the queues at once.
+        self.lock = threading.Lock()
+        self._handler = StageGraphTaskHandler()
+        self._pool: Optional[WorkerPool] = None
+        #: Newest table token the current pool's workers inherited.
+        self._watermark = 0
+        self._owner_pid = os.getpid()
+
+    def acquire(self, graph: StageGraph) -> WorkerPool:
+        """A live pool whose workers can resolve every table ``graph`` scans."""
+        newest = max((s.table.token or 0 for s in graph.input_stages()), default=0)
+        if self._pool is not None and newest > self._watermark:
+            self.close()
+        if self._pool is None:
+            self._watermark = newest_table_token()
+            self._pool = WorkerPool(self.workers, self._handler)
+        return self._pool
+
+    def discard(self) -> None:
+        """Kill the workers at once; for a pool a statement failed on."""
+        self._shut(terminate=True)
+
+    def close(self) -> None:
+        """Stop the workers (idempotent); a later :meth:`acquire` re-forks."""
+        self._shut(terminate=False)
+
+    def _shut(self, terminate: bool) -> None:
+        if os.getpid() != self._owner_pid:
+            # A forked process collected its inherited copy (say, a runner's
+            # finalizer in a worker): the workers belong to the parent.
+            return
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close(terminate=terminate)
+        # Only an inline pool ran tasks on this (driver-side) handler.
+        self._handler.reset()
+
+
+class ParallelExecutor:
+    """Drives one compiled stage graph over a worker pool.
+
+    One executor serves one statement.  Given a :class:`WarmPool` it runs on
+    that pool's workers; without one it forks a single-use pool and closes
+    it when ``execute`` returns.  Either way the graph travels to the
+    workers as one shared-memory blob, and the statement's blocks are swept
+    in ``execute``'s ``finally``.
     """
 
     def __init__(
@@ -216,28 +294,56 @@ class ParallelExecutor:
         graph: StageGraph,
         workers: int,
         morsel_rows: int = DEFAULT_MORSEL_ROWS,
+        pool: Optional[WarmPool] = None,
     ):
         if morsel_rows < 1:
             raise ExecutionError("morsel_rows must be >= 1")
+        if pool is not None and pool.workers != workers:
+            raise ExecutionError(
+                f"the pool has {pool.workers} workers, the executor was given {workers}"
+            )
         graph.validate()
         self.graph = graph
         self.workers = workers
         self.morsel_rows = morsel_rows
+        self.pool = pool
         self.block_prefix = f"repro_par_{os.getpid()}_{next(_query_counter)}_"
         self.stats = ParallelExecutionStats(workers=workers, morsel_rows=morsel_rows)
         #: Finalized runtime filters by filter id, and their shipped handles.
         self._filters: Dict[int, object] = {}
         self._filter_handles: Dict[int, ShmBlobRef] = {}
+        self._graph_handle: Optional[ShmBlobRef] = None
 
     def execute(self) -> Batch:
-        """Run the graph to completion and return the result batch."""
-        handler = StageGraphTaskHandler(self.graph, self.morsel_rows, self.block_prefix)
-        pool = WorkerPool(self.workers, handler)
-        try:
-            return self._drive(pool)
-        finally:
-            pool.close()
-            sweep_blocks(self.block_prefix)
+        """Run the graph to completion and return the result batch.
+
+        Any failure discards the pool: its queues may still hold results of
+        this statement's tasks, whose ids the next statement reuses.
+        """
+        pool = self.pool if self.pool is not None else WarmPool(self.workers)
+        with pool.lock:
+            try:
+                worker_pool = pool.acquire(self.graph)
+                self._graph_handle = write_blob(
+                    (self.graph, self.morsel_rows), self.block_prefix
+                )
+                self.stats.shm_blocks += 1
+                self.stats.shm_bytes += self._graph_handle.size
+                return self._drive(worker_pool)
+            except BaseException:
+                pool.discard()
+                raise
+            finally:
+                if pool is not self.pool:
+                    pool.close()
+                if self._graph_handle is not None:
+                    unlink_block(self._graph_handle.block)
+                sweep_blocks(self.block_prefix)
+
+    def _run_tasks(self, pool: WorkerPool, tasks, on_error) -> Dict[int, object]:
+        for task in tasks:
+            task.graph = self._graph_handle
+        return pool.run(tasks, on_error=on_error)
 
     # -- driver loop ------------------------------------------------------------
 
@@ -307,7 +413,7 @@ class ParallelExecutor:
         for task in live:
             task.filters = filters
         self.stats.scan_tasks += len(live)
-        return self._collect(live, pool.run(live, on_error=on_error))
+        return self._collect(live, self._run_tasks(pool, live, on_error))
 
     def _run_inner_stage(
         self, stage, pool, inbox, next_id, on_error
@@ -349,7 +455,7 @@ class ParallelExecutor:
         self.stats.channel_tasks += len(channel_tasks)
         self.stats.agg_shard_tasks += sum(len(ts) for _, ts in sharded)
         round_one = channel_tasks + [t for _, ts in sharded for t in ts]
-        payloads = pool.run(round_one, on_error=on_error)
+        payloads = self._run_tasks(pool, round_one, on_error)
         routed = self._collect(channel_tasks, payloads)
         if sharded:
             merges = [
@@ -361,7 +467,7 @@ class ParallelExecutor:
                 for channel, shard_tasks in sharded
             ]
             self.stats.merge_tasks += len(merges)
-            routed += self._collect(merges, pool.run(merges, on_error=on_error))
+            routed += self._collect(merges, self._run_tasks(pool, merges, on_error))
         return routed
 
     def _collect(self, tasks, payloads) -> List[RoutedPiece]:
@@ -451,8 +557,10 @@ def execute_graph_parallel(
     graph: StageGraph,
     workers: int,
     morsel_rows: int = DEFAULT_MORSEL_ROWS,
+    pool: Optional[WarmPool] = None,
 ) -> Tuple[Batch, ParallelExecutionStats]:
-    """Convenience wrapper: execute ``graph`` and return (result, stats)."""
-    executor = ParallelExecutor(graph, workers, morsel_rows=morsel_rows)
+    """Execute ``graph`` (on ``pool``, or a single-use pool) and return
+    ``(result, stats)``."""
+    executor = ParallelExecutor(graph, workers, morsel_rows=morsel_rows, pool=pool)
     result = executor.execute()
     return result, executor.stats

@@ -12,7 +12,7 @@ Layout per block (one block per batch)::
     [col0 buffer][col1 buffer]...[pickled vocabularies / object columns]
 
 * fixed-width columns (int64 / float64 / bool / date) — raw C-contiguous
-  buffers, reconstructed with ``np.ndarray(buffer=shm.buf, offset=...)``;
+  buffers, reconstructed with ``np.ndarray(buffer=..., offset=...)``;
 * dictionary-encoded string columns — the codes go in as a raw buffer
   narrowed to the smallest unsigned type that indexes the (used-vocabulary-
   compacted) string values, which are pickled, since Python string objects
@@ -24,9 +24,10 @@ stdlib resource tracker would otherwise double-book names across the fork
 pool and destroy blocks at the first process exit while siblings still map
 them), the driver records every block a stage produced and unlinks them once
 the consuming stage's barrier completes, and a final sweep in the executor
-unlinks anything left on error paths.  Mapped views inside a worker stay open until the worker
-exits; unlinking only removes the name, the kernel frees the pages when the
-last mapping goes away.
+unlinks anything left on error paths.  A worker keeps each block it read
+mapped until it moves on to the next statement and the last view over the
+block has died (:class:`BlockRegistry`); unlinking only removes the name,
+the kernel frees the pages when the last mapping goes away.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import glob
 import itertools
+import mmap
 import os
 import pickle
 from dataclasses import dataclass
@@ -198,30 +200,28 @@ def read_batch(
 
     With ``copy=False`` fixed-width columns are NumPy views over the shared
     buffer — zero-copy, but the mapping must outlive the arrays, so the
-    caller passes a :class:`BlockRegistry` that keeps the
-    :class:`~multiprocessing.shared_memory.SharedMemory` object open (workers
-    hold one registry for their whole lifetime).  With ``copy=True`` the
-    columns are materialised into private memory and the block is closed
-    immediately (the driver uses this to lift the final result out before
-    unlinking).
+    caller passes a :class:`BlockRegistry`, whose mappings stay alive as
+    long as the registry or any view holds them (workers hold one registry
+    and clear it between statements).  With ``copy=True`` the columns are
+    materialised into private memory and the block is closed immediately
+    (the driver uses this to lift the final result out before unlinking).
     """
     if registry is not None:
-        shm = registry.attach(ref.block)
-        return _decode_block(ref, shm, copy)
+        return _decode_block(ref, registry.attach(ref.block), copy)
     if not copy:
         raise ValueError("zero-copy read_batch requires a BlockRegistry")
     shm = _open_untracked(ref.block)
     try:
-        return _decode_block(ref, shm, copy=True)
+        return _decode_block(ref, shm.buf, copy=True)
     finally:
         shm.close()
 
 
-def _decode_block(ref: ShmBatchRef, shm, copy: bool) -> Batch:
-    """Rebuild the columns from a mapped block.
+def _decode_block(ref: ShmBatchRef, buf, copy: bool) -> Batch:
+    """Rebuild the columns from ``buf``, a mapped block.
 
     Separate frame for the same reason as :func:`_fill_block`: in copy mode
-    no view over ``shm.buf`` may survive this function, so the caller can
+    no view over ``buf`` may survive this function, so the caller can
     close the mapping immediately.
     """
     columns: Dict[str, ColumnData] = {}
@@ -230,13 +230,13 @@ def _decode_block(ref: ShmBatchRef, shm, copy: bool) -> Batch:
         if kind == _ND:
             _, _, dtype_str, off, count = entry
             array = np.ndarray((count,), dtype=np.dtype(dtype_str),
-                               buffer=shm.buf, offset=off)
+                               buffer=buf, offset=off)
             columns[name] = array.copy() if copy else array
         elif kind == _DICT:
             _, _, codes_dtype, codes_off, count, vocab_off, vocab_nbytes = entry
             codes = np.ndarray((count,), dtype=np.dtype(codes_dtype),
-                               buffer=shm.buf, offset=codes_off)
-            values = pickle.loads(shm.buf[vocab_off:vocab_off + vocab_nbytes])
+                               buffer=buf, offset=codes_off)
+            values = pickle.loads(buf[vocab_off:vocab_off + vocab_nbytes])
             # Widening the narrowed codes back to int64 is a private copy in
             # both read modes.
             array = DictionaryArray(codes.astype(np.int64), values)
@@ -246,7 +246,7 @@ def _decode_block(ref: ShmBatchRef, shm, copy: bool) -> Batch:
             columns[name] = array
         else:
             _, _, off, nbytes = entry
-            columns[name] = pickle.loads(shm.buf[off:off + nbytes])
+            columns[name] = pickle.loads(buf[off:off + nbytes])
     return Batch._from_parts(ref.schema, columns, ref.num_rows, ref.nbytes)
 
 
@@ -324,22 +324,39 @@ def sweep_blocks(prefix: str) -> int:
 class BlockRegistry:
     """Per-process cache of mapped shared-memory blocks.
 
-    Keeps every attached :class:`SharedMemory` open so zero-copy column views
-    stay valid for the process's lifetime (closing a mapping with live NumPy
-    views exported from it is an error).  Workers hold one registry; the
-    driver uses copy-mode reads instead and never needs one.
+    Keeps every attached block mapped so zero-copy column views stay valid.
+    A mapping is a plain :class:`mmap.mmap` that is never closed
+    explicitly: NumPy views over it hold a reference to it, so it unmaps
+    when the registry and the last view have both let go.  (Closing a
+    :class:`~multiprocessing.shared_memory.SharedMemory` instead would unmap
+    the pages under any view still alive.)  Workers hold one registry and
+    clear it between statements; the driver uses copy-mode reads instead
+    and never needs one.
     """
 
     def __init__(self):
-        self._blocks: Dict[str, shared_memory.SharedMemory] = {}
+        self._blocks: Dict[str, mmap.mmap] = {}
 
-    def attach(self, name: str) -> shared_memory.SharedMemory:
+    def attach(self, name: str) -> mmap.mmap:
         """Map ``name`` (cached after the first call)."""
-        shm = self._blocks.get(name)
-        if shm is None:
-            shm = _open_untracked(name)
-            self._blocks[name] = shm
-        return shm
+        mapping = self._blocks.get(name)
+        if mapping is None:
+            import _posixshmem  # what shared_memory opens blocks with on POSIX
+
+            fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+            try:
+                mapping = self._blocks[name] = mmap.mmap(fd, 0)
+            finally:
+                os.close(fd)
+        return mapping
+
+    def clear(self) -> None:
+        """Let go of every mapping.
+
+        A mapping that a view still uses (a batch kept alive past its task)
+        stays mapped until that view dies; nothing is closed under it.
+        """
+        self._blocks.clear()
 
     def __len__(self) -> int:
         return len(self._blocks)

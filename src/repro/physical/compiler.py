@@ -133,6 +133,24 @@ def compile_plan(
     return compiler.run(plan)
 
 
+class OperatorFactory:
+    """Builds one stage channel's operator; picklable, unlike a closure.
+
+    ``memory`` is the compiler's shared quota holder: the quota is read when
+    the operator is built, after :meth:`_Compiler.run` has filled it in.
+    Pickling a whole graph pickles the holder once, so its factories still
+    share it on the receiving side.
+    """
+
+    def __init__(self, operator_class: type, memory: dict, **kwargs):
+        self.operator_class = operator_class
+        self.memory = memory
+        self.kwargs = kwargs
+
+    def __call__(self):
+        return self.operator_class(**self.kwargs, quota=self.memory["quota"])
+
+
 class _Compiler:
     def __init__(self, num_channels: int, stage_base: int = 0, estimator=None,
                  broadcast_threshold_bytes: float = 0.0,
@@ -285,23 +303,16 @@ class _Compiler:
             # Compile-time estimates the adaptive controller compares against
             # observed bytes when it revisits this shuffle join at runtime.
             stage.adaptive = {"probe_est": float(self.estimator.bytes(node.left))}
-        build_id = build.stage.stage_id
-        probe_id = probe.stage.stage_id
-        right_keys = list(node.right_keys)
-        left_keys = list(node.left_keys)
-        join_type = node.join_type
-        suffix = node.suffix
-        build_schema = build.schema
-        mem = self._mem
-        stage.operator_factory = lambda: JoinOperator(
-            build_upstream_id=build_id,
-            probe_upstream_id=probe_id,
-            build_keys=right_keys,
-            probe_keys=left_keys,
-            join_type=join_type,
-            suffix=suffix,
-            build_schema=build_schema,
-            quota=mem["quota"],
+        stage.operator_factory = OperatorFactory(
+            JoinOperator,
+            self._mem,
+            build_upstream_id=build.stage.stage_id,
+            probe_upstream_id=probe.stage.stage_id,
+            build_keys=list(node.right_keys),
+            probe_keys=list(node.left_keys),
+            join_type=node.join_type,
+            suffix=node.suffix,
+            build_schema=build.schema,
         )
         return _Compiled(stage=stage, schema=node.schema)
 
@@ -336,16 +347,14 @@ class _Compiler:
         )
         if group_keys:
             stage.agg_info = {"group_keys": list(group_keys)}
-        input_schema = compiled.schema
-        output_schema = node.schema
-        mem = self._mem
-        stage.operator_factory = lambda: AggregateOperator(
+        stage.operator_factory = OperatorFactory(
+            AggregateOperator,
+            self._mem,
             group_keys=group_keys,
             specs=final_specs,
-            input_schema=input_schema,
-            output_schema=output_schema,
+            input_schema=compiled.schema,
+            output_schema=node.schema,
             post_projections=post_projections,
-            quota=mem["quota"],
         )
         return _Compiled(stage=stage, schema=node.schema)
 
@@ -407,15 +416,13 @@ class _Compiler:
             upstreams=[UpstreamLink(upstream.stage_id, None, role="input")],
         )
         stage.output_schema = schema
-        sort_keys = list(sort_keys) if sort_keys else None
-        descending = list(descending) if descending is not None else None
-        mem = self._mem
-        stage.operator_factory = lambda: CollectOperator(
+        stage.operator_factory = OperatorFactory(
+            CollectOperator,
+            self._mem,
             schema=schema,
-            sort_keys=sort_keys,
-            descending=descending,
+            sort_keys=list(sort_keys) if sort_keys else None,
+            descending=list(descending) if descending is not None else None,
             limit=limit,
-            quota=mem["quota"],
         )
         return stage
 

@@ -14,7 +14,8 @@ SQL and DataFrame queries compose.  Tables and views share one namespace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -24,6 +25,36 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.common.errors import PlanError
 from repro.data.batch import Batch
 from repro.data.schema import Schema
+
+#: Every table :meth:`Catalog.register` stamped, by token, for as long as it
+#: lives.  A forked process inherits the map, so a token resolves there to
+#: the fork-inherited copy of the table (see :meth:`TableMetadata.__reduce_ex__`).
+_TABLES_BY_TOKEN: "weakref.WeakValueDictionary[int, TableMetadata]" = (
+    weakref.WeakValueDictionary()
+)
+_last_token = 0
+
+
+def newest_table_token() -> int:
+    """The largest token stamped so far in this process (0 before any)."""
+    return _last_token
+
+
+def _stamp(table: "TableMetadata") -> None:
+    global _last_token
+    _last_token += 1
+    table.token = _last_token
+    _TABLES_BY_TOKEN[_last_token] = table
+
+
+def _table_by_token(token: int) -> "TableMetadata":
+    try:
+        return _TABLES_BY_TOKEN[token]
+    except KeyError:
+        raise PlanError(
+            f"table token {token} is unknown in this process; it was registered "
+            "after this process forked, or has been freed"
+        ) from None
 
 
 @dataclass
@@ -43,6 +74,21 @@ class TableMetadata:
     #: by :func:`repro.optimizer.statistics.split_zone_maps` for scan-time
     #: split pruning; ``None`` until computed.
     zone_maps: Optional[List[dict]] = None
+    #: Process-wide registration number stamped by :meth:`Catalog.register`;
+    #: ``None`` for a table built directly.
+    token: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+
+    def __reduce_ex__(self, protocol):
+        """Pickle a registered table by reference, never its data.
+
+        The token resolves against the receiving process's copy of the table
+        registry, so the receiver must be a fork taken after the table was
+        registered — the parallel backend re-forks its pool otherwise.  A
+        table built directly pickles by value.
+        """
+        if self.token is None:
+            return super().__reduce_ex__(protocol)
+        return _table_by_token, (self.token,)
 
     def analyze(self) -> Optional["TableStats"]:
         """Compute (once) and return this table's statistics."""
@@ -59,16 +105,19 @@ class TableMetadata:
         empty, so the number of splits always matches the metadata the
         physical plan was built from.
         """
+        return [self.split(index) for index in range(self.num_splits)]
+
+    def split(self, index: int) -> Batch:
+        """Split ``index`` of :meth:`splits`, without slicing the others."""
         if self.data is None:
             raise PlanError(f"table {self.name!r} has no resident data")
+        if not 0 <= index < self.num_splits:
+            raise PlanError(
+                f"table {self.name!r} has {self.num_splits} splits, no split {index}"
+            )
         base, extra = divmod(self.num_rows, self.num_splits)
-        splits: List[Batch] = []
-        start = 0
-        for index in range(self.num_splits):
-            length = base + (1 if index < extra else 0)
-            splits.append(self.data.slice(start, length))
-            start += length
-        return splits
+        start = index * base + min(index, extra)
+        return self.data.slice(start, base + (1 if index < extra else 0))
 
 
 class Catalog:
@@ -98,6 +147,7 @@ class Catalog:
             num_splits=num_splits,
             data=data,
         )
+        _stamp(metadata)
         self._tables[name] = metadata
         return metadata
 

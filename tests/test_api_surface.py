@@ -100,6 +100,7 @@ EXPECTED_SIGNATURES = {
         "(self, query: Query, options: Optional[QueryOptions] = None) "
         "-> QueryHandle"
     ),
+    "ParallelRunner.close": "(self) -> None",
 }
 
 

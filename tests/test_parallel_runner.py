@@ -1,6 +1,6 @@
 """Tests for the morsel-driven multi-process backend (:mod:`repro.parallel`).
 
-Four layers:
+Five layers:
 
 * shared-memory serde — write/read round trips (copy and zero-copy modes),
   block lifecycle, prefix sweeps;
@@ -10,17 +10,25 @@ Four layers:
   interpreter batch-exact on **all 22 TPC-H queries** across the standard,
   Zipf-skew and NULL-rich adversarial profiles at 2 and 4 workers;
 * determinism — same (plan, workers, morsel_rows) twice ⇒ byte-identical
-  results, regardless of scheduling.
+  results, regardless of scheduling;
+* the warm pool — one fork serves many statements, a table registered
+  after the fork re-forks, a failed statement (task error or killed worker)
+  leaves the runner usable, and a worker maps only its last statement's
+  blocks.
 """
 
 import dataclasses
 import glob
 import hashlib
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from repro.api import ParallelRunner
+from repro.api import ParallelRunner, QuokkaContext
 from repro.chaos import batches_match
 from repro.common.errors import ConfigError, ExecutionError
 from repro.core.options import QueryOptions
@@ -28,6 +36,8 @@ from repro.data import Batch, DataType, Schema
 from repro.parallel import (
     BlockRegistry,
     ParallelExecutor,
+    StageGraphTaskHandler,
+    WarmPool,
     WorkerPool,
     agg_shard_count,
     execute_graph_parallel,
@@ -146,6 +156,28 @@ class TestShmSerde:
         unlink_block(ref.block)
         unlink_block(ref.block)  # second unlink of a gone block is a no-op
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_registry_clear_keeps_mappings_with_live_views(self):
+        batch = _mixed_batch(5000)
+        ref = write_batch(batch)
+
+        def mapped():
+            with open("/proc/self/maps") as maps:
+                return any(ref.block in line for line in maps)
+
+        try:
+            registry = BlockRegistry()
+            out = read_batch(ref, registry)
+            registry.clear()
+            assert len(registry) == 0
+            # A live zero-copy view keeps its mapping, and reads stay valid.
+            assert mapped()
+            np.testing.assert_array_equal(out.column("k"), batch.column("k"))
+            del out
+            assert not mapped()
+        finally:
+            unlink_block(ref.block)
+
     def test_sweep_removes_prefixed_blocks(self):
         prefix = "repro_par_test_sweep_"
         refs = [write_batch(_mixed_batch(8), name_prefix=prefix) for _ in range(3)]
@@ -262,13 +294,32 @@ def _expected(profile, number):
     return _EXPECTED[key]
 
 
+@pytest.fixture(scope="module")
+def shared_runner():
+    """One warm runner per worker count for the whole differential tier.
+
+    The profile catalogs are built lazily, after the first fork, so later
+    profiles also exercise the re-fork-on-new-table rule.
+    """
+    runners = {}
+
+    def get(workers):
+        if workers not in runners:
+            runners[workers] = ParallelRunner(workers=workers, morsel_rows=2048)
+        return runners[workers]
+
+    yield get
+    for runner in runners.values():
+        runner.close()
+
+
 class TestParallelDifferential:
     @pytest.mark.parametrize("number", ALL_QUERIES)
     @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_matches_reference(self, workers, profile, number):
+    def test_matches_reference(self, shared_runner, workers, profile, number):
         catalog = _catalog(profile)
-        runner = ParallelRunner(workers=workers, morsel_rows=2048)
+        runner = shared_runner(workers)
         result = runner.submit(
             build_query(catalog, number),
             QueryOptions(query_name=f"par-{profile}-q{number}"),
@@ -394,3 +445,175 @@ class TestRunnerSurface:
         graph = compile_plan(build_query(catalog, 6).plan, num_channels=2)
         with pytest.raises(ExecutionError, match="morsel_rows"):
             ParallelExecutor(graph, workers=2, morsel_rows=0)
+
+
+# ---------------------------------------------------------------------------
+# the warm pool: reuse across statements, failures, bounded worker state
+# ---------------------------------------------------------------------------
+
+
+def _all_worker_pids():
+    return {
+        p.pid for p in multiprocessing.active_children()
+        if p.name.startswith("repro-parallel-")
+    }
+
+
+@pytest.fixture()
+def worker_pids():
+    """Pids of the pool workers started since the test began."""
+    before = _all_worker_pids()
+    return lambda: sorted(_all_worker_pids() - before)
+
+
+def _no_blocks():
+    return glob.glob("/dev/shm/repro_par_*") == []
+
+
+def _wait_dead(pid, timeout=5.0):
+    """Wait until ``pid`` is a zombie or gone, without reaping it."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                if stat.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return
+        except FileNotFoundError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} did not die")
+
+
+def _check(runner, number, profile="standard"):
+    catalog = _catalog(profile)
+    got = runner.submit(build_query(catalog, number)).wait().batch
+    assert batches_match(got, _expected(profile, number)), f"q{number} diverged"
+
+
+@pytest.fixture()
+def sabotage(monkeypatch, tmp_path):
+    """Pools forked under this fixture obey a marker file: while it reads
+    ``kill`` a scan task SIGKILLs its own worker, while it reads ``raise``
+    the task raises."""
+    marker = tmp_path / "sabotage"
+    run_scan = StageGraphTaskHandler._run_scan
+
+    def sabotaged(self, task):
+        if marker.exists():
+            if marker.read_text() == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("sabotaged scan task")
+        return run_scan(self, task)
+
+    monkeypatch.setattr(StageGraphTaskHandler, "_run_scan", sabotaged)
+    return marker
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestWarmPool:
+    def test_statements_share_one_fork(self, worker_pids):
+        with ParallelRunner(workers=2, morsel_rows=2048) as runner:
+            _check(runner, 1)
+            pids = worker_pids()
+            assert len(pids) == 2
+            for number in (3, 6, 14):
+                _check(runner, number)
+            assert worker_pids() == pids
+        assert worker_pids() == []
+
+    def test_table_registered_after_the_fork_is_queryable(self, worker_pids):
+        catalog = generate_catalog(scale_factor=0.001, seed=3)
+        ctx = QuokkaContext(catalog=catalog)
+        query = (
+            "SELECT n_name, sum(v) AS total FROM extra "
+            "JOIN nation ON k = n_nationkey GROUP BY n_name"
+        )
+        with ParallelRunner(workers=2, morsel_rows=512) as runner:
+            runner.submit(build_query(catalog, 6)).wait()
+            first = worker_pids()
+            ctx.register_table(
+                "extra",
+                Batch.from_pydict({"k": [i % 25 for i in range(300)],
+                                   "v": [float(i) for i in range(300)]}),
+                num_splits=4,
+            )
+            frame = ctx.sql(query)
+            assert batches_match(frame.collect(runner), frame.collect_reference())
+            # The new table forced one re-fork; older tables reuse it.
+            second = worker_pids()
+            assert second != first
+            runner.submit(build_query(catalog, 6)).wait()
+            assert worker_pids() == second
+
+    def test_a_forked_copy_cannot_stop_the_owners_workers(self, worker_pids):
+        with ParallelRunner(workers=2, morsel_rows=2048) as runner:
+            _check(runner, 6)
+            pids = worker_pids()
+            child = os.fork()
+            if child == 0:
+                try:
+                    runner.close()
+                finally:
+                    os._exit(0)
+            os.waitpid(child, 0)
+            _check(runner, 6)
+            assert worker_pids() == pids
+
+    def test_worker_killed_between_and_during_statements(self, sabotage, worker_pids):
+        runner = ParallelRunner(workers=2, morsel_rows=2048)
+        try:
+            _check(runner, 3)
+            victim = worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            _wait_dead(victim)
+            with pytest.raises(ExecutionError, match="died"):
+                runner.submit(build_query(_catalog("standard"), 3)).wait()
+            assert _no_blocks()
+            _check(runner, 3)
+            assert victim not in worker_pids()
+
+            sabotage.write_text("kill")
+            with pytest.raises(ExecutionError, match="died"):
+                runner.submit(build_query(_catalog("standard"), 5)).wait()
+            sabotage.unlink()
+            assert _no_blocks()
+            _check(runner, 5)
+        finally:
+            runner.close()
+        assert _no_blocks()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_task_error_then_a_correct_statement(self, sabotage, workers):
+        with ParallelRunner(workers=workers, morsel_rows=2048) as runner:
+            _check(runner, 3)
+            sabotage.write_text("raise")
+            with pytest.raises(ExecutionError, match="sabotaged scan task"):
+                runner.submit(build_query(_catalog("standard"), 9)).wait()
+            sabotage.unlink()
+            assert _no_blocks()
+            _check(runner, 9)
+            _check(runner, 3)
+
+    def test_workers_only_map_the_last_statements_blocks(self, worker_pids):
+        catalog = _catalog("standard")
+        pool = WarmPool(2)
+        try:
+            for number in (3, 5, 7, 9, 10, 12, 18, 21, 2, 8):
+                graph = compile_plan(build_query(catalog, number).plan, num_channels=2)
+                executor = ParallelExecutor(graph, 2, morsel_rows=512, pool=pool)
+                batch = executor.execute()
+                assert batches_match(batch, _expected("standard", number))
+            mapped = set()
+            for pid in worker_pids():
+                with open(f"/proc/{pid}/maps") as maps:
+                    mapped |= {
+                        line.split("/dev/shm/", 1)[1].split()[0]
+                        for line in maps
+                        if "/dev/shm/repro_par_" in line
+                    }
+            assert mapped, "the last statement's blocks should still be mapped"
+            stale = {name for name in mapped if not name.startswith(executor.block_prefix)}
+            assert stale == set()
+        finally:
+            pool.close()
+        assert _no_blocks()

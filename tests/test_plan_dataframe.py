@@ -61,6 +61,24 @@ class TestCatalog:
         splits = catalog.table("orders").splits()
         assert sum(s.num_rows for s in splits) == 6
 
+    @pytest.mark.parametrize("rows, num_splits", [(10, 4), (6, 3), (3, 8), (0, 2)])
+    def test_split_slices_only_its_own_rows(self, rows, num_splits):
+        cat = Catalog()
+        table = cat.register(
+            "t", Batch.from_pydict({"k": list(range(rows))}), num_splits=num_splits
+        )
+        splits = table.splits()
+        assert len(splits) == num_splits
+        for index, expected in enumerate(splits):
+            got = table.split(index)
+            assert got.num_rows == expected.num_rows
+            assert got.column("k").tolist() == expected.column("k").tolist()
+        if rows < num_splits:
+            # The trailing splits of a table with fewer rows than splits are empty.
+            assert [s.num_rows for s in splits[rows:]] == [0] * (num_splits - rows)
+        with pytest.raises(PlanError):
+            table.split(num_splits)
+
 
 class TestDataFrameBuilder:
     def test_filter_select(self, catalog):
