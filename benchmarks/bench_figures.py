@@ -9,7 +9,8 @@ of them, or a count, so the table is compared exactly::
     python benchmarks/bench_figures.py      # regenerate FIGURES.json, print tables
 
 Settings are ``BenchSettings()`` (the paper's 16/32-worker clusters are 8/16).
-``fig11a`` is ~12 of the ~17 minutes; CI runs ``-k "not fig11a"``.
+The whole table takes ~5.5 minutes on a 2-vCPU machine, of which ``fig11a``
+(the 16-worker cluster) takes 1.5-2; CI runs all of it.
 """
 
 import dataclasses

@@ -387,6 +387,10 @@ class ExecutionContext:
             action = self._action_from_lineage(worker, runtime, stage, lineage)
         else:
             action = self._choose_action(worker, runtime, stage)
+            if action is None:
+                # Keyed after selecting: the selection's own discards move
+                # the flight version, and repeating it would discard nothing.
+                runtime.idle_key = self._decision_key(worker)
         if action is None:
             return False
 
@@ -442,6 +446,7 @@ class ExecutionContext:
                 self.poisoned_channels.add((stage.stage_id, channel))
                 return False
 
+            runtime.idle_key = None
             for acked_stage in action.get("acks", []):
                 runtime.acked_upstreams.add(acked_stage)
             if consume is not None:
@@ -503,12 +508,45 @@ class ExecutionContext:
 
     # -- input selection ---------------------------------------------------------------
 
+    def idle(self, worker: Worker, descriptor: TaskDescriptor) -> bool:
+        """True when running ``descriptor`` now is known to find nothing to do.
+
+        Input selection (:meth:`_choose_action`) reads only the GCS, the
+        worker's flight buffers, the (adaptively revisable) plan and the
+        channel's own runtime state, which moves only when the channel
+        commits.  So once a selection came up empty, it would again until the
+        GCS version, the flight version or the adaptive epoch moves.  Tasks
+        that retrace committed lineage do not select inputs and never count
+        as idle.
+        """
+        if descriptor.kind != "execute":
+            return False
+        name = descriptor.name
+        runtime = self.runtimes[worker.worker_id].get(name.channel_key())
+        if runtime is None or runtime.idle_key != self._decision_key(worker):
+            return False
+        return not descriptor.prescribed or self.gcs.lineage.get(name) is None
+
+    def _decision_key(self, worker: Worker) -> Tuple:
+        return (
+            self.gcs.store.version,
+            worker.flight.version,
+            self.adaptive.epoch if self.adaptive is not None else None,
+        )
+
     def _choose_action(self, worker: Worker, runtime: ChannelRuntime, stage: Stage):
         if self.engine_config.execution_mode == "stagewise":
             for link in stage.upstreams:
                 if not self._stage_fully_done(link.upstream_id):
                     return None
         acks = self._pending_acks(runtime, stage)
+        # Static scheduling never takes more than one batch, so a longer run
+        # need not be verified.
+        limit = (
+            self.engine_config.static_batch_size
+            if self.engine_config.scheduling != "dynamic"
+            else None
+        )
         best = None
         for link in stage.upstreams:
             upstream = self.graph.stage(link.upstream_id)
@@ -521,7 +559,8 @@ class ExecutionContext:
                     watermark,
                 )
                 count = self._available_run(
-                    worker, stage, runtime.channel, link.upstream_id, upstream_channel, watermark
+                    worker, stage, runtime.channel, link.upstream_id, upstream_channel,
+                    watermark, limit,
                 )
                 count = self._apply_scheduling_policy(
                     link.upstream_id, upstream_channel, watermark, count
@@ -573,12 +612,20 @@ class ExecutionContext:
         upstream_stage: int,
         upstream_channel: int,
         watermark: int,
+        limit: Optional[int] = None,
     ) -> int:
+        """Length (capped at ``limit``) of the run of buffered pieces with
+        committed lineage, from one upstream channel, starting at ``watermark``."""
+        pieces = worker.flight.pieces_from(
+            (stage.stage_id, channel), upstream_stage, upstream_channel
+        )
+        committed = self.gcs.lineage.contains
         count = 0
-        while True:
-            name = TaskName(upstream_stage, upstream_channel, watermark + count)
-            piece = worker.flight.peek((stage.stage_id, channel), name)
-            if piece is None or not self.gcs.lineage.contains(name):
+        while count != limit:
+            seq = watermark + count
+            if seq not in pieces or not committed(
+                TaskName(upstream_stage, upstream_channel, seq)
+            ):
                 break
             count += 1
         return count

@@ -14,7 +14,7 @@ serve them each sweep.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.physical.stages import Stage
 
@@ -93,6 +93,10 @@ class ChannelRuntime:
         self.acked_upstreams: Set[int] = set()
         #: True once the channel has produced its final output.
         self.finalized = False
+        #: (GCS version, flight version, adaptive epoch) at this channel's
+        #: last fruitless input selection; None after it commits.  See
+        #: :meth:`repro.core.engine.ExecutionContext.idle`.
+        self.idle_key: Optional[Tuple] = None
         #: Checkpoint bookkeeping (used by the checkpoint strategy).
         self.tasks_since_checkpoint = 0
         self.last_checkpoint_bytes = 0.0

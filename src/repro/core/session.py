@@ -537,6 +537,8 @@ class Session:
                 current = execution.gcs.tasks.get(descriptor.name)
                 if current is None or current.worker_id != worker.worker_id:
                     continue
+                if execution.idle(worker, descriptor):
+                    continue  # nothing it reads has changed since it found no work
                 claim = (execution.query_id, descriptor.name)
                 if claim in self._inflight:
                     continue  # another TaskManager slot is already running it

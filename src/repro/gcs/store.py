@@ -93,7 +93,18 @@ class GCSStore:
         self._tables: Dict[str, Dict[Any, Any]] = defaultdict(dict)
         self._log: List[_LogRecord] = []
         self._log_sequence = 0
+        self._version = 0
         self.stats = GCSStats()
+
+    @property
+    def version(self) -> int:
+        """Monotonic change counter: bumped by every committed transaction
+        and by :meth:`restore`, never by reads.
+
+        Readers that derive a decision from the store's contents can remember
+        the version they decided at and skip re-deciding while it holds.
+        """
+        return self._version
 
     # -- reads -------------------------------------------------------------------
 
@@ -148,6 +159,7 @@ class GCSStore:
             else:  # pragma: no cover - internal invariant
                 raise GCSTransactionError(f"unknown operation {op!r}")
         self._log_sequence += 1
+        self._version += 1
         self._log.append(_LogRecord(self._log_sequence, list(operations)))
         self.stats.transactions += 1
         self.stats.logged_bytes += sum(
@@ -169,6 +181,7 @@ class GCSStore:
     def restore(self, snapshot: Dict[str, Dict[Any, Any]]) -> None:
         """Replace the store contents with ``snapshot``."""
         self._tables = defaultdict(dict, {name: dict(t) for name, t in snapshot.items()})
+        self._version += 1
 
     def replay_log(self, upto: Optional[int] = None) -> "GCSStore":
         """Rebuild a fresh store by replaying the write-ahead log.

@@ -1,11 +1,16 @@
 """Unit tests for the simulated storage service (worker disks and durable stores)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import ClusterConfig, CostModelConfig
 from repro.common.errors import ExecutionError
+from repro.cluster.flight import FlightServer
 from repro.cluster.storage import ObjectStore
 from repro.cluster.worker import Worker
+from repro.data.batch import Batch
+from repro.gcs.naming import TaskName
 from repro.sim.core import Environment
 
 
@@ -164,3 +169,161 @@ class TestWorkerFailure:
         worker.fail()
         with pytest.raises(WorkerFailedError):
             worker.check_alive()
+
+
+# -- flight server -------------------------------------------------------------------
+
+CONSUMERS = [(10, 0), (10, 1), (11, 0)]
+UPSTREAMS = [(1, 0), (1, 1), (2, 0)]
+
+
+def _piece(value):
+    return Batch.from_pydict({"x": list(range(value % 3 + 1))})
+
+
+def _assert_agrees(flight, model):
+    """The per-upstream index answers every query the flat buffer would."""
+    for (consumer, name), piece in model.items():
+        assert flight.peek(consumer, name) is piece
+    for consumer in CONSUMERS:
+        for upstream_stage, upstream_channel in UPSTREAMS:
+            expected = {
+                name.seq: piece
+                for (owner, name), piece in model.items()
+                if owner == consumer
+                and (name.stage, name.channel) == (upstream_stage, upstream_channel)
+            }
+            run = flight.pieces_from(consumer, upstream_stage, upstream_channel)
+            assert sorted(run) == sorted(expected)
+            assert all(run[seq] is piece for seq, piece in expected.items())
+            for seq in range(6):
+                if seq not in expected:
+                    name = TaskName(upstream_stage, upstream_channel, seq)
+                    assert flight.peek(consumer, name) is None
+    assert flight.buffered_bytes() == sum(piece.nbytes for piece in model.values())
+
+
+_names = st.builds(
+    lambda upstream, seq: TaskName(upstream[0], upstream[1], seq),
+    st.sampled_from(UPSTREAMS),
+    st.integers(0, 5),
+)
+_operations = st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(CONSUMERS), _names, st.integers(0, 99)),
+    st.tuples(st.just("take"), st.integers(0, 1000)),
+    st.tuples(
+        st.just("discard"), st.sampled_from(CONSUMERS), st.sampled_from(UPSTREAMS),
+        st.integers(0, 6),
+    ),
+    st.tuples(st.just("wipe_stages"), st.sets(st.sampled_from([10, 11]))),
+    st.tuples(st.just("wipe")),
+)
+
+
+class TestFlightServer:
+    def test_every_mutator_advances_version_and_reads_do_not(self):
+        flight = FlightServer(0)
+        consumer, name = (10, 0), TaskName(1, 0, 0)
+        versions = [flight.version]
+
+        def moved():
+            versions.append(flight.version)
+            return versions[-1] > versions[-2]
+
+        flight.put(consumer, name, _piece(1))
+        assert moved()
+        flight.put(consumer, name, _piece(2))  # duplicate overwrite
+        assert moved()
+        flight.put(consumer, TaskName(1, 0, 1), _piece(3))
+        assert moved()
+        flight.peek(consumer, name)
+        flight.pieces_from(consumer, 1, 0)
+        flight.buffered_bytes()
+        assert not moved()
+        flight.take(consumer, name)
+        assert moved()
+        assert flight.discard_below(consumer, 1, 0, 1) == 0  # nothing below seq 1
+        assert not moved()
+        assert flight.discard_below(consumer, 1, 0, 2) == 1
+        assert moved()
+        flight.put((11, 0), name, _piece(4))
+        assert moved()
+        assert flight.wipe_stages({11}) == 1
+        assert moved()
+        flight.put(consumer, name, _piece(5))
+        assert moved()
+        assert flight.wipe() == 1
+        assert moved()
+
+    def test_index_agrees_with_buffer_through_every_mutator(self):
+        flight, model = FlightServer(0), {}
+        for seq in range(4):
+            for consumer in CONSUMERS[:2]:
+                piece = _piece(seq)
+                flight.put(consumer, TaskName(1, 0, seq), piece)
+                model[(consumer, TaskName(1, 0, seq))] = piece
+        replacement = _piece(7)
+        flight.put((10, 0), TaskName(1, 0, 2), replacement)  # duplicate overwrite
+        model[((10, 0), TaskName(1, 0, 2))] = replacement
+        other = _piece(8)
+        flight.put((11, 0), TaskName(2, 0, 0), other)
+        model[((11, 0), TaskName(2, 0, 0))] = other
+        _assert_agrees(flight, model)
+
+        assert flight.take((10, 0), TaskName(1, 0, 2)) is replacement
+        del model[((10, 0), TaskName(1, 0, 2))]
+        _assert_agrees(flight, model)
+
+        assert flight.discard_below((10, 1), 1, 0, 3) == 3
+        for seq in range(3):
+            del model[((10, 1), TaskName(1, 0, seq))]
+        _assert_agrees(flight, model)
+
+        assert flight.wipe_stages({11}) == 1
+        del model[((11, 0), TaskName(2, 0, 0))]
+        _assert_agrees(flight, model)
+
+        assert flight.wipe() == len(model)
+        _assert_agrees(flight, {})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_operations, max_size=40))
+    def test_property_index_agrees_with_flat_buffer(self, operations):
+        flight, model = FlightServer(0), {}
+        for operation in operations:
+            kind = operation[0]
+            before = flight.version
+            if kind == "put":
+                _kind, consumer, name, value = operation
+                piece = _piece(value)
+                flight.put(consumer, name, piece)
+                model[(consumer, name)] = piece
+            elif kind == "take":
+                if not model:
+                    continue
+                key = sorted(model)[operation[1] % len(model)]
+                assert flight.take(*key) is model.pop(key)
+            elif kind == "discard":
+                _kind, consumer, (stage, channel), watermark = operation
+                stale = [
+                    key for key in model
+                    if key[0] == consumer and key[1].stage == stage
+                    and key[1].channel == channel and key[1].seq < watermark
+                ]
+                for key in stale:
+                    del model[key]
+                assert flight.discard_below(consumer, stage, channel, watermark) == len(stale)
+                if not stale:
+                    assert flight.version == before
+            elif kind == "wipe_stages":
+                doomed = [key for key in model if key[0][0] in operation[1]]
+                for key in doomed:
+                    del model[key]
+                assert flight.wipe_stages(operation[1]) == len(doomed)
+            else:
+                lost = len(model)
+                model.clear()
+                assert flight.wipe() == lost
+            if kind != "discard":
+                assert flight.version > before
+            _assert_agrees(flight, model)

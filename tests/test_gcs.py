@@ -107,6 +107,30 @@ class TestGCSStore:
         store.restore(snap)
         assert store.get("t", "k") == 1
 
+    def test_version_advances_per_committed_transaction_and_restore_only(self):
+        store = GCSStore()
+        assert store.version == 0
+        store.put("t", "k", 1)
+        assert store.version == 1
+        with store.transaction() as txn:  # several operations, one transaction
+            txn.put("t", "a", 2).put("u", "b", 3).delete("t", "k")
+        assert store.version == 2
+        store.delete("t", "missing")
+        assert store.version == 3
+        store.transaction().commit()  # nothing staged: nothing committed
+        snap = store.snapshot()
+        store.get("t", "a")
+        store.contains("u", "b")
+        store.items("t")
+        store.keys("u")
+        store.table_size("t")
+        list(store.iter_log())
+        store.replay_log()
+        assert store.version == 3
+        store.restore(snap)
+        assert store.version == 4
+        assert store.version == store.log_length + 1
+
     def test_stats_counters(self):
         store = GCSStore()
         store.put("t", "k", 1)
