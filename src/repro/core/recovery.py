@@ -44,7 +44,6 @@ class RecoveryCoordinator:
 
     def __init__(self, execution):
         self.execution = execution
-        self.handled_failures: Set[int] = set()
         self._last_repair_at = 0.0
 
     # -- restart (the no-fault-tolerance baseline) --------------------------------------

@@ -69,11 +69,6 @@ class Transaction:
         """True once :meth:`commit` has run."""
         return self._committed
 
-    @property
-    def num_operations(self) -> int:
-        """Number of staged operations."""
-        return len(self._operations)
-
     def _ensure_open(self) -> None:
         if self._committed:
             raise GCSTransactionError("transaction has already been committed")

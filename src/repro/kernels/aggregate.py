@@ -15,9 +15,9 @@ work is proportional to the number of *distinct groups* per batch.  The
 original row-at-a-time implementation is preserved in
 :mod:`repro.kernels.reference` as the property-test oracle.
 
-The state is also *mergeable* (``merge``): the parallel backend folds the
-shards of a starved aggregation channel together with it.  Merging
-re-associates float sums, so the out-of-core aggregation never uses it.
+Every executor folds one channel's inputs into one state, in one order;
+states are never merged, so a given input order associates float sums one
+way.
 """
 
 from __future__ import annotations
@@ -260,46 +260,6 @@ class GroupedAggregationState:
                     sets[group_indices[i]].update(
                         ordered[starts[i]:ends[i]].tolist()
                     )
-
-    def merge(self, other: "GroupedAggregationState") -> None:
-        """Merge another partial aggregation state into this one."""
-        if other._key_dtypes is not None and self._key_dtypes is None:
-            self._key_dtypes = other._key_dtypes
-            self._result_dtypes = other._result_dtypes
-        if not other._key_tuples:
-            return
-        before = len(self._key_tuples)
-        group_indices, is_new = self._intern_groups(other._key_tuples)
-        self._grow(len(self._key_tuples) - before)
-        existing = ~is_new
-
-        self._counts[group_indices] += other._counts
-        for j, spec in enumerate(self.aggregates):
-            function = spec.function
-            if function in (AggregateFunction.SUM, AggregateFunction.AVG):
-                self._sums[j][group_indices] += other._sums[j]
-            elif function in (AggregateFunction.MIN, AggregateFunction.MAX):
-                store = self._mins if function is AggregateFunction.MIN else self._maxs
-                combine = np.minimum if function is AggregateFunction.MIN else np.maximum
-                theirs = (other._mins if function is AggregateFunction.MIN
-                          else other._maxs)[j]
-                if theirs is None:
-                    continue
-                array = store[j]
-                if array is None:
-                    array = np.empty(len(self._key_tuples), dtype=theirs.dtype)
-                else:
-                    array = _promote(array, theirs.dtype)
-                new_idx = group_indices[is_new]
-                array[new_idx] = theirs[is_new]
-                if existing.any():
-                    old_idx = group_indices[existing]
-                    array[old_idx] = combine(array[old_idx], theirs[existing])
-                store[j] = array
-            elif function is AggregateFunction.COUNT_DISTINCT:
-                sets = self._distinct[j]
-                for i, other_set in enumerate(other._distinct[j]):
-                    sets[group_indices[i]] |= other_set
 
     # -- output -----------------------------------------------------------------
 

@@ -26,8 +26,8 @@ not merely the result multiset):
 * ``SpillingAggregation`` freezes the group table once the quota is hit —
   the prefix state is spilled whole, every later input batch is spilled raw —
   and finalize replays the raw batches sequentially into a copy of the
-  prefix.  The accumulation association is identical to the resident state's
-  (never ``merge``-reassociated), so float sums match to the last ULP.
+  prefix.  The accumulation association is identical to the resident state's,
+  so float sums match to the last ULP.
 * ``SpillingRowBuffer`` parks the whole buffer as one chunk whenever it
   outgrows the quota; finalize restores the chunks in spill order followed by
   the in-memory tail, which is arrival order.
@@ -368,10 +368,10 @@ class SpillingAggregation:
     per-batch ``update`` association the resident state performs, so float
     sums are bit-identical and group order (first-seen interning) is exact.
 
-    Partial aggregation states cannot be ``merge``d without re-associating
-    float additions; this design trades finalize-time memory (the replayed
-    state grows back to resident size, reported as a forced grant when over
-    quota) for exactness.
+    Combining partial aggregation states would re-associate float
+    additions; this design trades finalize-time memory (the replayed state
+    grows back to resident size, reported as a forced grant when over quota)
+    for exactness.
     """
 
     def __init__(

@@ -9,12 +9,8 @@ and exchanges batches zero-copy through POSIX shared memory.  See
 from repro.parallel.morsel import (
     DEFAULT_MORSEL_ROWS,
     ChannelTask,
-    MergeAggTask,
-    PartialAggTask,
     ScanTask,
-    agg_shard_count,
     scan_tasks,
-    split_sizes,
 )
 from repro.parallel.pool import WorkerPool, current_worker_id
 from repro.parallel.runner import (
@@ -38,11 +34,7 @@ __all__ = [
     "DEFAULT_MORSEL_ROWS",
     "ScanTask",
     "ChannelTask",
-    "PartialAggTask",
-    "MergeAggTask",
-    "agg_shard_count",
     "scan_tasks",
-    "split_sizes",
     "WorkerPool",
     "current_worker_id",
     "ParallelExecutor",

@@ -9,13 +9,10 @@ scheduling is deliberately much smaller than a plan stage:
   partial aggregation — the PR 4 vectorized kernels) over each morsel and
   hash-partitions the survivors for the consumer link;
 * a **stateful stage** yields one :class:`ChannelTask` per channel — the
-  worker instantiates the channel's operator and replays its input pieces in
-  a deterministic order (see below);
-* an **aggregation channel** whose input piece count is large relative to the
-  stage's channel parallelism is further split into :class:`PartialAggTask`
-  shards merged by a :class:`MergeAggTask` (the
-  :meth:`~repro.kernels.aggregate.GroupedAggregationState.merge` path), so a
-  single hot aggregation channel cannot serialise the whole pool.
+  worker instantiates the channel's operator and drains its input pieces
+  through :func:`~repro.physical.task.drain_operator` in a deterministic
+  order (see below), as every other executor does; an aggregation is one
+  channel task per channel, never split further.
 
 Determinism: every piece a task emits carries a *sequence key* — for scans
 ``(channel, split_position, morsel_index, emit_index)``, for channel tasks
@@ -83,46 +80,6 @@ class ChannelTask:
     graph: Optional[ShmBlobRef] = None
 
 
-@dataclass
-class PartialAggTask:
-    """Aggregate one shard of an aggregation channel's input pieces.
-
-    Returns a pickled :class:`~repro.kernels.aggregate.GroupedAggregationState`
-    (partial states are group tables — small next to their inputs — so they
-    travel through the result queue rather than shared memory).
-    """
-
-    task_id: int
-    stage_id: int
-    channel: int
-    shard_index: int
-    inputs: List[ShmBatchRef] = field(default_factory=list)
-    #: Handle of the statement's shipped stage graph, stamped at dispatch.
-    graph: Optional[ShmBlobRef] = None
-
-
-@dataclass
-class MergeAggTask:
-    """Merge an aggregation channel's partial states (in shard order) and
-    finalize, emitting the channel's output pieces."""
-
-    task_id: int
-    stage_id: int
-    channel: int
-    #: Filled by the driver with the shard states, ordered by shard index.
-    states: List[object] = field(default_factory=list)
-    #: Runtime filters to apply to the merged channel output before routing.
-    filters: List[FilterHandle] = field(default_factory=list)
-    #: Handle of the statement's shipped stage graph, stamped at dispatch.
-    graph: Optional[ShmBlobRef] = None
-
-
-def split_sizes(num_rows: int, num_splits: int) -> List[int]:
-    """Row count of each table split, mirroring ``TableMetadata.splits``."""
-    base, extra = divmod(num_rows, num_splits)
-    return [base + (1 if index < extra else 0) for index in range(num_splits)]
-
-
 def scan_tasks(stage: Stage, next_id) -> List[ScanTask]:
     """One task per (channel, split) of an input stage."""
     tasks: List[ScanTask] = []
@@ -139,21 +96,3 @@ def scan_tasks(stage: Stage, next_id) -> List[ScanTask]:
             )
     return tasks
 
-
-#: Fewest input pieces per partial-aggregation shard for sharding to pay.
-MIN_PIECES_PER_SHARD = 4
-
-
-def agg_shard_count(num_pieces: int, num_channels: int, workers: int) -> Optional[int]:
-    """How many partial-aggregation shards to split one channel into.
-
-    ``None`` means "do not shard" — either the pool already has enough
-    channel-level parallelism for this stage, or the channel has too few
-    input pieces for sharding to pay.  The count depends only on the task
-    shape and the configured worker count, never on runtime load, so a given
-    configuration always shards identically.
-    """
-    if workers <= 1 or num_channels >= workers:
-        return None
-    shards = min(workers, num_pieces // MIN_PIECES_PER_SHARD)
-    return shards if shards >= 2 else None

@@ -25,9 +25,9 @@ worker processes, stage by stage:
 Stages run under a barrier (a stage's tasks all finish before its consumer
 starts), which is what makes the per-stage unlink bookkeeping and the
 deterministic piece ordering trivial; within a stage, parallelism comes from
-scan tasks per ``(channel, split)``, channel tasks per channel, and
-partial-aggregation shards when an aggregation has fewer channels than the
-pool has workers.
+scan tasks per ``(channel, split)`` and one channel task per channel.  The
+driver never names an operator class: a channel task builds its stage's
+operator and drains it like every other executor.
 """
 
 from __future__ import annotations
@@ -44,13 +44,9 @@ from repro.data.batch import Batch, concat_batches
 from repro.parallel.morsel import (
     DEFAULT_MORSEL_ROWS,
     ChannelTask,
-    MergeAggTask,
-    PartialAggTask,
     RoutedPiece,
     ScanTask,
-    agg_shard_count,
     scan_tasks,
-    split_sizes,
 )
 from repro.parallel.pool import WorkerPool
 from repro.parallel.shm import (
@@ -64,7 +60,6 @@ from repro.parallel.shm import (
     write_batch,
     write_blob,
 )
-from repro.physical.operators import AggregateOperator
 from repro.physical.stages import Stage, StageGraph
 from repro.physical.task import (
     FilterFold,
@@ -88,8 +83,6 @@ class ParallelExecutionStats:
     morsel_rows: int
     scan_tasks: int = 0
     channel_tasks: int = 0
-    agg_shard_tasks: int = 0
-    merge_tasks: int = 0
     shm_blocks: int = 0
     shm_bytes: int = 0
     filters_published: int = 0
@@ -101,10 +94,7 @@ class ParallelExecutionStats:
 
     @property
     def total_tasks(self) -> int:
-        return (
-            self.scan_tasks + self.channel_tasks
-            + self.agg_shard_tasks + self.merge_tasks
-        )
+        return self.scan_tasks + self.channel_tasks
 
 
 class StageGraphTaskHandler:
@@ -141,10 +131,6 @@ class StageGraphTaskHandler:
             return self._run_scan(task)
         if isinstance(task, ChannelTask):
             return self._run_channel(task)
-        if isinstance(task, PartialAggTask):
-            return self._run_partial_agg(task)
-        if isinstance(task, MergeAggTask):
-            return self._run_merge_agg(task)
         raise ExecutionError(f"unknown parallel task type {type(task).__name__}")
 
     def reset(self) -> None:
@@ -171,21 +157,6 @@ class StageGraphTaskHandler:
         ]
         emitted = drain_operator(stage, stage.make_operator(), inputs)
         return self._emit(stage, task, (task.channel,), emitted)
-
-    def _run_partial_agg(self, task: PartialAggTask):
-        stage = self.graph.stage(task.stage_id)
-        operator = stage.make_operator()
-        upstream_id = stage.upstreams[0].upstream_id
-        for ref in task.inputs:
-            operator.on_input(upstream_id, read_batch(ref, self.registry))
-        return operator._state
-
-    def _run_merge_agg(self, task: MergeAggTask):
-        stage = self.graph.stage(task.stage_id)
-        operator = stage.make_operator()
-        for state in task.states:  # shard order — deterministic group order
-            operator._state.merge(state)
-        return self._emit(stage, task, (task.channel,), operator.finalize())
 
     # -- the task step, plus transport --------------------------------------------
 
@@ -418,61 +389,24 @@ class ParallelExecutor:
     def _run_inner_stage(
         self, stage, pool, inbox, next_id, on_error
     ) -> List[RoutedPiece]:
-        """Channel tasks for every channel, sharding wide aggregation channels."""
-        shardable = _is_shardable_agg(stage)
-        channel_tasks: List[ChannelTask] = []
-        sharded: List[Tuple[int, List[PartialAggTask]]] = []
+        """One channel task per channel, over its pieces in sequence order."""
+        filters = self._filter_handles_for(stage)
+        tasks: List[ChannelTask] = []
         for channel in range(stage.num_channels):
             inputs: List[List[ShmBatchRef]] = []
             for link in stage.upstreams:
                 pieces = inbox.pop((stage.stage_id, channel, link.upstream_id), [])
                 pieces.sort(key=lambda piece: piece[0])
                 inputs.append([ref for _seq, ref in pieces])
-            shards = (
-                agg_shard_count(len(inputs[0]), stage.num_channels, pool.workers)
-                if shardable
-                else None
+            tasks.append(
+                ChannelTask(next_id(), stage.stage_id, channel, inputs, filters=filters)
             )
-            if shards is None:
-                channel_tasks.append(
-                    ChannelTask(
-                        next_id(), stage.stage_id, channel, inputs,
-                        filters=self._filter_handles_for(stage),
-                    )
-                )
-                continue
-            shard_tasks, start = [], 0
-            for shard_index, size in enumerate(split_sizes(len(inputs[0]), shards)):
-                shard_tasks.append(
-                    PartialAggTask(
-                        next_id(), stage.stage_id, channel, shard_index,
-                        inputs[0][start:start + size],
-                    )
-                )
-                start += size
-            sharded.append((channel, shard_tasks))
-
-        self.stats.channel_tasks += len(channel_tasks)
-        self.stats.agg_shard_tasks += sum(len(ts) for _, ts in sharded)
-        round_one = channel_tasks + [t for _, ts in sharded for t in ts]
-        payloads = self._run_tasks(pool, round_one, on_error)
-        routed = self._collect(channel_tasks, payloads)
-        if sharded:
-            merges = [
-                MergeAggTask(
-                    next_id(), stage.stage_id, channel,
-                    [payloads[t.task_id] for t in shard_tasks],
-                    filters=self._filter_handles_for(stage),
-                )
-                for channel, shard_tasks in sharded
-            ]
-            self.stats.merge_tasks += len(merges)
-            routed += self._collect(merges, self._run_tasks(pool, merges, on_error))
-        return routed
+        self.stats.channel_tasks += len(tasks)
+        return self._collect(tasks, self._run_tasks(pool, tasks, on_error))
 
     def _collect(self, tasks, payloads) -> List[RoutedPiece]:
-        """Routed pieces of finished emitting tasks, in task order; their
-        filter counters fold into the stats."""
+        """Routed pieces of finished tasks, in task order; their filter
+        counters fold into the stats."""
         routed: List[RoutedPiece] = []
         for task in tasks:
             pieces, tested, dropped = payloads[task.task_id]
@@ -533,24 +467,6 @@ class ParallelExecutor:
             (spec.probe_key, self._filter_handles[spec.filter_id])
             for spec in self.graph.filters_for_target(stage.stage_id)
         ]
-
-
-def _is_shardable_agg(stage: Stage) -> bool:
-    """Aggregation channels can split into mergeable partial states.
-
-    Requires the single-upstream aggregation shape over the resident kernel:
-    partial states merge through :meth:`GroupedAggregationState.merge`, whose
-    result (and the finalize that follows) is independent of how the input
-    was sharded, so sharding never changes query output.  An operator built
-    with a memory quota holds the out-of-core kernel, which never merges.
-    """
-    if stage.is_input or not stage.stateful or len(stage.upstreams) != 1:
-        return False
-    try:
-        operator = stage.make_operator()
-    except Exception:
-        return False
-    return isinstance(operator, AggregateOperator) and operator.spill is None
 
 
 def execute_graph_parallel(

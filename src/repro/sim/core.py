@@ -221,28 +221,19 @@ class Process(Event):
             self._step(event.value, is_exception=True)
 
     def _step(self, value: Any, is_exception: bool) -> None:
-        self.env._active_process = self
         try:
             if is_exception:
                 target = self._generator.throw(value)
             else:
                 target = self._generator.send(value)
-        except StopIteration as stop:
-            self.env._active_process = None
-            self.succeed(stop.value)
-            return
-        except StopProcess as stop:
-            self.env._active_process = None
+        except (StopIteration, StopProcess) as stop:
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into waiters
-            self.env._active_process = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self.succeed_with_failure(exc)
             return
-        finally:
-            self.env._active_process = None
 
         if not isinstance(target, Event):
             raise SimulationError(
@@ -277,17 +268,11 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List = []
         self._counter = itertools.count()
-        self._active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
         """Current virtual time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
 
     def event(self) -> Event:
         """Create a new untriggered event."""

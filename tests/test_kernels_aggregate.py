@@ -50,23 +50,6 @@ class TestGroupedAggregation:
             chunked.update(chunk)
         assert whole.finalize().equals(chunked.finalize(), sort_keys=["region"])
 
-    def test_merge_partial_states(self):
-        specs = [
-            AggregateSpec("total", AggregateFunction.SUM, col("amount")),
-            AggregateSpec("n", AggregateFunction.COUNT),
-            AggregateSpec("lo", AggregateFunction.MIN, col("qty")),
-        ]
-        parts = sales_batch().split(2)
-        left = GroupedAggregationState(["region"], specs)
-        left.update(parts[0])
-        right = GroupedAggregationState(["region"], specs)
-        for p in parts[1:]:
-            right.update(p)
-        left.merge(right)
-        whole = GroupedAggregationState(["region"], specs)
-        whole.update(sales_batch())
-        assert left.finalize().equals(whole.finalize(), sort_keys=["region"])
-
     def test_aggregate_expression_input(self):
         state = GroupedAggregationState(
             ["region"],

@@ -302,31 +302,6 @@ def test_grouped_aggregation_matches_naive(data):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_aggregation_merge_matches_single_state(data):
-    schema = data.draw(schemas())
-    group_keys = [f.name for f in schema][: data.draw(st.integers(0, len(schema) - 2))]
-    left_batches = data.draw(batch_lists(schema, max_batches=2, max_rows=10))
-    right_batches = data.draw(batch_lists(schema, max_batches=2, max_rows=10))
-    specs = _aggregate_specs()
-
-    merged = GroupedAggregationState(group_keys, specs)
-    partial = GroupedAggregationState(group_keys, specs)
-    single = GroupedAggregationState(group_keys, specs)
-    for batch in left_batches:
-        merged.update(batch)
-        single.update(batch)
-    for batch in right_batches:
-        partial.update(batch)
-        single.update(batch)
-    merged.merge(partial)
-    assert merged.state_nbytes == single.state_nbytes
-    assert_batches_identical(
-        merged.finalize(input_schema=schema), single.finalize(input_schema=schema)
-    )
-
-
 def test_aggregation_empty_batches_only():
     schema = Schema([Field("k", DataType.STRING), Field("payload", DataType.FLOAT64),
                      Field("tag", DataType.STRING)])

@@ -10,7 +10,8 @@ Five layers:
   interpreter batch-exact on **all 22 TPC-H queries** across the standard,
   Zipf-skew and NULL-rich adversarial profiles at 2 and 4 workers;
 * determinism — same (plan, workers, morsel_rows) twice ⇒ byte-identical
-  results, regardless of scheduling;
+  results, regardless of scheduling; one stage graph at any worker count ⇒
+  byte-identical results;
 * the warm pool — one fork serves many statements, a table registered
   after the fork re-forks, a failed statement (task error or killed worker)
   leaves the runner usable, and a worker maps only its last statement's
@@ -39,10 +40,8 @@ from repro.parallel import (
     StageGraphTaskHandler,
     WarmPool,
     WorkerPool,
-    agg_shard_count,
     execute_graph_parallel,
     read_batch,
-    split_sizes,
     sweep_blocks,
     unlink_block,
     write_batch,
@@ -246,28 +245,6 @@ class TestWorkerPool:
 
 
 # ---------------------------------------------------------------------------
-# morsel decomposition helpers
-# ---------------------------------------------------------------------------
-
-
-class TestMorselHelpers:
-    def test_split_sizes_matches_divmod_layout(self):
-        assert split_sizes(10, 3) == [4, 3, 3]
-        assert split_sizes(9, 3) == [3, 3, 3]
-        assert split_sizes(2, 4) == [1, 1, 0, 0]
-
-    def test_agg_shard_count_only_when_pool_is_starved(self):
-        # Enough channels for the pool: never shard.
-        assert agg_shard_count(100, num_channels=4, workers=4) is None
-        # Single channel, 4 workers, plenty of pieces: shard up to the pool.
-        assert agg_shard_count(100, num_channels=1, workers=4) == 4
-        # Too few pieces for sharding to pay.
-        assert agg_shard_count(5, num_channels=1, workers=4) is None
-        # Single worker: nothing to gain.
-        assert agg_shard_count(100, num_channels=1, workers=1) is None
-
-
-# ---------------------------------------------------------------------------
 # differential tier: all 22 queries x 3 profiles x {2, 4} workers
 # ---------------------------------------------------------------------------
 
@@ -365,6 +342,23 @@ class TestDeterminism:
 
         assert _fingerprint(run()) == _fingerprint(run())
 
+    @pytest.mark.parametrize("number", [1, 3, 9, 18])
+    def test_worker_count_does_not_change_the_bytes(self, number):
+        # One channel per stage, so the pool always has more workers than a
+        # stage has channels: a stage runs one task per channel whatever the
+        # pool size, and its input order depends on the graph and
+        # morsel_rows alone. Q1 is one aggregation; Q3, Q9 and Q18 put
+        # joins and aggregations in the same graph.
+        catalog = _catalog("standard")
+        graph = compile_plan(build_query(catalog, number).plan, num_channels=1)
+        prints = {
+            workers: _fingerprint(
+                execute_graph_parallel(graph, workers=workers, morsel_rows=256)[0]
+            )
+            for workers in (0, 2, 4)
+        }
+        assert len(set(prints.values())) == 1, prints
+
 
 # ---------------------------------------------------------------------------
 # runner surface: option handling, executor stats
@@ -411,34 +405,27 @@ class TestRunnerSurface:
         assert result.metrics.tasks_executed > 0
         assert result.metrics.input_tasks > 0
 
-    def test_executor_stats_and_agg_sharding(self):
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize(
+        "budget", [None, float("inf")], ids=["resident", "budgeted"]
+    )
+    def test_executor_stats_one_task_per_channel(self, budget, channels):
+        # Tiny morsels and more workers than channels: every stateful stage
+        # still runs as exactly one task per channel, whichever aggregation
+        # kernel (resident or out-of-core) it holds.
         catalog = _catalog("standard")
-        plan = build_query(catalog, 1).plan
-        # One channel per stage + tiny morsels forces the scalar/grouped
-        # aggregation channels to shard across the 4-worker pool.
-        graph = compile_plan(plan, num_channels=1)
+        graph = compile_plan(
+            build_query(catalog, 1).plan, num_channels=channels,
+            memory_budget_bytes=budget,
+        )
         batch, stats = execute_graph_parallel(graph, workers=4, morsel_rows=256)
         assert batches_match(batch, _expected("standard", 1))
         assert stats.scan_tasks > 0
-        assert stats.agg_shard_tasks >= 2
-        assert stats.merge_tasks >= 1
+        assert stats.channel_tasks == sum(
+            stage.num_channels for stage in graph if not stage.is_input
+        )
         assert stats.shm_blocks > 0
-        assert stats.total_tasks == (
-            stats.scan_tasks + stats.channel_tasks
-            + stats.agg_shard_tasks + stats.merge_tasks
-        )
-
-    def test_budgeted_aggregation_is_never_sharded(self):
-        # Same operator class under a budget, but its out-of-core kernel does
-        # not merge: the channel runs whole through drain_operator instead.
-        catalog = _catalog("standard")
-        graph = compile_plan(
-            build_query(catalog, 1).plan, num_channels=1,
-            memory_budget_bytes=float("inf"),
-        )
-        batch, stats = execute_graph_parallel(graph, workers=2, morsel_rows=256)
-        assert batches_match(batch, _expected("standard", 1))
-        assert stats.agg_shard_tasks == 0 and stats.merge_tasks == 0
+        assert stats.total_tasks == stats.scan_tasks + stats.channel_tasks
 
     def test_bad_morsel_rows_rejected(self):
         catalog = _catalog("standard")

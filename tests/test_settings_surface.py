@@ -3,8 +3,9 @@
 Each name fenced below was a field, parameter, flag or method that no caller
 outside the tests ever set to anything but its default.  The spill destination
 follows the fault-tolerance strategy; the checkpoint interval, the Spark
-kernel slowdown, the runtime-filter limits, the shard threshold and the
-fair-share budget are constants; the rest configured nothing and went away.
+kernel slowdown, the runtime-filter limits and the fair-share budget are
+constants; the shard threshold went with the parallel backend's aggregation
+shards; the rest configured nothing and went away.
 This test fails anything that grows one back: none of the identifiers may
 reappear under ``src/``, and the constructors and functions that lost a
 parameter keep exactly their current parameter lists.
@@ -28,7 +29,6 @@ from repro.ft.strategies import CheckpointStrategy
 from repro.kernels.runtimefilter import RuntimeFilterBuilder
 from repro.optimizer.cost import explain_with_estimates
 from repro.optimizer.optimizer import PlanOptimizer
-from repro.parallel.morsel import agg_shard_count
 from repro.physical.operators import CollectOperator
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -56,7 +56,6 @@ EXPECTED_PARAMETERS = {
     ),
     "_SparkDriver.__init__": (_SparkDriver.__init__, ["self", "cluster", "graph"]),
     "RuntimeFilterBuilder.__init__": (RuntimeFilterBuilder.__init__, ["self", "dtype"]),
-    "agg_shard_count": (agg_shard_count, ["num_pieces", "num_channels", "workers"]),
     "PlanOptimizer.__init__": (PlanOptimizer.__init__, ["self", "config", "estimator"]),
     "CollectOperator.__init__": (
         CollectOperator.__init__,

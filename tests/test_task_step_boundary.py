@@ -10,10 +10,19 @@ The same fence stands around the out-of-core kernels: a memory quota picks
 the state kernel inside ``physical/operators.py`` and nowhere else, and the
 engine reads ``Operator.spill`` instead of probing operators for attributes —
 a second operator hierarchy, or a driver that duck-types one, fails below.
+
+The parallel backend runs every stateful stage as one channel task through
+``drain_operator``, like every other executor: nothing under
+``repro/parallel/`` may import the operators or the aggregation kernel,
+reach into an operator's ``_state``, or merge partial states.
 """
 
 import ast
+import importlib
 import pathlib
+
+import repro.parallel
+from repro.kernels.aggregate import GroupedAggregationState
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 ALLOWED = {SRC / "physical" / "task.py", SRC / "physical" / "stages.py"}
@@ -97,3 +106,54 @@ def test_engine_does_not_duck_type_operators():
         "Operator declares its protocol (e.g. `spill`); read it directly:\n  "
         + "\n  ".join(offenders)
     )
+
+
+PARALLEL = SRC / "parallel"
+#: Modules the parallel driver must not know: it never names an operator
+#: class nor touches an aggregation state.
+OPERATOR_MODULES = ("repro.physical.operators", "repro.kernels.aggregate")
+
+
+def _imports_operator_module(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name in OPERATOR_MODULES for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = node.module or ""
+    if module in OPERATOR_MODULES:
+        return True
+    if module not in ("repro.physical", "repro.kernels"):
+        return False
+    package = importlib.import_module(module)
+    for alias in node.names:
+        if f"{module}.{alias.name}" in OPERATOR_MODULES:
+            return True
+        # A package re-export of something the fenced modules define.
+        if getattr(getattr(package, alias.name, None), "__module__", None) in (
+            OPERATOR_MODULES
+        ):
+            return True
+    return False
+
+
+def test_parallel_backend_runs_stateful_stages_whole():
+    offenders = []
+    for path in sorted(PARALLEL.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        where = path.relative_to(SRC)
+        for node in ast.walk(tree):
+            if _imports_operator_module(node):
+                offenders.append(f"{where}:{node.lineno} imports an operator module")
+            elif isinstance(node, ast.Attribute) and node.attr == "_state":
+                offenders.append(f"{where}:{node.lineno} touches ._state")
+            elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr == "merge"
+            ):
+                offenders.append(f"{where}:{node.lineno} calls .merge(")
+    assert not offenders, (
+        "run the stage's operator through drain_operator in a ChannelTask:\n  "
+        + "\n  ".join(offenders)
+    )
+    deleted = {"PartialAggTask", "MergeAggTask", "agg_shard_count", "split_sizes"}
+    assert not deleted & set(repro.parallel.__all__)
+    assert not hasattr(GroupedAggregationState, "merge")
