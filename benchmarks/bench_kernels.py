@@ -1,10 +1,11 @@
 """Kernel microbenchmark: vectorized kernels vs. the in-tree naive oracles.
 
 Times the hot per-batch kernels — string hashing, hash partitioning, join
-build/probe, group-by update/finalize — against the row-at-a-time reference
-implementations preserved in :mod:`repro.kernels.reference`, and writes a
-machine-readable ``BENCH_kernels.json`` so future PRs have a perf trajectory
-to compare against.
+build/probe, group-by update/finalize, per-batch partial aggregation —
+against the row-at-a-time reference implementations preserved in
+:mod:`repro.kernels.reference`, and writes a machine-readable
+``BENCH_kernels.json`` so future PRs have a perf trajectory to compare
+against.
 
 Run standalone for the full-size benchmark (1e5–1e6 rows)::
 
@@ -15,10 +16,13 @@ or as a pytest perf-smoke check (small fixed size, used by CI)::
     pytest benchmarks/bench_kernels.py
 
 The pytest path fails if any vectorized kernel is not faster than its naive
-counterpart, or if the geometric-mean speedup drops below 3x.  A second
-pytest gate times TPC-H Q1 end to end at SF 0.05: the engine inline must stay
-within 2.5x of the reference interpreter, and the cost-based plan within 1.5x
-of the as-written plan on the interpreter.
+counterpart, or if the geometric-mean speedup drops below 3x.  Two more
+pytest gates time SQL end to end at SF 0.05.  On TPC-H Q1 the engine inline
+must stay within 2.5x of the reference interpreter, and the cost-based plan
+within 1.5x of the as-written plan on the interpreter.  On a group-by with
+one group per order (``HIGHCARD_SQL``), where the partial aggregate barely
+reduces its batches, the engine inline must stay within 1.5x of the
+reference interpreter.
 """
 
 import argparse
@@ -56,6 +60,8 @@ from repro.kernels.reference import (
     naive_hash_partition,
     naive_hash_rows,
 )
+from repro.physical.stages import PartialAggregateOp
+from repro.sql import parse, plan_query
 from repro.tpch import build_query, generate_catalog
 
 SCHEMA = Schema(
@@ -94,6 +100,22 @@ def _specs():
         AggregateSpec("hi", AggregateFunction.MAX, Column("price")),
         AggregateSpec("mean", AggregateFunction.AVG, Column("price")),
     ]
+
+
+def _partial_specs():
+    # The decomposable aggregates a producing stage runs before the shuffle.
+    return [
+        AggregateSpec("total", AggregateFunction.SUM, Column("price")),
+        AggregateSpec("n", AggregateFunction.COUNT, None),
+        AggregateSpec("lo", AggregateFunction.MIN, Column("price")),
+        AggregateSpec("hi", AggregateFunction.MAX, Column("price")),
+    ]
+
+
+def _naive_partial(batch: Batch) -> Batch:
+    state = NaiveGroupedAggregation(["i_key"], _partial_specs())
+    state.update(batch)
+    return state.finalize(input_schema=SCHEMA)
 
 
 def _best_time(make_callable, repeats: int) -> float:
@@ -135,6 +157,7 @@ def benchmark_kernels(rows: int, repeats: int = 3, seed: int = 0) -> dict:
     naive_join = _built_join(join_build_batch, NaiveHashJoin)
     fast_state = _updated_state(encoded, GroupedAggregationState)
     naive_state = _updated_state(batch, NaiveGroupedAggregation)
+    partial = PartialAggregateOp(["i_key"], _partial_specs())
 
     cases = {
         # The vectorized side runs the engine's actual layout (dictionary-
@@ -162,6 +185,10 @@ def benchmark_kernels(rows: int, repeats: int = 3, seed: int = 0) -> dict:
         "groupby_finalize": (
             lambda: lambda: fast_state.finalize(input_schema=SCHEMA),
             lambda: lambda: naive_state.finalize(input_schema=SCHEMA),
+        ),
+        "partial_aggregate": (
+            lambda: lambda: partial.apply(encoded),
+            lambda: lambda: _naive_partial(batch),
         ),
     }
 
@@ -232,27 +259,41 @@ def test_perf_smoke():
     )
 
 
-def time_q1_paths(scale_factor: float = 0.05, repeats: int = 5) -> dict:
-    """Best-of-``repeats`` wall-clock of TPC-H Q1, SQL plan to result batch,
-    on the engine inline (``ParallelRunner(workers=0)``: one core, no fork,
-    no shared memory) and on the reference interpreter with and without the
-    cost-based optimizer.  The three paths alternate within every repeat, so
-    a drift in machine speed hits all of them alike."""
-    catalog = generate_catalog(scale_factor=scale_factor, seed=1)
-    query = build_query(catalog, 1)
-    paths = {
-        "inline": lambda: ParallelRunner(workers=0).submit(query),
-        "reference": lambda: ReferenceRunner().submit(query),
-        "reference_optimized": lambda: ReferenceRunner().submit(
-            query, QueryOptions(optimize=True)
-        ),
-    }
+#: One group per order: the partial aggregate below the shuffle reduces each
+#: batch about 4x, so its per-batch cost is paid on nearly every row.
+HIGHCARD_SQL = """
+    SELECT l_orderkey, sum(l_quantity) AS sum_qty
+    FROM lineitem
+    GROUP BY l_orderkey
+"""
+
+
+def _best_of_interleaved(paths: dict, repeats: int) -> dict:
+    """Best-of-``repeats`` wall-clock per path, SQL plan to result batch.  The
+    paths alternate within every repeat, so a drift in machine speed hits all
+    of them alike."""
     best = dict.fromkeys(paths, float("inf"))
     for _ in range(repeats):
         for name, run in paths.items():
             start = time.perf_counter()
             run().wait()
             best[name] = min(best[name], time.perf_counter() - start)
+    return best
+
+
+def time_q1_paths(scale_factor: float = 0.05, repeats: int = 5) -> dict:
+    """TPC-H Q1 on the engine inline (``ParallelRunner(workers=0)``: one
+    core, no fork, no shared memory) and on the reference interpreter with
+    and without the cost-based optimizer."""
+    catalog = generate_catalog(scale_factor=scale_factor, seed=1)
+    query = build_query(catalog, 1)
+    best = _best_of_interleaved({
+        "inline": lambda: ParallelRunner(workers=0).submit(query),
+        "reference": lambda: ReferenceRunner().submit(query),
+        "reference_optimized": lambda: ReferenceRunner().submit(
+            query, QueryOptions(optimize=True)
+        ),
+    }, repeats)
     return {
         "scale_factor": scale_factor,
         "repeats": repeats,
@@ -262,21 +303,54 @@ def time_q1_paths(scale_factor: float = 0.05, repeats: int = 5) -> dict:
     }
 
 
+def time_highcard_paths(scale_factor: float = 0.05, repeats: int = 5) -> dict:
+    """``HIGHCARD_SQL`` on the engine inline and on the reference
+    interpreter."""
+    catalog = generate_catalog(scale_factor=scale_factor, seed=1)
+    query = plan_query(parse(HIGHCARD_SQL), catalog)
+    best = _best_of_interleaved({
+        "inline": lambda: ParallelRunner(workers=0).submit(query),
+        "reference": lambda: ReferenceRunner().submit(query),
+    }, repeats)
+    return {
+        "scale_factor": scale_factor,
+        "repeats": repeats,
+        "seconds": best,
+        "inline_vs_reference": best["inline"] / best["reference"],
+    }
+
+
+def _print_paths(label: str, results: dict) -> None:
+    print(
+        f"\n{label} at SF {results['scale_factor']} (best of {results['repeats']}): "
+        + ", ".join(f"{name} {s * 1e3:.1f} ms" for name, s in results["seconds"].items())
+    )
+
+
 def test_q1_inline_within_reach_of_the_reference():
     """CI perf gate on what a user feels: Q1 on the engine, one core, is at
     most 2.5x the single-node interpreter, and the optimizer's pruning
     projection does not slow the interpreter itself down (<= 1.5x)."""
     results = time_q1_paths()
-    print(
-        f"\nQ1 at SF {results['scale_factor']} (best of {results['repeats']}): "
-        + ", ".join(f"{name} {s * 1e3:.1f} ms" for name, s in results["seconds"].items())
-    )
+    _print_paths("Q1", results)
     assert results["inline_vs_reference"] <= 2.5, (
         f"Q1 inline is {results['inline_vs_reference']:.2f}x the reference interpreter"
     )
     assert results["optimized_vs_reference"] <= 1.5, (
         f"the optimized plan is {results['optimized_vs_reference']:.2f}x the "
         "as-written plan on the reference interpreter"
+    )
+
+
+def test_highcard_groupby_inline_within_reach_of_the_reference():
+    """CI perf gate: a group-by with one group per order, on the engine with
+    one core, is at most 1.5x the single-node interpreter, so the
+    per-batch partial aggregate stays a light pre-reduction."""
+    results = time_highcard_paths()
+    _print_paths("High-cardinality group-by", results)
+    assert results["inline_vs_reference"] <= 1.5, (
+        f"the high-cardinality group-by inline is "
+        f"{results['inline_vs_reference']:.2f}x the reference interpreter"
     )
 
 

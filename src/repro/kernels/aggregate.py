@@ -7,13 +7,18 @@ reported so the checkpointing fault-tolerance strategy can cost snapshots.
 
 The state is structure-of-arrays: one dense row per group across NumPy
 accumulator arrays (counts, sums, mins, maxs), instead of one Python
-``_Accumulator`` object per (group, aggregate).  Each input batch is
-factorized to dense group codes (:mod:`repro.kernels.factorize`) and folded in
-with segment reductions (``np.add.reduceat`` / ``np.minimum.reduceat`` over a
-stable group sort), so per-row work is pure array arithmetic; Python-level
-work is proportional to the number of *distinct groups* per batch.  The
-original row-at-a-time implementation is preserved in
-:mod:`repro.kernels.reference` as the property-test oracle.
+``_Accumulator`` object per (group, aggregate).  The per-batch work is one
+stateless function, :func:`reduce_batch`: it factorizes the keys to dense
+group codes (:mod:`repro.kernels.factorize`) and collapses the batch with
+segment reductions (``np.add.reduceat`` / ``np.minimum.reduceat`` over a
+stable group sort), so per-row work is pure array arithmetic.
+:meth:`GroupedAggregationState.update` interns the reduced groups and folds
+them in; Python-level work there is proportional to the number of *distinct
+groups* per batch.  The partial aggregate of a producing stage
+(:class:`repro.physical.stages.PartialAggregateOp`) emits the reduction
+directly as a batch and never builds a group table.  The original
+row-at-a-time implementation is preserved in :mod:`repro.kernels.reference`
+as the property-test oracle.
 
 Every executor folds one channel's inputs into one state, in one order;
 states are never merged, so a given input order associates float sums one
@@ -33,7 +38,7 @@ from repro.data.batch import Batch
 from repro.data.schema import DataType, Field, Schema
 from repro.expr.eval import evaluate, infer_dtype
 from repro.expr.nodes import Expr
-from repro.kernels.factorize import factorize_key, gather_pylist, group_sort
+from repro.kernels.factorize import KeyEncoder, gather_pylist, group_sort
 
 
 class AggregateFunction(Enum):
@@ -75,6 +80,63 @@ def _promote(array: np.ndarray, other_dtype: np.dtype) -> np.ndarray:
     except TypeError:
         target = np.dtype(object)
     return array.astype(target)
+
+
+@dataclass(frozen=True)
+class BatchReduction:
+    """One batch collapsed to one entry per group, groups in key-code order.
+
+    ``first_rows[g]`` is the first input row of group ``g`` and ``counts[g]``
+    its row count.  ``segments[j]`` is aggregate ``j``'s per-group result:
+    the float64 sum for SUM and AVG, the minimum or maximum in the input's
+    dtype for MIN and MAX, ``None`` for COUNT (it is ``counts``), and a list
+    of per-group Python value lists for COUNT_DISTINCT.
+    """
+
+    first_rows: np.ndarray
+    counts: np.ndarray
+    segments: List[object]
+
+
+def reduce_batch(
+    batch: Batch, group_keys: Sequence[str], specs: Sequence[AggregateSpec]
+) -> BatchReduction:
+    """Collapse one non-empty batch to one entry per group.
+
+    The keys are factorized once and the rows stably sorted by code, so each
+    group's rows form one segment in their original relative order; every
+    aggregate is then one segment reduction over it.  Groups come out in the
+    factorizer's (lexicographic) code order.  Apart from COUNT_DISTINCT's
+    value lists, no Python object is made per group.  With no group keys the
+    whole batch is one group.
+    """
+    if group_keys:
+        encoder = KeyEncoder([batch.column_data(k) for k in group_keys])
+        codes, num_groups = encoder.codes, encoder.num_codes
+    else:
+        codes, num_groups = np.zeros(batch.num_rows, dtype=np.int64), 1
+    order, starts, counts = group_sort(codes, num_groups)
+    segments: List[object] = []
+    for spec in specs:
+        function = spec.function
+        if function is AggregateFunction.COUNT:
+            segments.append(None)
+            continue
+        ordered = np.asarray(evaluate(spec.expression, batch))[order]
+        if function in (AggregateFunction.SUM, AggregateFunction.AVG):
+            segments.append(
+                np.add.reduceat(ordered.astype(np.float64, copy=False), starts)
+            )
+        elif function is AggregateFunction.MIN:
+            segments.append(np.minimum.reduceat(ordered, starts))
+        elif function is AggregateFunction.MAX:
+            segments.append(np.maximum.reduceat(ordered, starts))
+        else:  # COUNT_DISTINCT
+            ends = starts + counts
+            segments.append(
+                [ordered[start:end].tolist() for start, end in zip(starts, ends)]
+            )
+    return BatchReduction(order[starts], counts, segments)
 
 
 class GroupedAggregationState:
@@ -180,73 +242,55 @@ class GroupedAggregationState:
             if sets is not None:
                 sets.extend(set() for _ in range(num_new))
 
-    def _batch_codes(self, batch: Batch) -> Tuple[np.ndarray, int, np.ndarray]:
-        """Dense per-row group codes in first-occurrence order, plus the
-        first row of each batch-local group."""
-        if not self.group_keys:
-            return (
-                np.zeros(batch.num_rows, dtype=np.int64),
-                1,
-                np.zeros(1, dtype=np.int64),
-            )
-        key_data = [batch.column_data(k) for k in self.group_keys]
-        codes, num_groups, first = factorize_key(key_data)
-        # factorize_key assigns codes lexicographically; re-rank them by first
-        # occurrence so group insertion order matches the original dict-based
-        # implementation exactly.
-        perm = np.argsort(first, kind="stable")
-        inverse = np.empty(num_groups, dtype=np.int64)
-        inverse[perm] = np.arange(num_groups, dtype=np.int64)
-        return inverse[codes], num_groups, first[perm]
-
     def update(self, batch: Batch) -> None:
-        """Fold one input batch into the group table (segment reductions)."""
+        """Fold one input batch into the group table.
+
+        The batch is collapsed by :func:`reduce_batch`; its groups are then
+        interned in first-occurrence order (the dict insertion order of the
+        original implementation) and their segment results folded in.
+        """
         if batch.num_rows == 0:
             return
         if self._key_dtypes is None:
             self._key_dtypes = [batch.schema.dtype(k) for k in self.group_keys]
             self._result_dtypes = self._infer_result_dtypes(batch.schema)
 
-        codes, num_groups, first_rows = self._batch_codes(batch)
+        reduction = reduce_batch(batch, self.group_keys, self.aggregates)
+        num_groups = len(reduction.counts)
+        by_first = np.argsort(reduction.first_rows)
         if self.group_keys:
-            key_data = [batch.column_data(k) for k in self.group_keys]
-            reps = list(zip(*[gather_pylist(col, first_rows) for col in key_data]))
+            first_rows = reduction.first_rows[by_first]
+            reps = list(zip(*[
+                gather_pylist(batch.column_data(k), first_rows)
+                for k in self.group_keys
+            ]))
         else:
             reps = [()]
 
-        value_arrays = []
-        for spec in self.aggregates:
-            if spec.expression is None:
-                value_arrays.append(np.ones(batch.num_rows))
-            else:
-                value_arrays.append(np.asarray(evaluate(spec.expression, batch)))
-
         before = len(self._key_tuples)
-        group_indices, is_new = self._intern_groups(reps)
+        interned, interned_new = self._intern_groups(reps)
         self._grow(len(self._key_tuples) - before)
+        # Back to the reduction's code order, which its segments follow.
+        group_indices = np.empty(num_groups, dtype=np.int64)
+        group_indices[by_first] = interned
+        is_new = np.empty(num_groups, dtype=bool)
+        is_new[by_first] = interned_new
 
-        order, starts, seg_counts = group_sort(codes, num_groups)
-        self._counts[group_indices] += seg_counts
+        self._counts[group_indices] += reduction.counts
         existing = ~is_new
         for j, spec in enumerate(self.aggregates):
             function = spec.function
-            if function is AggregateFunction.COUNT:
-                continue
-            ordered = value_arrays[j][order]
+            seg = reduction.segments[j]
             if function in (AggregateFunction.SUM, AggregateFunction.AVG):
-                seg = np.add.reduceat(
-                    ordered.astype(np.float64, copy=False), starts
-                )
                 self._sums[j][group_indices] += seg
             elif function in (AggregateFunction.MIN, AggregateFunction.MAX):
                 store = self._mins if function is AggregateFunction.MIN else self._maxs
                 combine = np.minimum if function is AggregateFunction.MIN else np.maximum
-                seg = combine.reduceat(ordered, starts)
                 array = store[j]
                 if array is None:
-                    array = np.empty(len(self._key_tuples), dtype=ordered.dtype)
+                    array = np.empty(len(self._key_tuples), dtype=seg.dtype)
                 else:
-                    array = _promote(array, ordered.dtype)
+                    array = _promote(array, seg.dtype)
                 new_idx = group_indices[is_new]
                 array[new_idx] = seg[is_new]
                 if existing.any():
@@ -255,11 +299,8 @@ class GroupedAggregationState:
                 store[j] = array
             elif function is AggregateFunction.COUNT_DISTINCT:
                 sets = self._distinct[j]
-                ends = starts + seg_counts
-                for i in range(num_groups):
-                    sets[group_indices[i]].update(
-                        ordered[starts[i]:ends[i]].tolist()
-                    )
+                for i, values in enumerate(seg):
+                    sets[group_indices[i]].update(values)
 
     # -- output -----------------------------------------------------------------
 

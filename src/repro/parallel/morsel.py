@@ -34,7 +34,7 @@ from repro.physical.stages import Stage
 
 #: Default morsel size.  Large enough that the vectorized kernels amortise
 #: their per-batch overhead, small enough that a split fans out across
-#: workers and partial-aggregation states stay cache-friendly.
+#: workers and per-morsel partial aggregates stay cache-friendly.
 DEFAULT_MORSEL_ROWS = 32_768
 
 #: A piece routed to one consumer channel: (consumer_channel, seq_key, ref).

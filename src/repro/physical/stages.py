@@ -9,7 +9,8 @@ Terminology (matching the paper):
 * **Post-ops** — stateless per-batch operations (filter, project, partial
   aggregation) fused into the *producing* stage, applied to every output
   batch before it is hash-partitioned and pushed downstream.  This is how
-  predicate pushdown and the paper's aggregation pushdown are realised.
+  predicate pushdown and the paper's aggregation pushdown are realised; a
+  partial aggregation is a segment reduction per batch, not a group table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from repro.data.batch import Batch, concat_batches
 from repro.data.partition import hash_partition
 from repro.data.schema import Schema
 from repro.expr.nodes import Expr
-from repro.kernels.aggregate import AggregateSpec, GroupedAggregationState
+from repro.kernels.aggregate import (
+    AggregateFunction,
+    AggregateSpec,
+    GroupedAggregationState,
+    reduce_batch,
+)
 from repro.kernels.filter import filter_batch
 from repro.kernels.project import project_batch
 from repro.plan.catalog import TableMetadata
@@ -81,24 +87,48 @@ class ProjectOp(StatelessOp):
         return f"project({[name for name, _ in self.projections]})"
 
 
+#: Aggregate functions whose per-batch results the final aggregate can fold.
+_PARTIAL_FUNCTIONS = (
+    AggregateFunction.SUM,
+    AggregateFunction.COUNT,
+    AggregateFunction.MIN,
+    AggregateFunction.MAX,
+)
+
+
 class PartialAggregateOp(StatelessOp):
     """Within-batch partial aggregation (the paper's "aggregation pushdown").
 
     Collapsing each output batch to one row per group before the shuffle makes
     the data pushed (and, under the spooling strategy, persisted) negligible
     for aggregation-only queries such as TPC-H Q1 and Q6.
+
+    Each batch is collapsed by one :func:`~repro.kernels.aggregate.reduce_batch`
+    and emitted straight as a batch: one row per group in the factorizer's
+    code order, with the key columns gathered from the input's own storage
+    (dictionary-encoded keys stay encoded).  No group table is built and no
+    key is stringified; the final aggregate imposes the output order.  The
+    partial specs are the decomposable functions only (SUM, COUNT, MIN, MAX).
     """
 
     def __init__(self, group_keys: Sequence[str], partial_specs: Sequence[AggregateSpec]):
+        for spec in partial_specs:
+            if spec.function not in _PARTIAL_FUNCTIONS:
+                raise PlanError(
+                    f"{spec.function.value} cannot run as a partial aggregate"
+                )
         self.group_keys = list(group_keys)
         self.partial_specs = list(partial_specs)
 
     def apply(self, batch: Batch) -> Batch:
+        schema = self.output_schema(batch.schema)
         if batch.num_rows == 0:
-            return Batch.empty(self.output_schema(batch.schema))
-        state = GroupedAggregationState(self.group_keys, self.partial_specs)
-        state.update(batch)
-        return state.finalize(input_schema=batch.schema)
+            return Batch.empty(schema)
+        reduction = reduce_batch(batch, self.group_keys, self.partial_specs)
+        columns = batch.select(self.group_keys).take(reduction.first_rows).columns()
+        for spec, segment in zip(self.partial_specs, reduction.segments):
+            columns[spec.name] = reduction.counts if segment is None else segment
+        return Batch(schema, columns)
 
     def output_schema(self, input_schema: Schema) -> Schema:
         state = GroupedAggregationState(self.group_keys, self.partial_specs)

@@ -13,10 +13,9 @@ from repro.api import OneShotRunner, ParallelRunner, QueryOptions, QuokkaContext
 from repro.core.options import resolve_planning
 from repro.data.dictionary import DictionaryArray
 from repro.expr.nodes import column_reference
-from repro.kernels.aggregate import GroupedAggregationState
 from repro.physical import compile_plan
 from repro.physical.local import execute_stage_graph_locally
-from repro.physical.stages import ProjectOp, apply_ops
+from repro.physical.stages import PartialAggregateOp, ProjectOp, apply_ops
 from repro.plan.interpreter import execute_plan
 from repro.tpch import build_query, generate_catalog
 
@@ -39,20 +38,27 @@ def _compiled(catalog, number):
 
 @pytest.fixture()
 def q1_key_storage(monkeypatch):
-    """Storage types of Q1's group keys at every scan-side partial aggregate.
+    """Storage types of Q1's group keys in and out of every scan-side
+    partial aggregate.
 
     The scan stage's partial aggregate is the one whose input still carries
-    the raw ``l_quantity`` column; the final aggregate sees partial results.
+    the raw ``l_quantity`` column; it is the only per-batch partial that runs
+    (the final aggregate folds partial results into a group table).  Each
+    entry is ``(input key types, output key types)``.
     """
     seen = []
-    update = GroupedAggregationState.update
+    apply = PartialAggregateOp.apply
 
-    def recording_update(self, batch):
+    def recording_apply(self, batch):
+        out = apply(self, batch)
         if "l_quantity" in batch.schema:
-            seen.append(tuple(type(batch.column_data(key)) for key in Q1_KEYS))
-        return update(self, batch)
+            seen.append((
+                tuple(type(batch.column_data(key)) for key in Q1_KEYS),
+                tuple(type(out.column_data(key)) for key in Q1_KEYS),
+            ))
+        return out
 
-    monkeypatch.setattr(GroupedAggregationState, "update", recording_update)
+    monkeypatch.setattr(PartialAggregateOp, "apply", recording_apply)
     return seen
 
 
@@ -74,7 +80,8 @@ def _run_local(catalog):
 def test_q1_group_keys_reach_the_partial_aggregate_encoded(tpch, q1_key_storage, run):
     result = run(tpch)
     assert q1_key_storage, "the scan stage's partial aggregate never ran"
-    assert set(q1_key_storage) == {(DictionaryArray, DictionaryArray)}
+    assert {keys_in for keys_in, _ in q1_key_storage} == {(DictionaryArray, DictionaryArray)}
+    assert {keys_out for _, keys_out in q1_key_storage} == {(DictionaryArray, DictionaryArray)}
     expected = execute_plan(build_query(tpch, 1).plan)
     assert result.equals(expected, sort_keys=list(Q1_KEYS))
 

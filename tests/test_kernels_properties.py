@@ -12,9 +12,11 @@ segment-reduced summation agree bit for bit, making every comparison exact.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import PlanError
 from repro.data.batch import Batch, concat_batches
 from repro.data.dictionary import DictionaryArray
 from repro.data.partition import hash_partition, hash_rows
@@ -33,6 +35,7 @@ from repro.kernels.reference import (
     naive_hash_partition,
     naive_hash_rows,
 )
+from repro.physical.stages import PartialAggregateOp
 
 #: Unicode-heavy pool; repetition is likely, which exercises duplicate keys.
 STRING_POOL = ["", "a", "aa", "b", "é", "λx", "商人", "🦆", "key", "KEY", "-1", "0"]
@@ -311,6 +314,140 @@ def test_aggregation_empty_batches_only():
     result = state.finalize(input_schema=schema)
     assert result.num_rows == 0
     assert result.schema.names == ["k"] + [s.name for s in specs]
+
+
+# -- partial aggregation --------------------------------------------------------
+
+
+def _partial_specs():
+    # What the compiler pushes below a shuffle: the decomposable functions.
+    return [
+        AggregateSpec("total", AggregateFunction.SUM, Column("payload")),
+        AggregateSpec("n", AggregateFunction.COUNT, None),
+        AggregateSpec("lo", AggregateFunction.MIN, Column("payload")),
+        AggregateSpec("hi", AggregateFunction.MAX, Column("payload")),
+        AggregateSpec("first_tag", AggregateFunction.MIN, Column("tag")),
+        AggregateSpec("last_tag", AggregateFunction.MAX, Column("tag")),
+    ]
+
+
+def _partial_by_group_table(batch, group_keys, specs):
+    """The group-table partial: one state per batch, updated once, finalized."""
+    state = GroupedAggregationState(group_keys, specs)
+    if batch.num_rows == 0:
+        return Batch.empty(state.output_schema(batch.schema))
+    state.update(batch)
+    return state.finalize(input_schema=batch.schema)
+
+
+def _sorted_by_keys(batch, group_keys):
+    if not group_keys:
+        return batch
+    keys = list(zip(*[batch.column(k).tolist() for k in group_keys]))
+    return batch.take(np.asarray(sorted(range(batch.num_rows), key=keys.__getitem__),
+                                 dtype=np.int64))
+
+
+def assert_same_partial(actual, expected, group_keys):
+    """Same schema, dtypes, ``nbytes`` and rows up to row order; float
+    columns bit for bit."""
+    assert actual.schema == expected.schema
+    assert actual.num_rows == expected.num_rows
+    assert actual.nbytes == expected.nbytes
+    actual = _sorted_by_keys(actual, group_keys)
+    expected = _sorted_by_keys(expected, group_keys)
+    for name in expected.schema.names:
+        got, want = actual.column(name), expected.column(name)
+        assert got.dtype == want.dtype, name
+        if want.dtype == np.float64:
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got.tolist() == want.tolist(), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_partial_aggregate_matches_the_group_table(data):
+    # Key dtypes span int64, float64, date, bool and plain or dictionary
+    # strings; zero-row batches and no-key (scalar) partials are drawn too.
+    schema = data.draw(schemas())
+    group_keys = [f.name for f in schema][: data.draw(st.integers(0, len(schema) - 2))]
+    batch = data.draw(batch_for(schema, max_rows=20))
+    specs = _partial_specs()
+    out = PartialAggregateOp(group_keys, specs).apply(batch)
+    assert_same_partial(out, _partial_by_group_table(batch, group_keys, specs), group_keys)
+    for key in group_keys:
+        if isinstance(batch.column_data(key), DictionaryArray):
+            assert isinstance(out.column_data(key), DictionaryArray)
+
+
+def test_partial_aggregate_edge_batches():
+    schema = Schema([Field("k", DataType.STRING), Field("payload", DataType.FLOAT64),
+                     Field("tag", DataType.STRING)])
+    specs = _partial_specs()
+    empty = Batch.empty(schema)
+    for group_keys in (["k"], []):
+        out = PartialAggregateOp(group_keys, specs).apply(empty)
+        assert out.num_rows == 0
+        assert out.schema == _partial_by_group_table(empty, group_keys, specs).schema
+    batch = Batch.from_pydict(
+        {"k": ["b", "a", "b"], "payload": [0.5, 1.25, -2.0], "tag": ["x", "y", "z"]},
+        schema=schema,
+    ).dictionary_encode()
+    scalar = PartialAggregateOp([], specs).apply(batch)
+    assert scalar.to_rows() == [(-0.25, 3, -2.0, 1.25, "x", "z")]
+    assert_same_partial(scalar, _partial_by_group_table(batch, [], specs), [])
+
+
+def test_partial_aggregate_rejects_functions_the_final_cannot_fold():
+    with pytest.raises(PlanError):
+        PartialAggregateOp([], [AggregateSpec("m", AggregateFunction.AVG, Column("x"))])
+
+
+def _high_cardinality_batch(rows, seed):
+    # ~16 k distinct (int, string, float) key triples over 40 k rows, strings
+    # dictionary-encoded as a scan would leave them.
+    rng = np.random.default_rng(seed)
+    schema = Schema([
+        Field("k_int", DataType.INT64),
+        Field("k_str", DataType.STRING),
+        Field("k_float", DataType.FLOAT64),
+        Field("payload", DataType.FLOAT64),
+        Field("tag", DataType.STRING),
+    ])
+    batch = Batch(schema, {
+        "k_int": rng.integers(0, 400, rows),
+        "k_str": np.asarray([STRING_POOL[i] for i in rng.integers(0, 10, rows)], dtype=object),
+        "k_float": rng.integers(0, 4, rows) * 0.5,
+        "payload": rng.integers(-64, 64, rows) * 0.125,
+        "tag": np.asarray([STRING_POOL[i] for i in rng.integers(0, len(STRING_POOL), rows)],
+                          dtype=object),
+    })
+    return batch.dictionary_encode(["k_str"])
+
+
+def test_high_cardinality_multi_key_matches_naive():
+    group_keys = ["k_str", "k_int", "k_float"]
+    batches = [_high_cardinality_batch(40_000, seed) for seed in (1, 2)]
+    specs = _aggregate_specs()
+    fast = GroupedAggregationState(group_keys, specs)
+    naive = NaiveGroupedAggregation(group_keys, specs)
+    for batch in batches:
+        fast.update(batch)
+        naive.update(batch)
+        assert fast.state_nbytes == naive.state_nbytes
+    assert len(fast) == len(naive) >= 10_000
+    schema = batches[0].schema
+    assert_batches_identical(fast.finalize(input_schema=schema),
+                             naive.finalize(input_schema=schema))
+
+    partial_specs = _partial_specs()
+    batch = batches[0]
+    out = PartialAggregateOp(group_keys, partial_specs).apply(batch)
+    one_batch = NaiveGroupedAggregation(group_keys, partial_specs)
+    one_batch.update(batch)
+    assert out.num_rows >= 10_000
+    assert_same_partial(out, one_batch.finalize(input_schema=schema), group_keys)
 
 
 # -- concat / schema satellite -------------------------------------------------

@@ -15,6 +15,11 @@ The parallel backend runs every stateful stage as one channel task through
 ``drain_operator``, like every other executor: nothing under
 ``repro/parallel/`` may import the operators or the aggregation kernel,
 reach into an operator's ``_state``, or merge partial states.
+
+A producing stage's partial aggregate reduces each batch without a group
+table (``physical/stages.py`` neither builds nor finalizes one outside
+``output_schema``), and the reference interpreter does not import that path,
+so it keeps checking it.
 """
 
 import ast
@@ -157,3 +162,48 @@ def test_parallel_backend_runs_stateful_stages_whole():
     deleted = {"PartialAggTask", "MergeAggTask", "agg_shard_count", "split_sizes"}
     assert not deleted & set(repro.parallel.__all__)
     assert not hasattr(GroupedAggregationState, "merge")
+
+
+STAGES = SRC / "physical" / "stages.py"
+INTERPRETER = SRC / "plan" / "interpreter.py"
+#: The engine's per-batch partial aggregation; the reference never runs it.
+PARTIAL_PATH = {"PartialAggregateOp", "reduce_batch"}
+
+
+def test_partial_aggregation_builds_no_group_table():
+    """A partial aggregate is one segment reduction emitted as a batch: the
+    stage module builds a group table only to derive an output schema, and
+    never finalizes one."""
+    tree = ast.parse(STAGES.read_text(), filename=str(STAGES))
+    in_output_schema = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == "output_schema"
+        for node in ast.walk(func)
+    }
+    offenders = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _called_name(node)
+        if name == "GroupedAggregationState" and id(node) not in in_output_schema:
+            offenders.append(f"stages.py:{node.lineno} builds a GroupedAggregationState")
+        elif name == "finalize" and isinstance(node.func, ast.Attribute):
+            offenders.append(f"stages.py:{node.lineno} calls .finalize(")
+    assert not offenders, "\n  ".join(["use reduce_batch:"] + offenders)
+
+
+def test_reference_interpreter_does_not_share_the_partial_path():
+    """The interpreter aggregates with one group table, so it keeps checking
+    the engine's partial path instead of running it."""
+    tree = ast.parse(INTERPRETER.read_text(), filename=str(INTERPRETER))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            named.add(node.name.rsplit(".", 1)[-1])
+            named.add(node.asname or "")
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not PARTIAL_PATH & named
