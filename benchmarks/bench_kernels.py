@@ -21,8 +21,8 @@ pytest gates time SQL end to end at SF 0.05.  On TPC-H Q1 the engine inline
 must stay within 2.5x of the reference interpreter, and the cost-based plan
 within 1.5x of the as-written plan on the interpreter.  On a group-by with
 one group per order (``HIGHCARD_SQL``), where the partial aggregate barely
-reduces its batches, the engine inline must stay within 1.5x of the
-reference interpreter.
+reduces its batches and the final aggregate holds ~75 k groups per channel,
+the engine inline must take at most 0.75x the reference interpreter's time.
 """
 
 import argparse
@@ -342,13 +342,14 @@ def test_q1_inline_within_reach_of_the_reference():
     )
 
 
-def test_highcard_groupby_inline_within_reach_of_the_reference():
+def test_highcard_groupby_inline_within_three_quarters_of_the_reference():
     """CI perf gate: a group-by with one group per order, on the engine with
-    one core, is at most 1.5x the single-node interpreter, so the
-    per-batch partial aggregate stays a light pre-reduction."""
+    one core, is at most 0.75x the single-node interpreter, so the per-batch
+    partial aggregate stays a light pre-reduction and the final aggregate
+    interns its groups columnar, never one key tuple at a time."""
     results = time_highcard_paths()
     _print_paths("High-cardinality group-by", results)
-    assert results["inline_vs_reference"] <= 1.5, (
+    assert results["inline_vs_reference"] <= 0.75, (
         f"the high-cardinality group-by inline is "
         f"{results['inline_vs_reference']:.2f}x the reference interpreter"
     )

@@ -360,15 +360,20 @@ def concat_batches(batches: Iterable[Batch], schema: Optional[Schema] = None) ->
     if len(batch_list) == 1:
         only = batch_list[0]
         return only if only.schema == schema else Batch(schema, only.columns())
-    columns: Dict[str, ColumnData] = {}
-    for name in schema.names:
-        parts = [b.column_data(name) for b in batch_list]
-        if all(isinstance(p, DictionaryArray) for p in parts):
-            merged = concat_dictionary(parts)
-            if merged is not None:
-                columns[name] = merged
-                continue
-        columns[name] = np.concatenate(
-            [p.materialize() if isinstance(p, DictionaryArray) else p for p in parts]
-        )
+    columns = {
+        name: concat_columns([b.column_data(name) for b in batch_list])
+        for name in schema.names
+    }
     return Batch(schema, columns)
+
+
+def concat_columns(parts: Sequence[ColumnData]) -> ColumnData:
+    """One column out of ``parts``: dictionary codes when every part shares
+    one vocabulary, plain values otherwise."""
+    if all(isinstance(p, DictionaryArray) for p in parts):
+        merged = concat_dictionary(parts)
+        if merged is not None:
+            return merged
+    return np.concatenate(
+        [p.materialize() if isinstance(p, DictionaryArray) else p for p in parts]
+    )

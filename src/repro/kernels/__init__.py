@@ -11,6 +11,7 @@ from repro.kernels.join import HashJoin, JoinType
 from repro.kernels.aggregate import (
     AggregateFunction,
     AggregateSpec,
+    ColumnarGroupTable,
     GroupedAggregationState,
 )
 from repro.kernels.factorize import KeyEncoder, factorize_key, group_sort
@@ -24,6 +25,7 @@ __all__ = [
     "JoinType",
     "AggregateFunction",
     "AggregateSpec",
+    "ColumnarGroupTable",
     "GroupedAggregationState",
     "GraceHashJoin",
     "SpillingAggregation",

@@ -2,7 +2,7 @@
 
 Each kernel wraps the resident kernel it falls back from
 (:class:`~repro.kernels.join.HashJoin`,
-:class:`~repro.kernels.aggregate.GroupedAggregationState`,
+:class:`~repro.kernels.aggregate.ColumnarGroupTable`,
 :class:`~repro.kernels.buffer.RowBuffer`), exposes the same methods, and adds
 a spill discipline driven by a :class:`~repro.memory.SpillContext`: cold state
 moves to simulated storage when the operator's fixed quota is exceeded and is
@@ -49,7 +49,7 @@ from repro.common.errors import ExecutionError
 from repro.data.batch import Batch, concat_batches
 from repro.data.partition import hash_rows
 from repro.data.schema import Schema
-from repro.kernels.aggregate import AggregateSpec, GroupedAggregationState
+from repro.kernels.aggregate import AggregateSpec, ColumnarGroupTable
 from repro.kernels.buffer import RowBuffer
 from repro.kernels.join import HashJoin, JoinType, _merge_columns, _null_batch
 from repro.memory.spill import SpillContext
@@ -360,13 +360,15 @@ class GraceHashJoin:
 class SpillingAggregation:
     """Freeze-and-replay aggregation: exact out-of-core group-by.
 
-    The live :class:`GroupedAggregationState` accumulates exactly as the
-    resident operator would.  When it outgrows the quota it is *frozen*: the
-    state is spilled whole (the accumulation prefix) and every later input
-    batch is spilled raw without touching any accumulator.  Finalize restores
-    the prefix, copies it, and replays the raw batches sequentially — the same
-    per-batch ``update`` association the resident state performs, so float
-    sums are bit-identical and group order (first-seen interning) is exact.
+    The live :class:`~repro.kernels.aggregate.ColumnarGroupTable` accumulates
+    exactly as the resident operator would (reading ``state_nbytes`` after
+    every batch interns it, so the frozen prefix is fully folded).  When it
+    outgrows the quota it is *frozen*: the state is spilled whole (the
+    accumulation prefix) and every later input batch is spilled raw without
+    touching any accumulator.  Finalize restores the prefix, copies it, and
+    replays the raw batches sequentially into the same kernel — the same
+    arrival-order fold the resident state performs, so float sums are
+    bit-identical and group order (first-seen interning) is exact.
 
     Combining partial aggregation states would re-associate float
     additions; this design trades finalize-time memory (the replayed state
@@ -383,7 +385,7 @@ class SpillingAggregation:
         self.group_keys = list(group_keys)
         self.aggregates = list(aggregates)
         self.spill = spill
-        self._state: Optional[GroupedAggregationState] = GroupedAggregationState(
+        self._state: Optional[ColumnarGroupTable] = ColumnarGroupTable(
             self.group_keys, self.aggregates
         )
         self._frozen_key = None
@@ -417,7 +419,7 @@ class SpillingAggregation:
         """Replay the frozen prefix plus raw batches, exactly in order."""
         if self._frozen_key is None:
             state = self._state
-            self._state = GroupedAggregationState(self.group_keys, self.aggregates)
+            self._state = ColumnarGroupTable(self.group_keys, self.aggregates)
             return state.finalize(input_schema=input_schema)
         # Copy before mutating: the spilled prefix object may be shared with
         # the durable store, and a retraced channel can re-read it after a
@@ -439,7 +441,7 @@ class SpillingAggregation:
             self.spill.discard(key)
         self._frozen_key = None
         self._raw_keys = []
-        self._state = GroupedAggregationState(self.group_keys, self.aggregates)
+        self._state = ColumnarGroupTable(self.group_keys, self.aggregates)
         self.spill.note_usage(0)
         return working.finalize(input_schema=input_schema)
 

@@ -21,10 +21,10 @@ and join rows by boxed Python floats, so every NaN value was its own group /
 join key (``hash`` by object identity since Python 3.10), and ``min``/``max``
 skipped NaN or not depending on arrival order.  The vectorized kernels use
 ``np.unique`` (all NaNs collapse into one group) and ``np.minimum`` /
-``np.maximum`` (NaN propagates).  TPC-H produces no NaNs and the engine's
-expression language cannot currently create one from NaN-free inputs; the
-vectorized semantics (one NaN group) are also what real columnar engines do,
-so the property suites deliberately draw NaN-free floats.
+``np.maximum`` (NaN propagates).  TPC-H produces no NaNs, but a division by
+zero makes one (``0.0 / 0.0``); the vectorized semantics (one NaN group) are
+what real columnar engines do, so the property suites draw NaN-free floats
+against these oracles and check NaN keys against a single-batch run.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from repro.common.errors import ExecutionError, SchemaError
 from repro.data.batch import Batch, concat_batches
 from repro.data.schema import DataType
-from repro.kernels.aggregate import AggregateFunction, AggregateSpec
+from repro.kernels.aggregate import AggregateFunction, AggregateSpec, result_dtypes
 from repro.kernels.join import JoinType, _merge_columns, _null_batch
 from repro.expr.eval import evaluate
 
@@ -238,15 +238,11 @@ class NaiveGroupedAggregation:
         return total
 
     def update(self, batch: Batch) -> None:
-        from repro.kernels.aggregate import GroupedAggregationState
-
         if batch.num_rows == 0:
             return
         if self._key_dtypes is None:
             self._key_dtypes = [batch.schema.dtype(k) for k in self.group_keys]
-            self._result_dtypes = GroupedAggregationState(
-                self.group_keys, self.aggregates
-            )._infer_result_dtypes(batch.schema)
+            self._result_dtypes = result_dtypes(self.aggregates, batch.schema)
 
         if self.group_keys:
             key_columns = [batch.column(k).tolist() for k in self.group_keys]
@@ -271,7 +267,6 @@ class NaiveGroupedAggregation:
 
     def finalize(self, input_schema=None) -> Batch:
         from repro.data.schema import Field, Schema
-        from repro.kernels.aggregate import GroupedAggregationState
 
         if self._key_dtypes is None:
             if input_schema is None:
@@ -279,9 +274,7 @@ class NaiveGroupedAggregation:
                     "cannot finalise an empty aggregation without the input schema"
                 )
             self._key_dtypes = [input_schema.dtype(k) for k in self.group_keys]
-            self._result_dtypes = GroupedAggregationState(
-                self.group_keys, self.aggregates
-            )._infer_result_dtypes(input_schema)
+            self._result_dtypes = result_dtypes(self.aggregates, input_schema)
 
         keys_sorted = sorted(self._groups.keys(), key=lambda k: tuple(map(str, k)))
         columns: Dict[str, np.ndarray] = {}

@@ -23,7 +23,7 @@ There is one operator class per kind of stateful stage.  Each takes the
 per-operator memory ``quota`` the compiler derived from the query's budget
 and picks its *state kernel* once, at construction: ``None`` selects the
 resident kernel (:class:`~repro.kernels.join.HashJoin`,
-:class:`~repro.kernels.aggregate.GroupedAggregationState`,
+:class:`~repro.kernels.aggregate.ColumnarGroupTable`,
 :class:`~repro.kernels.buffer.RowBuffer`), anything else the out-of-core
 kernel of :mod:`repro.kernels.outofcore` over a fresh
 :class:`~repro.memory.SpillContext` published as ``operator.spill``.  Both
@@ -42,7 +42,7 @@ from repro.common.errors import ExecutionError
 from repro.data.batch import Batch, concat_batches
 from repro.data.schema import Schema
 from repro.expr.nodes import Expr
-from repro.kernels.aggregate import AggregateSpec, GroupedAggregationState
+from repro.kernels.aggregate import AggregateSpec, ColumnarGroupTable
 from repro.kernels.buffer import RowBuffer
 from repro.kernels.join import HashJoin, JoinType
 from repro.kernels.outofcore import GraceHashJoin, SpillingAggregation, SpillingRowBuffer
@@ -153,7 +153,9 @@ class AggregateOperator(Operator):
     ``post_projections`` let the compiler express two-phase aggregation: the
     operator aggregates ``specs`` over its input, then projects the group
     table into the declared output schema (e.g. dividing partial sums by
-    partial counts to produce an average).
+    partial counts to produce an average).  The group table is the engine's
+    own :class:`~repro.kernels.aggregate.ColumnarGroupTable`, not the
+    reference interpreter's ``GroupedAggregationState``.
     """
 
     def __init__(
@@ -171,7 +173,7 @@ class AggregateOperator(Operator):
         self.output_schema = output_schema
         self.post_projections = list(post_projections) if post_projections else None
         if quota is None:
-            self._state = GroupedAggregationState(self.group_keys, self.specs)
+            self._state = ColumnarGroupTable(self.group_keys, self.specs)
         else:
             self.spill = SpillContext(-1, -1, quota)
             self._state = SpillingAggregation(self.group_keys, self.specs, self.spill)

@@ -26,7 +26,7 @@ from repro.expr.nodes import Expr
 from repro.kernels.aggregate import (
     AggregateFunction,
     AggregateSpec,
-    GroupedAggregationState,
+    aggregate_schema,
     reduce_batch,
 )
 from repro.kernels.filter import filter_batch
@@ -131,8 +131,7 @@ class PartialAggregateOp(StatelessOp):
         return Batch(schema, columns)
 
     def output_schema(self, input_schema: Schema) -> Schema:
-        state = GroupedAggregationState(self.group_keys, self.partial_specs)
-        return state.output_schema(input_schema)
+        return aggregate_schema(self.group_keys, self.partial_specs, input_schema)
 
     def describe(self) -> str:
         return f"partial_agg(by={self.group_keys}, aggs={[s.name for s in self.partial_specs]})"

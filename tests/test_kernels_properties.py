@@ -9,7 +9,13 @@ Hypothesis hits empty batches, all-duplicate keys and unicode strings often.
 
 Float values are restricted to exact binary fractions so sequential and
 segment-reduced summation agree bit for bit, making every comparison exact.
+The engine's final group table (:class:`ColumnarGroupTable`) is checked
+against :class:`GroupedAggregationState`, the reference interpreter's
+kernel, which folds in the same order, so its payloads are arbitrary floats.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from repro.expr.nodes import Column, substr
 from repro.kernels.aggregate import (
     AggregateFunction,
     AggregateSpec,
+    ColumnarGroupTable,
     GroupedAggregationState,
 )
 from repro.kernels.join import HashJoin, JoinType
@@ -448,6 +455,165 @@ def test_high_cardinality_multi_key_matches_naive():
     one_batch.update(batch)
     assert out.num_rows >= 10_000
     assert_same_partial(out, one_batch.finalize(input_schema=schema), group_keys)
+
+
+# -- the engine's final group table -----------------------------------------------
+
+#: Float keys where ``str`` order, ``-0.0 == 0.0`` and exponent notation bite.
+FLOAT_KEYS = [1e16, -1e16, 2.5e15, -0.0, 0.0, 0.25, -3.5, 1e-05, 7.0]
+
+
+def _table_key_value(dtype: DataType):
+    if dtype is DataType.INT64:
+        return st.sampled_from([-(2**63), -120, -12, -1, 0, 1, 9, 10, 12, 100, 2**63 - 1])
+    if dtype is DataType.FLOAT64:
+        return st.sampled_from(FLOAT_KEYS)
+    if dtype is DataType.DATE:
+        return st.integers(0, 20_000)
+    return _value_strategy(dtype)
+
+
+@st.composite
+def table_batches(draw):
+    """1-8 batches over 0-3 keys; payloads are arbitrary finite floats, since
+    both tables fold in arrival order.  Strings are plain or dictionary
+    encoded batch by batch, so vocabularies differ between batches, or all
+    batches are slices sharing one vocabulary."""
+    key_dtypes = draw(st.lists(st.sampled_from(KEY_DTYPES), max_size=3))
+    fields = [Field(f"k{i}", dtype) for i, dtype in enumerate(key_dtypes)]
+    fields += [Field("payload", DataType.FLOAT64), Field("tag", DataType.STRING)]
+    schema = Schema(fields)
+    sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=8))
+    payload = st.floats(allow_nan=False, width=64, min_value=-1e300, max_value=1e300)
+
+    def column(field, rows):
+        values = st.lists(
+            payload if field.name == "payload"
+            else _table_key_value(field.dtype) if field.name.startswith("k")
+            else st.sampled_from(STRING_POOL),
+            min_size=rows, max_size=rows,
+        )
+        return _column_array(field.dtype, draw(values))
+
+    if draw(st.booleans()):
+        whole = Batch(schema, {f.name: column(f, sum(sizes)) for f in schema})
+        whole = whole.dictionary_encode()
+        starts = np.cumsum([0] + sizes[:-1])
+        return schema, [whole.slice(int(s), n) for s, n in zip(starts, sizes)]
+    batches = []
+    for rows in sizes:
+        batch = Batch(schema, {f.name: column(f, rows) for f in schema})
+        batches.append(batch.dictionary_encode() if draw(st.booleans()) else batch)
+    return schema, batches
+
+
+def _table_specs(group_keys):
+    specs = _aggregate_specs()
+    for key in group_keys[:1]:
+        specs.append(AggregateSpec("key_max", AggregateFunction.MAX, Column(key)))
+    return specs
+
+
+def assert_batches_byte_equal(actual: Batch, expected: Batch):
+    assert actual.schema == expected.schema
+    for name in expected.schema.names:
+        got, want = actual.column(name), expected.column(name)
+        assert got.dtype == want.dtype, name
+        if want.dtype == object:
+            assert got.tolist() == want.tolist(), name
+        else:
+            assert got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(drawn=table_batches(), snapshot=st.sampled_from(["none", "deepcopy", "pickle"]),
+       at=st.integers(0, 7))
+def test_columnar_group_table_matches_the_reference_state(drawn, snapshot, at):
+    schema, batches = drawn
+    group_keys = [f.name for f in schema if f.name.startswith("k")]
+    specs = _table_specs(group_keys)
+    reference = GroupedAggregationState(group_keys, specs)
+    table = ColumnarGroupTable(group_keys, specs)
+    copied = None
+    for i, batch in enumerate(batches):
+        reference.update(batch)
+        table.update(batch)
+        if i == at and snapshot != "none":
+            # A checkpoint snapshot or a spilled state is taken mid-stream,
+            # before anything interned the rows kept since the last read.
+            copied = (copy.deepcopy(table) if snapshot == "deepcopy"
+                      else pickle.loads(pickle.dumps(table)))
+            for later in batches[i + 1:]:
+                copied.update(later)
+        assert table.state_nbytes == reference.state_nbytes
+    assert len(table) == len(reference)
+    expected = reference.finalize(input_schema=schema)
+    assert_batches_byte_equal(table.finalize(input_schema=schema), expected)
+    if copied is not None:
+        assert_batches_byte_equal(copied.finalize(input_schema=schema), expected)
+
+
+def test_columnar_group_table_without_input():
+    schema = Schema([Field("k", DataType.STRING), Field("payload", DataType.FLOAT64),
+                     Field("tag", DataType.STRING)])
+    for group_keys in (["k"], []):
+        specs = _aggregate_specs()
+        table = ColumnarGroupTable(group_keys, specs)
+        table.update(Batch.empty(schema))
+        assert table.state_nbytes == 0
+        reference = GroupedAggregationState(group_keys, specs)
+        assert_batches_byte_equal(table.finalize(input_schema=schema),
+                                  reference.finalize(input_schema=schema))
+
+
+def test_columnar_group_table_high_cardinality_multi_key():
+    group_keys = ["k_str", "k_int", "k_float"]
+    batches = [_high_cardinality_batch(40_000, seed) for seed in (1, 2)]
+    batches.append(_high_cardinality_batch(20_000, 3).dictionary_encode())
+    specs = _aggregate_specs()
+    reference = GroupedAggregationState(group_keys, specs)
+    table = ColumnarGroupTable(group_keys, specs)
+    for batch in batches:
+        reference.update(batch)
+        table.update(batch)
+        assert table.state_nbytes == reference.state_nbytes
+    assert len(table) == len(reference) >= 10_000
+    schema = batches[0].schema
+    assert_batches_byte_equal(table.finalize(input_schema=schema),
+                              reference.finalize(input_schema=schema))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_columnar_group_table_nan_keys_are_one_group(data):
+    # The dict table makes one NaN group per batch (every NaN float is a new
+    # key); the columnar table makes one, as a single-batch run does.
+    schema = Schema([Field("k", DataType.FLOAT64), Field("j", DataType.INT64),
+                     Field("payload", DataType.FLOAT64), Field("tag", DataType.STRING)])
+    group_keys = data.draw(st.sampled_from([["k"], ["k", "j"], ["j", "k"]]))
+    sizes = data.draw(st.lists(st.integers(0, 10), min_size=1, max_size=6))
+    rows = sum(sizes)
+    whole = Batch(schema, {
+        "k": np.asarray(data.draw(st.lists(st.sampled_from([np.nan, 1.0, -0.5, 0.0]),
+                                           min_size=rows, max_size=rows)), dtype=np.float64),
+        "j": np.asarray(data.draw(st.lists(st.integers(-2, 2), min_size=rows, max_size=rows)),
+                        dtype=np.int64),
+        "payload": np.asarray(data.draw(st.lists(_value_strategy(DataType.FLOAT64),
+                                                 min_size=rows, max_size=rows))),
+        "tag": np.asarray(data.draw(st.lists(st.sampled_from(STRING_POOL),
+                                             min_size=rows, max_size=rows)), dtype=object),
+    })
+    specs = _aggregate_specs()
+    table = ColumnarGroupTable(group_keys, specs)
+    start = 0
+    for size in sizes:
+        table.update(whole.slice(start, size))
+        start += size
+    one_batch = GroupedAggregationState(group_keys, specs)
+    one_batch.update(whole)
+    assert table.state_nbytes == one_batch.state_nbytes
+    assert_batches_byte_equal(table.finalize(input_schema=schema),
+                              one_batch.finalize(input_schema=schema))
 
 
 # -- concat / schema satellite -------------------------------------------------

@@ -32,6 +32,7 @@ from repro.expr.nodes import Column
 from repro.kernels.aggregate import (
     AggregateFunction,
     AggregateSpec,
+    ColumnarGroupTable,
     GroupedAggregationState,
 )
 from repro.kernels.buffer import RowBuffer
@@ -407,7 +408,7 @@ class TestCompilePath:
     #: stage kind -> (operator, its kernel attribute, resident kernel, out-of-core kernel)
     KINDS = {
         "join": (JoinOperator, "_join", HashJoin, GraceHashJoin),
-        "agg": (AggregateOperator, "_state", GroupedAggregationState, SpillingAggregation),
+        "agg": (AggregateOperator, "_state", ColumnarGroupTable, SpillingAggregation),
         "collect": (CollectOperator, "_rows", RowBuffer, SpillingRowBuffer),
     }
 

@@ -29,7 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import ParallelRunner, QuokkaContext
+from repro.api import ParallelRunner, QuokkaContext, ReferenceRunner
 from repro.chaos import batches_match
 from repro.common.errors import ConfigError, ExecutionError
 from repro.core.options import QueryOptions
@@ -47,6 +47,7 @@ from repro.parallel import (
     write_batch,
 )
 from repro.physical import compile_plan
+from repro.sql import parse, plan_query
 from repro.tpch import (
     adversarial_catalog,
     build_query,
@@ -318,6 +319,38 @@ class TestParallelDifferential:
         runner = ParallelRunner(workers=2, morsel_rows=2048)
         runner.submit(build_query(catalog, 3)).wait()
         assert glob.glob("/dev/shm/repro_par_*") == []
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_nan_group_key_is_one_group(self, nan_keyed_query, workers):
+        # ``0.0 / 0.0`` keys a NaN group that spans many morsels; every morsel's
+        # partial ships its own NaN row, and the final aggregate must fold them
+        # into the one group the reference finds.
+        query, expected = nan_keyed_query
+        with ParallelRunner(workers=workers) as runner, np.errstate(
+            divide="ignore", invalid="ignore"
+        ):
+            got = runner.submit(query).wait().batch
+        assert expected.num_rows == 2
+        assert got.num_rows == expected.num_rows
+        assert got.schema == expected.schema
+        for name in expected.schema.names:
+            assert got.column(name).tobytes() == expected.column(name).tobytes(), name
+
+
+NAN_KEYED_SQL = """
+    SELECT r, count(*) AS n
+    FROM (SELECT l_discount / (l_tax - l_tax) AS r FROM lineitem) t
+    GROUP BY r
+"""
+
+
+@pytest.fixture(scope="module")
+def nan_keyed_query():
+    catalog = generate_catalog(scale_factor=0.01, seed=1)
+    query = plan_query(parse(NAN_KEYED_SQL), catalog)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = ReferenceRunner().submit(query).wait().batch
+    return query, expected
 
 
 def _fingerprint(batch):

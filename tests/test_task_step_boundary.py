@@ -17,9 +17,11 @@ The parallel backend runs every stateful stage as one channel task through
 reach into an operator's ``_state``, or merge partial states.
 
 A producing stage's partial aggregate reduces each batch without a group
-table (``physical/stages.py`` neither builds nor finalizes one outside
-``output_schema``), and the reference interpreter does not import that path,
-so it keeps checking it.
+table (``physical/stages.py`` neither builds nor finalizes one), and the
+engine's final aggregate is its own kernel, ``ColumnarGroupTable``.  The
+reference interpreter's ``GroupedAggregationState`` is built nowhere else in
+``src/``, and the interpreter names neither engine path, so it keeps checking
+them instead of running them.
 """
 
 import ast
@@ -168,35 +170,49 @@ STAGES = SRC / "physical" / "stages.py"
 INTERPRETER = SRC / "plan" / "interpreter.py"
 #: The engine's per-batch partial aggregation; the reference never runs it.
 PARTIAL_PATH = {"PartialAggregateOp", "reduce_batch"}
+#: The engine's final group table; the reference never runs it either.
+ENGINE_GROUP_TABLE = "ColumnarGroupTable"
+GROUP_TABLES = {"GroupedAggregationState", ENGINE_GROUP_TABLE}
+
+
+def _calls(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
 
 def test_partial_aggregation_builds_no_group_table():
     """A partial aggregate is one segment reduction emitted as a batch: the
-    stage module builds a group table only to derive an output schema, and
-    never finalizes one."""
-    tree = ast.parse(STAGES.read_text(), filename=str(STAGES))
-    in_output_schema = {
-        id(node)
-        for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef) and func.name == "output_schema"
-        for node in ast.walk(func)
-    }
+    stage module builds no group table, not even to derive a schema
+    (``aggregate_schema`` does that), and never finalizes one."""
     offenders = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in _calls(STAGES):
         name = _called_name(node)
-        if name == "GroupedAggregationState" and id(node) not in in_output_schema:
-            offenders.append(f"stages.py:{node.lineno} builds a GroupedAggregationState")
+        if name in GROUP_TABLES:
+            offenders.append(f"stages.py:{node.lineno} builds a {name}")
         elif name == "finalize" and isinstance(node.func, ast.Attribute):
             offenders.append(f"stages.py:{node.lineno} calls .finalize(")
     assert not offenders, "\n  ".join(["use reduce_batch:"] + offenders)
 
 
-def test_reference_interpreter_does_not_share_the_partial_path():
-    """The interpreter aggregates with one group table, so it keeps checking
-    the engine's partial path instead of running it."""
-    tree = ast.parse(INTERPRETER.read_text(), filename=str(INTERPRETER))
+def test_only_the_interpreter_builds_the_reference_group_table():
+    """``GroupedAggregationState`` is the reference implementation: every
+    engine path aggregates with its own kernels, so an engine-vs-reference
+    check compares two implementations."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != INTERPRETER
+        for node in _calls(path)
+        if _called_name(node) == "GroupedAggregationState"
+    ]
+    assert not offenders, (
+        "only plan/interpreter.py builds a GroupedAggregationState:\n  "
+        + "\n  ".join(offenders)
+    )
+
+
+def _names_in(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
     named = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.alias):
@@ -206,4 +222,14 @@ def test_reference_interpreter_does_not_share_the_partial_path():
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
-    assert not PARTIAL_PATH & named
+    return named
+
+
+def test_reference_interpreter_does_not_share_the_partial_path():
+    """The interpreter aggregates with one group table, so it keeps checking
+    the engine's partial path instead of running it."""
+    assert not PARTIAL_PATH & _names_in(INTERPRETER)
+
+
+def test_reference_interpreter_never_names_the_engine_group_table():
+    assert ENGINE_GROUP_TABLE not in _names_in(INTERPRETER)
