@@ -23,6 +23,9 @@ within 1.5x of the as-written plan on the interpreter.  On a group-by with
 one group per order (``HIGHCARD_SQL``), where the partial aggregate barely
 reduces its batches and the final aggregate holds ~75 k groups per channel,
 the engine inline must take at most 0.75x the reference interpreter's time.
+On TPC-H Q9 plus Q10, whose time goes to hash joins over dictionary-encoded
+strings and integer keys, the engine inline must stay within 1.8x of the
+reference interpreter.
 """
 
 import argparse
@@ -320,6 +323,27 @@ def time_highcard_paths(scale_factor: float = 0.05, repeats: int = 5) -> dict:
     }
 
 
+def time_join_paths(scale_factor: float = 0.05, repeats: int = 5) -> dict:
+    """TPC-H Q9 and Q10 on the engine inline and on the reference
+    interpreter: their time goes to hash-join builds and probes over
+    dictionary-encoded string columns and integer keys."""
+    catalog = generate_catalog(scale_factor=scale_factor, seed=1)
+    paths = {}
+    for number in (9, 10):
+        query = build_query(catalog, number)
+        paths[f"q{number}_inline"] = lambda q=query: ParallelRunner(workers=0).submit(q)
+        paths[f"q{number}_reference"] = lambda q=query: ReferenceRunner().submit(q)
+    best = _best_of_interleaved(paths, repeats)
+    inline = best["q9_inline"] + best["q10_inline"]
+    reference = best["q9_reference"] + best["q10_reference"]
+    return {
+        "scale_factor": scale_factor,
+        "repeats": repeats,
+        "seconds": best,
+        "inline_vs_reference": inline / reference,
+    }
+
+
 def _print_paths(label: str, results: dict) -> None:
     print(
         f"\n{label} at SF {results['scale_factor']} (best of {results['repeats']}): "
@@ -352,6 +376,19 @@ def test_highcard_groupby_inline_within_three_quarters_of_the_reference():
     assert results["inline_vs_reference"] <= 0.75, (
         f"the high-cardinality group-by inline is "
         f"{results['inline_vs_reference']:.2f}x the reference interpreter"
+    )
+
+
+def test_joins_inline_within_reach_of_the_reference():
+    """CI perf gate: TPC-H Q9 and Q10 together, on the engine with one core,
+    take at most 1.8x the single-node interpreter's time, so string columns
+    reach and leave the join build as dictionary codes and integer join keys
+    probe by direct address."""
+    results = time_join_paths()
+    _print_paths("Q9 + Q10", results)
+    assert results["inline_vs_reference"] <= 1.8, (
+        f"Q9 + Q10 inline take {results['inline_vs_reference']:.2f}x the "
+        "reference interpreter"
     )
 
 

@@ -28,6 +28,12 @@ import numpy as np
 from repro.common.errors import SchemaError
 
 
+#: :meth:`DictionaryArray.used_vocabulary` counts codes over the whole
+#: vocabulary when it holds at most this many entries per row, and sorts the
+#: codes otherwise.
+_BINCOUNT_SPAN_FACTOR = 16
+
+
 class DictionaryArray:
     """An ``int64``-coded view of a string column.
 
@@ -127,6 +133,15 @@ class DictionaryArray:
         if self._compact is None:
             if len(self.codes) == 0:
                 self._compact = (np.empty(0, dtype=object), self.codes)
+            elif len(self.values) <= _BINCOUNT_SPAN_FACTOR * len(self.codes):
+                # One counting pass over the vocabulary; a code's new value
+                # is the number of used entries below it.
+                present = np.bincount(self.codes, minlength=len(self.values)) > 0
+                if present.all():
+                    self._compact = (self.values, self.codes)
+                else:
+                    ranks = np.cumsum(present) - 1
+                    self._compact = (self.values[present], ranks[self.codes])
             else:
                 used = np.unique(self.codes)
                 if len(used) == len(self.values):

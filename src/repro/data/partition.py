@@ -26,6 +26,10 @@ from repro.data.schema import DataType
 #: Mixing constant for integer hashing (64-bit splitmix-style multiplier).
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
+#: The bits of ``-0.0`` and of NumPy's NaN, as ``int64``.
+_NEGATIVE_ZERO_BITS = np.float64(-0.0).view(np.int64)
+_CANONICAL_NAN_BITS = np.float64(np.nan).view(np.int64)
+
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
@@ -88,8 +92,14 @@ def hash_column(array, dtype: DataType) -> np.ndarray:
         mixed ^= mixed >> np.uint64(32)
         return mixed
     if dtype is DataType.FLOAT64:
-        values = np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
-        return hash_column(values.view(np.int64), DataType.INT64)
+        # Equal keys must hash equal: ``-0.0`` folds onto ``0.0`` and every
+        # NaN onto one canonical NaN, whatever its sign and payload; every
+        # other value keeps its bits.
+        values = np.ascontiguousarray(array, dtype=np.float64)
+        bits = values.view(np.int64)
+        bits = np.where(bits == _NEGATIVE_ZERO_BITS, np.int64(0), bits)
+        bits[np.isnan(values)] = _CANONICAL_NAN_BITS
+        return hash_column(bits, DataType.INT64)
     if dtype is DataType.STRING:
         return _hash_string_array(array)
     raise TypeError(f"unsupported dtype for hashing: {dtype}")

@@ -109,7 +109,9 @@ def _evaluate_binary(expr: BinaryOp, batch: Batch) -> np.ndarray:
             return left - right
         if op == "*":
             return left * right
-        return left / right
+        # Division by zero is defined (it yields inf or NaN): no warning.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return left / right
     if op in _COMPARISON:
         if op == "==":
             return left == right

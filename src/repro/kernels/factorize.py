@@ -17,12 +17,15 @@ never seen on the build side map to the sentinel code ``num_codes``.
 
 Dictionary-encoded string columns are fast-pathed: the object-level work
 (sorting, comparisons) touches only the vocabulary, and per-row work is pure
-``int64`` gathers.
+``int64`` gathers.  Integer keys whose build values are dense (a span of at
+most :data:`_DENSE_SPAN_FACTOR` times their distinct count) are encoded by
+direct address: one lookup table per key column (and per dense combined
+level), built once per encoder, replaces a binary search per probe row.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,14 +79,54 @@ def _rank_against(unique: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(found, clipped, sentinel)
 
 
-def _encode_foreign_column(unique: np.ndarray, column) -> np.ndarray:
-    """Like :func:`_rank_against` but fast-pathing dictionary columns."""
-    if isinstance(column, DictionaryArray):
-        if len(column.codes) == 0:
-            return np.empty(0, dtype=np.int64)
-        values, codes = column.used_vocabulary()
-        return _rank_against(unique, values)[codes]
-    return _rank_against(unique, np.asarray(column))
+#: A sorted integer vocabulary spanning at most this many times as many
+#: values as it holds is ranked through a lookup table of that span.
+_DENSE_SPAN_FACTOR = 4
+
+
+class _Ranker:
+    """Ranks foreign values against one sorted vocabulary ``unique``.
+
+    Exactly :func:`_rank_against`; an ``int64`` vocabulary that is dense
+    also gets a lookup table ``table[v - low] = rank`` (with one trailing
+    sentinel slot), so ranking ``int64`` values is a subtraction, a clamp
+    and a gather instead of a binary search.
+    """
+
+    __slots__ = ("unique", "low", "table")
+
+    def __init__(self, unique: np.ndarray):
+        self.unique = unique
+        self.low: Optional[np.int64] = None
+        self.table: Optional[np.ndarray] = None
+        size = len(unique)
+        if size == 0 or unique.dtype != np.int64:
+            return
+        span = int(unique[-1]) - int(unique[0]) + 1
+        if span > _DENSE_SPAN_FACTOR * size:
+            return
+        self.low = unique[0]
+        self.table = np.full(span + 1, size, dtype=np.int64)
+        self.table[unique - self.low] = np.arange(size, dtype=np.int64)
+
+    def rank(self, values: np.ndarray) -> np.ndarray:
+        """Rank of each of ``values``; absent values get ``len(unique)``."""
+        if self.table is None or values.dtype != np.int64:
+            return _rank_against(self.unique, values)
+        # Two's-complement wrap-around: ``v - low`` read as unsigned is below
+        # the span exactly when ``low <= v < low + span``; every other value
+        # clamps to the sentinel slot.
+        offsets = (values - self.low).view(np.uint64)
+        return self.table[np.minimum(offsets, np.uint64(len(self.table) - 1))]
+
+    def rank_column(self, column) -> np.ndarray:
+        """:meth:`rank` for a key column, fast-pathing dictionary columns."""
+        if isinstance(column, DictionaryArray):
+            if len(column.codes) == 0:
+                return np.empty(0, dtype=np.int64)
+            values, codes = column.used_vocabulary()
+            return _rank_against(self.unique, values)[codes]
+        return self.rank(np.asarray(column))
 
 
 class KeyEncoder:
@@ -115,14 +158,21 @@ class KeyEncoder:
                 num = len(level)
         self.codes: np.ndarray = codes
         self.num_codes: int = num
+        # Built on the first ``encode``: encoders that only factorize never
+        # pay for the lookup tables.
+        self._col_rankers: Optional[List[_Ranker]] = None
+        self._level_rankers: Optional[List[_Ranker]] = None
 
     def encode(self, columns: Sequence) -> np.ndarray:
         """Codes for foreign rows; unseen keys map to ``self.num_codes``."""
+        if self._col_rankers is None:
+            self._col_rankers = [_Ranker(u) for u in self._col_uniques]
+            self._level_rankers = [_Ranker(u) for u in self._level_uniques]
         codes = None
         invalid = None
         for i, column in enumerate(columns):
             unique = self._col_uniques[i]
-            ranks = _encode_foreign_column(unique, column)
+            ranks = self._col_rankers[i].rank_column(column)
             if codes is None:
                 codes = ranks
                 invalid = ranks == len(unique)
@@ -130,7 +180,7 @@ class KeyEncoder:
                 radix = np.int64(len(unique) + 1)
                 combined = codes * radix + ranks
                 level = self._level_uniques[i - 1]
-                pos = _rank_against(level, combined)
+                pos = self._level_rankers[i - 1].rank(combined)
                 invalid |= ranks == len(unique)
                 codes = pos
                 invalid |= pos == len(level)

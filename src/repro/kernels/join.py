@@ -74,7 +74,9 @@ class HashJoin:
         self.build_suffix = build_suffix
         self._build_batches: List[Batch] = []
         self._build_row_offset = 0
-        self._build_schema: Schema | None = None
+        # Registered without seeding an empty batch: a zero-row part would
+        # make ``concat_columns`` materialise every dictionary column.
+        self._build_schema: Schema | None = build_schema
         self._build_nbytes = 0
         # Lazily-built code table: (encoder, row order, group starts, counts)
         # over the concatenated build side.
@@ -90,8 +92,6 @@ class HashJoin:
         self._unindexed_batches: List[Batch] = []
         self._pending: List[Batch] = []
         self._pending_nbytes = 0
-        if build_schema is not None:
-            self.build(Batch.empty(build_schema))
 
     # -- build side -------------------------------------------------------------
 

@@ -13,11 +13,22 @@ Layout per block (one block per batch)::
 
 * fixed-width columns (int64 / float64 / bool / date) — raw C-contiguous
   buffers, reconstructed with ``np.ndarray(buffer=..., offset=...)``;
-* dictionary-encoded string columns — the codes go in as a raw buffer
-  narrowed to the smallest unsigned type that indexes the (used-vocabulary-
-  compacted) string values, which are pickled, since Python string objects
-  cannot live in shared memory; readers widen the codes back to ``int64``;
+* dictionary-encoded columns of a registered catalog table — the codes go
+  in as a raw buffer narrowed to the smallest unsigned type that indexes the
+  column's full vocabulary, and the vocabulary goes *by reference*: a
+  ``(table token, column)`` pair (:func:`repro.plan.catalog.vocabulary_owner`).
+  Workers are forks taken after the table was registered, so the reader
+  resolves the pair to its own copy of that vocabulary, and every piece of
+  the column, whichever process wrote it, shares one vocabulary object
+  again: concatenations and group tables keep the codes instead of
+  materialising the strings;
+* other dictionary-encoded columns (computed strings, vocabularies no
+  registered table owns) — the fallback: the codes narrowed as above to the
+  used-vocabulary-compacted string values, which are pickled, since Python
+  string objects cannot live in shared memory;
 * plain object string columns — pickled whole.
+
+Readers widen narrowed codes back to ``int64``.
 
 Lifecycle: blocks are opened *untracked* (see :func:`_open_untracked` — the
 stdlib resource tracker would otherwise double-book names across the fork
@@ -47,10 +58,12 @@ import numpy as np
 from repro.data.batch import Batch, ColumnData
 from repro.data.dictionary import DictionaryArray
 from repro.data.schema import Schema
+from repro.plan.catalog import catalog_dictionary, vocabulary_owner
 
-#: Column kinds inside a block: raw ndarray buffer, dictionary codes+vocab,
+#: Column kinds inside a block: raw ndarray buffer, dictionary codes plus a
+#: catalog vocabulary reference, dictionary codes plus a pickled vocabulary,
 #: or a pickled object column.
-_ND, _DICT, _PICKLE = "nd", "dict", "pickle"
+_ND, _CATALOG, _DICT, _PICKLE = "nd", "catalog", "dict", "pickle"
 
 
 @dataclass(frozen=True)
@@ -60,6 +73,8 @@ class ShmBatchRef:
     ``columns`` holds per-column layout tuples:
 
     * ``(_ND, name, dtype_str, offset, count)``
+    * ``(_CATALOG, name, codes_dtype_str, codes_offset, count, table_token,
+      column)``
     * ``(_DICT, name, codes_dtype_str, codes_offset, count, vocab_offset,
       vocab_nbytes)``
     * ``(_PICKLE, name, offset, nbytes)``
@@ -137,11 +152,17 @@ def write_batch(batch: Batch, name_prefix: Optional[str] = None) -> ShmBatchRef:
 
     for name in batch.schema.names:
         data: ColumnData = batch.column_data(name)
-        if isinstance(data, DictionaryArray):
+        owner = (vocabulary_owner(data.values)
+                 if isinstance(data, DictionaryArray) else None)
+        if owner is not None:
+            codes = _narrowed(data.codes, len(data.values))
+            codes_off = _reserve(codes.nbytes)
+            buffers.append((codes_off, codes))
+            plan.append((_CATALOG, name, codes.dtype.str, codes_off, len(codes))
+                        + owner)
+        elif isinstance(data, DictionaryArray):
             values, codes = data.used_vocabulary()
-            # The narrowest width that holds every code: one byte per row for
-            # a vocabulary of up to 256 values instead of eight.
-            codes = np.ascontiguousarray(codes, dtype=np.min_scalar_type(len(values) - 1))
+            codes = _narrowed(codes, len(values))
             vocab = pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
             codes_off = _reserve(codes.nbytes)
             buffers.append((codes_off, codes))
@@ -175,6 +196,13 @@ def write_batch(batch: Batch, name_prefix: Optional[str] = None) -> ShmBatchRef:
         )
     finally:
         shm.close()
+
+
+def _narrowed(codes: np.ndarray, vocabulary_size: int) -> np.ndarray:
+    """``codes`` in the narrowest width that indexes ``vocabulary_size``
+    values: one byte per row for a vocabulary of up to 256 values instead
+    of eight."""
+    return np.ascontiguousarray(codes, dtype=np.min_scalar_type(vocabulary_size - 1))
 
 
 def _fill_block(shm, buffers: List[Tuple[int, object]]) -> None:
@@ -232,6 +260,14 @@ def _decode_block(ref: ShmBatchRef, buf, copy: bool) -> Batch:
             array = np.ndarray((count,), dtype=np.dtype(dtype_str),
                                buffer=buf, offset=off)
             columns[name] = array.copy() if copy else array
+        elif kind == _CATALOG:
+            _, _, codes_dtype, codes_off, count, token, column = entry
+            codes = np.ndarray((count,), dtype=np.dtype(codes_dtype),
+                               buffer=buf, offset=codes_off)
+            source = catalog_dictionary(token, column)
+            array = DictionaryArray(codes.astype(np.int64), source.values)
+            array._value_lengths = source.value_lengths()
+            columns[name] = array
         elif kind == _DICT:
             _, _, codes_dtype, codes_off, count, vocab_off, vocab_nbytes = entry
             codes = np.ndarray((count,), dtype=np.dtype(codes_dtype),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.statistics import TableStats
@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.common.errors import PlanError
 from repro.data.batch import Batch
+from repro.data.dictionary import DictionaryArray
 from repro.data.schema import Schema
 
 #: Every table :meth:`Catalog.register` stamped, by token, for as long as it
@@ -33,6 +34,10 @@ _TABLES_BY_TOKEN: "weakref.WeakValueDictionary[int, TableMetadata]" = (
     weakref.WeakValueDictionary()
 )
 _last_token = 0
+#: ``id`` of every vocabulary a registered table's dictionary columns hold,
+#: mapped to ``(token, column)``.  :func:`vocabulary_owner` checks identity
+#: before it trusts an entry, so the id of a freed vocabulary never resolves.
+_VOCABULARY_OWNERS: Dict[int, Tuple[int, str]] = {}
 
 
 def newest_table_token() -> int:
@@ -45,6 +50,10 @@ def _stamp(table: "TableMetadata") -> None:
     _last_token += 1
     table.token = _last_token
     _TABLES_BY_TOKEN[_last_token] = table
+    if table.data is not None:
+        for name, column in table.data.columns().items():
+            if isinstance(column, DictionaryArray):
+                _VOCABULARY_OWNERS[id(column.values)] = (_last_token, name)
 
 
 def _table_by_token(token: int) -> "TableMetadata":
@@ -55,6 +64,30 @@ def _table_by_token(token: int) -> "TableMetadata":
             f"table token {token} is unknown in this process; it was registered "
             "after this process forked, or has been freed"
         ) from None
+
+
+def catalog_dictionary(token: int, column: str) -> DictionaryArray:
+    """Dictionary column ``column`` of the registered table ``token``."""
+    return _table_by_token(token).data.column_data(column)
+
+
+def vocabulary_owner(values) -> Optional[Tuple[int, str]]:
+    """``(token, column)`` of the registered table column whose vocabulary
+    *is* ``values``, or ``None`` when no live registered table owns it.
+
+    A forked process inherits both maps, so the pair resolves there (through
+    :func:`catalog_dictionary`) to its own copy of the same vocabulary.
+    """
+    owner = _VOCABULARY_OWNERS.get(id(values))
+    if owner is None:
+        return None
+    table = _TABLES_BY_TOKEN.get(owner[0])
+    if table is None or table.data is None:
+        return None
+    column = table.data.column_data(owner[1])
+    if not isinstance(column, DictionaryArray) or column.values is not values:
+        return None
+    return owner
 
 
 @dataclass

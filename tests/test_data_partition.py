@@ -3,8 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.data import Batch, hash_partition
-from repro.data.partition import partition_assignment
+from repro.data import Batch, DataType, hash_partition
+from repro.data.partition import hash_column, partition_assignment
 
 
 def key_batch(keys, extra=None):
@@ -50,6 +50,24 @@ class TestHashPartition:
         parts = hash_partition(batch, ["k"], 1)
         assert len(parts) == 1
         assert parts[0].equals(batch)
+
+    def test_equal_float_keys_hash_equal(self):
+        nans = np.array(
+            [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000ABC],
+            dtype=np.uint64,
+        ).view(np.float64)
+        with np.errstate(invalid="raise"):
+            zeros = hash_column(np.array([0.0, -0.0]), DataType.FLOAT64)
+            nan_hashes = hash_column(nans, DataType.FLOAT64)
+        assert zeros[0] == zeros[1]
+        assert len(set(nan_hashes.tolist())) == 1
+
+    def test_other_floats_hash_by_their_bits(self):
+        values = np.array([1.5, -2.25, 1e16, -1e-300, np.inf, -np.inf, 5e-324])
+        np.testing.assert_array_equal(
+            hash_column(values, DataType.FLOAT64),
+            hash_column(values.view(np.int64), DataType.INT64),
+        )
 
     def test_reasonable_balance_on_many_keys(self):
         batch = key_batch(list(range(4000)))

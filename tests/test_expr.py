@@ -46,6 +46,12 @@ class TestArithmeticAndComparison:
         result = evaluate(col("b") / col("a"), sample_batch())
         np.testing.assert_allclose(result, [10.0, 10.0, 10.0, 10.0])
 
+    def test_division_by_zero_is_defined_and_silent(self):
+        batch = Batch.from_pydict({"x": [1.0, -1.0, 0.0], "z": [0.0, 0.0, 0.0]})
+        with np.errstate(all="raise"):
+            result = evaluate(col("x") / col("z"), batch)
+        assert result[0] == np.inf and result[1] == -np.inf and np.isnan(result[2])
+
     def test_reverse_operators(self):
         result = evaluate(lit(100) - col("a"), sample_batch())
         assert result.tolist() == [99, 98, 97, 96]

@@ -16,6 +16,7 @@ kernel, which folds in the same order, so its payloads are arbitrary floats.
 
 import copy
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from repro.kernels.aggregate import (
     ColumnarGroupTable,
     GroupedAggregationState,
 )
+from repro.kernels import factorize
+from repro.kernels.factorize import KeyEncoder
 from repro.kernels.join import HashJoin, JoinType
 from repro.kernels.project import project_batch
 from repro.kernels.reference import (
@@ -157,6 +160,20 @@ def test_dictionary_encoding_is_transparent(data):
             assert column.materialize().tolist() == batch.column(field.name).tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(vocabulary=st.integers(1, 80), codes=st.lists(st.integers(0, 79), max_size=12))
+def test_used_vocabulary_keeps_exactly_the_referenced_entries(vocabulary, codes):
+    # Vocabularies from 1 to 80 entries against 0 to 12 rows fall on both
+    # sides of the count-versus-sort threshold.
+    values = np.array([f"v{i:02d}" for i in range(vocabulary)], dtype=object)
+    codes = np.array([c % vocabulary for c in codes], dtype=np.int64)
+    used, remapped = DictionaryArray(codes, values).used_vocabulary()
+    referenced = sorted(set(codes.tolist()))
+    assert used.tolist() == values[referenced].tolist()
+    assert remapped.dtype == np.int64
+    assert remapped.tolist() == [referenced.index(c) for c in codes.tolist()]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_column_projection_passes_storage_through(data):
@@ -275,6 +292,76 @@ def test_semi_anti_join_without_build_batches():
     anti = HashJoin(["k"], ["k"], JoinType.ANTI)
     assert semi.probe(probe).num_rows == 0
     assert anti.probe(probe).num_rows == 3
+
+
+# -- direct-address key encoding ------------------------------------------------
+
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _clamped(value: int) -> int:
+    return min(max(value, INT64_MIN), INT64_MAX)
+
+
+@st.composite
+def int_key_columns(draw, rows, probe_rows):
+    """A build and a probe key column: ``rows`` build values stepping from an
+    anchor anywhere in ``int64`` (both edges included), dense or sparse past
+    the lookup table's span limit, and ``probe_rows`` probe values on,
+    between and beyond them."""
+    dtype = draw(st.sampled_from([DataType.INT64, DataType.DATE]))
+    anchors = [INT64_MIN, INT64_MIN + 3, -40, 0, 8035, 10**12, INT64_MAX - 60, INT64_MAX]
+    anchor = draw(st.sampled_from(anchors))
+    sign = draw(st.sampled_from([-1, 1]))
+    stride = draw(st.sampled_from([1, 2, 4, 5, 40]))
+    steps = draw(st.lists(st.integers(0, 12), min_size=rows, max_size=rows))
+    build = [_clamped(anchor + sign * stride * k) for k in steps]
+    candidates = [
+        st.integers(-2 * stride, 14 * stride).map(lambda d: _clamped(anchor + sign * d)),
+        st.sampled_from([INT64_MIN, INT64_MAX, 0, -1]),
+    ]
+    if build:
+        candidates.append(st.sampled_from(build))
+    probe = draw(st.lists(st.one_of(candidates), min_size=probe_rows, max_size=probe_rows))
+    return _column_array(dtype, build), _column_array(dtype, probe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_direct_address_encode_matches_the_binary_search(data):
+    rows = data.draw(st.integers(0, 30))
+    probe_rows = data.draw(st.integers(0, 20))
+    num_keys = data.draw(st.integers(1, 3))
+    pairs = [data.draw(int_key_columns(rows, probe_rows)) for _ in range(num_keys)]
+    build = [b for b, _ in pairs]
+    probe = [p for _, p in pairs]
+    if data.draw(st.booleans()):
+        # A float probe column is never looked up by address.
+        probe[0] = probe[0].astype(np.float64)
+
+    encoder = KeyEncoder(build)
+    got = encoder.encode(probe)
+    with mock.patch.object(factorize, "_DENSE_SPAN_FACTOR", 0):
+        searched = KeyEncoder(build)
+        expected = searched.encode(probe)
+    assert got.dtype == expected.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(encoder.codes, searched.codes)
+    for unique, ranker in zip(encoder._col_uniques, encoder._col_rankers):
+        dense = len(unique) > 0 and (
+            int(unique[-1]) - int(unique[0]) + 1 <= factorize._DENSE_SPAN_FACTOR * len(unique)
+        )
+        assert (ranker.table is not None) == dense
+
+
+def test_dense_multi_column_keys_use_lookup_tables_for_every_level():
+    build = [np.repeat(np.arange(50), 4), np.tile(np.arange(-2, 2), 50)]
+    encoder = KeyEncoder(build)
+    probe = [np.array([0, 49, 49, 50, -1, 7]), np.array([-2, 1, 2, 0, 0, -3])]
+    codes = encoder.encode(probe)
+    assert all(r.table is not None for r in encoder._col_rankers + encoder._level_rankers)
+    sentinel = encoder.num_codes
+    assert codes.tolist() == [0, 199, sentinel, sentinel, sentinel, sentinel]
 
 
 # -- aggregation ---------------------------------------------------------------

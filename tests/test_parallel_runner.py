@@ -29,11 +29,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import ParallelRunner, QuokkaContext, ReferenceRunner
+from repro.api import OneShotRunner, ParallelRunner, QuokkaContext, ReferenceRunner
 from repro.chaos import batches_match
 from repro.common.errors import ConfigError, ExecutionError
 from repro.core.options import QueryOptions
 from repro.data import Batch, DataType, Schema
+from repro.data.dictionary import DictionaryArray
 from repro.parallel import (
     BlockRegistry,
     ParallelExecutor,
@@ -46,7 +47,9 @@ from repro.parallel import (
     unlink_block,
     write_batch,
 )
+from repro.kernels.join import HashJoin
 from repro.physical import compile_plan
+from repro.plan.catalog import Catalog, vocabulary_owner
 from repro.sql import parse, plan_query
 from repro.tpch import (
     adversarial_catalog,
@@ -54,6 +57,7 @@ from repro.tpch import (
     generate_catalog,
     reference_answer,
 )
+from repro.tpch.sql import SQL_QUERIES
 
 ALL_QUERIES = list(range(1, 23))
 PROFILES = ("standard", "skew", "nullrich")
@@ -130,6 +134,41 @@ class TestShmSerde:
                 # Widened back to int64 into private memory in both modes.
                 assert codes.dtype == np.int64 and codes.flags.owndata
                 assert out.column("s").tolist() == batch.column("s").tolist()
+        finally:
+            unlink_block(ref.block)
+
+    def test_catalog_vocabulary_travels_by_reference(self):
+        table = Catalog().register("t", _mixed_batch(1000), num_splits=4)
+        source = table.data.column_data("tag")
+        piece = table.split(1).take(np.arange(0, 250, 3))
+        ref = write_batch(piece)
+        try:
+            kinds = {entry[1]: entry[0] for entry in ref.columns}
+            assert kinds["tag"] == "catalog" and kinds["note"] == "pickle"
+            pickled = [e for e in ref.columns if e[0] == "pickle"]
+            # Fixed-width columns, one byte per tag code and the pickled plain
+            # column: no vocabulary bytes.
+            fixed = piece.num_rows * (8 + 8 + 1 + 1)
+            assert ref.size <= fixed + 7 + sum(e[3] for e in pickled)
+            for out in (read_batch(ref, copy=True), read_batch(ref, BlockRegistry())):
+                tag = out.column_data("tag")
+                assert tag.values is source.values
+                assert tag.value_lengths() is source.value_lengths()
+                assert out.nbytes == piece.nbytes
+                assert out.column("tag").tolist() == piece.column("tag").tolist()
+        finally:
+            unlink_block(ref.block)
+
+    def test_an_equal_but_unregistered_vocabulary_is_pickled(self):
+        table = Catalog().register("t", _mixed_batch(50))
+        source = table.data.column_data("tag")
+        copied = DictionaryArray(source.codes, source.values.copy())
+        assert vocabulary_owner(source.values) == (table.token, "tag")
+        assert vocabulary_owner(copied.values) is None
+        batch = Batch(Schema.from_pairs([("tag", DataType.STRING)]), {"tag": copied})
+        ref = write_batch(batch)
+        try:
+            assert ref.columns[0][0] == "dict"
         finally:
             unlink_block(ref.block)
 
@@ -326,9 +365,7 @@ class TestParallelDifferential:
         # partial ships its own NaN row, and the final aggregate must fold them
         # into the one group the reference finds.
         query, expected = nan_keyed_query
-        with ParallelRunner(workers=workers) as runner, np.errstate(
-            divide="ignore", invalid="ignore"
-        ):
+        with ParallelRunner(workers=workers) as runner:
             got = runner.submit(query).wait().batch
         assert expected.num_rows == 2
         assert got.num_rows == expected.num_rows
@@ -348,9 +385,64 @@ NAN_KEYED_SQL = """
 def nan_keyed_query():
     catalog = generate_catalog(scale_factor=0.01, seed=1)
     query = plan_query(parse(NAN_KEYED_SQL), catalog)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expected = ReferenceRunner().submit(query).wait().batch
+    expected = ReferenceRunner().submit(query).wait().batch
     return query, expected
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+#: Equal float keys with different bits: ``0.0`` / ``-0.0``, and NaNs of
+#: either sign and several payloads (a GROUP BY puts every NaN in one group).
+FLOAT_KEYS = [0.0, -0.0, 1.5, _nan(0x7FF8000000000000), _nan(0xFFF8000000000000),
+              _nan(0x7FF8000000000001), _nan(0x7FF0000000000ABC), -2.25]
+
+
+@pytest.fixture(scope="module")
+def float_key_catalog():
+    # Four splits of 16 rows; the odd ones list the keys backwards, so their
+    # morsels meet ``-0.0`` before ``0.0`` and another NaN first.
+    keys = (FLOAT_KEYS * 2 + FLOAT_KEYS[::-1] * 2) * 2
+    catalog = Catalog()
+    catalog.register("f", Batch.from_pydict({
+        "fk": keys,
+        "fv": list(range(len(keys))),
+    }), num_splits=4)
+    catalog.register("g", Batch.from_pydict({
+        "gk": [0.0, -0.0, 1.5, -2.25, 7.0],
+        "gv": [10, 20, 30, 40, 50],
+    }), num_splits=2)
+    return catalog
+
+
+class TestFloatKeysAcrossChannels:
+    """Equal float keys hash to one channel: ``0.0`` joins ``-0.0``, and a
+    group-by key has one ``0.0`` group and one NaN group at any channel
+    count."""
+
+    @pytest.mark.parametrize("channels", [5, 8])
+    @pytest.mark.parametrize("sql", [
+        "SELECT fk, count(*) AS n, sum(fv) AS s FROM f GROUP BY fk",
+        "SELECT fv, gv FROM f, g WHERE fk = gk",
+    ], ids=["group_by", "join"])
+    def test_matches_the_reference(self, float_key_catalog, sql, channels):
+        query = plan_query(parse(sql), float_key_catalog)
+        graph = compile_plan(query.plan, num_channels=channels)
+        got = execute_graph_parallel(graph, workers=0)[0]
+        expected = ReferenceRunner().submit(query).wait().batch
+        assert _float_rows(got) == _float_rows(expected)
+
+
+def _float_rows(batch):
+    """The batch's rows, sorted, with every NaN written ``"nan"`` and ``-0.0``
+    as ``0.0`` (equal keys; which bits a group keeps is not the point)."""
+    def canonical(value):
+        if isinstance(value, float):
+            return "nan" if value != value else repr(value + 0.0)
+        return repr(value)
+
+    return sorted(tuple(map(canonical, row)) for row in batch.to_rows())
 
 
 def _fingerprint(batch):
@@ -391,6 +483,63 @@ class TestDeterminism:
             for workers in (0, 2, 4)
         }
         assert len(set(prints.values())) == 1, prints
+
+
+class TestJoinBuildKeepsCodes:
+    """A join's build side concatenates its pieces without rebuilding one
+    string: on every executor, shared-memory transport included, the pieces
+    of a catalog column share that column's vocabulary."""
+
+    @pytest.fixture
+    def build_sides(self, monkeypatch):
+        """Make a materialisation inside ``HashJoin._build_side`` fail the
+        task; return the build sides concatenated in this process."""
+        seen = []
+        inside = []
+        build_side = HashJoin._build_side
+        materialize = DictionaryArray.materialize
+
+        def guarded_build_side(join):
+            inside.append(True)
+            try:
+                seen.append(build_side(join))
+            finally:
+                inside.pop()
+            return seen[-1]
+
+        def guarded_materialize(array):
+            if inside:
+                raise AssertionError("the join build side materialised a string column")
+            return materialize(array)
+
+        monkeypatch.setattr(HashJoin, "_build_side", guarded_build_side)
+        monkeypatch.setattr(DictionaryArray, "materialize", guarded_materialize)
+        return seen
+
+    @pytest.mark.parametrize("number", [10, 18])
+    @pytest.mark.parametrize("executor", ["inline", "pool", "simulator"])
+    def test_no_string_is_rebuilt(self, build_sides, executor, number):
+        catalog = _catalog("standard")
+        # At this scale no order passes Q18's ``sum(l_quantity) > 300``, and
+        # its joins would see no rows; 200 leaves 92 result rows.
+        query = plan_query(
+            parse(SQL_QUERIES[number].replace("> 300", "> 200")), catalog
+        )
+        expected = ReferenceRunner().submit(query).wait().batch
+        if executor == "simulator":
+            got = OneShotRunner(QuokkaContext(catalog=catalog)).submit(query).wait()
+        else:
+            # A fresh runner: its workers fork with the guard in place.
+            with ParallelRunner(workers=0 if executor == "inline" else 2) as runner:
+                got = runner.submit(query).wait()
+        assert expected.num_rows and batches_match(got.batch, expected)
+        if executor != "pool":  # pool workers concatenate in their own processes
+            encoded = [
+                side for side in build_sides
+                if any(isinstance(side.column_data(name), DictionaryArray)
+                       for name in side.schema.names)
+            ]
+            assert encoded, "no build side held a dictionary column"
 
 
 # ---------------------------------------------------------------------------
