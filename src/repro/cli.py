@@ -68,26 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the SQL formulation (where available) instead of the DataFrame plan",
     )
-    tpch.add_argument(
-        "--optimize",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force the cost-based planner on/off (default: on for the engine)",
-    )
-    tpch.add_argument(
-        "--adaptive",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force adaptive (runtime-feedback) execution on/off "
-        "(default: on whenever the cost-based planner runs)",
-    )
-    tpch.add_argument(
-        "--runtime-filters",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force runtime semi-join filters on/off "
-        "(default: on whenever the cost-based planner runs)",
-    )
+    _add_planner_arguments(tpch)
     tpch.add_argument(
         "--fail-worker", type=int, default=None, help="worker id to kill during the query"
     )
@@ -109,26 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sql = subparsers.add_parser("sql", help="run an ad-hoc SQL query against generated TPC-H data")
     _add_cluster_arguments(sql)
     sql.add_argument("statement", help="the SELECT statement to run")
-    sql.add_argument(
-        "--optimize",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force the cost-based planner on/off (default: on for the engine)",
-    )
-    sql.add_argument(
-        "--adaptive",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force adaptive (runtime-feedback) execution on/off "
-        "(default: on whenever the cost-based planner runs)",
-    )
-    sql.add_argument(
-        "--runtime-filters",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force runtime semi-join filters on/off "
-        "(default: on whenever the cost-based planner runs)",
-    )
+    _add_planner_arguments(sql)
     sql.add_argument("--rows", type=int, default=20, help="result rows to print (default 20)")
     _add_memory_arguments(sql)
     sql.set_defaults(handler=run_sql)
@@ -259,6 +221,29 @@ def _add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
         help="scale factor the cost model should emulate (defaults to the generated one)",
     )
     parser.add_argument("--seed", type=int, default=0, help="data-generation seed")
+
+
+def _add_planner_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--optimize",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="force the cost-based planner on/off (default: on for the engine)",
+    )
+    parser.add_argument(
+        "--adaptive",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="force adaptive (runtime-feedback) execution on/off "
+        "(default: on whenever the cost-based planner runs)",
+    )
+    parser.add_argument(
+        "--runtime-filters",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="force runtime semi-join filters on/off "
+        "(default: on whenever the cost-based planner runs)",
+    )
 
 
 def _add_memory_arguments(parser: argparse.ArgumentParser) -> None:

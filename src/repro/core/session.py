@@ -573,16 +573,20 @@ class Session:
                     finally:
                         self._inflight.discard(claim)
                     progressed = progressed or ran
-        except ExecutionError as error:
+        except Interrupt:
+            raise  # the worker was killed: its TaskManager loop ends
+        except Exception as error:
             if not worker.alive:
                 # Racing with this worker's own failure; the interrupt follows.
                 return progressed
             # A task raised outside the failure paths the protocol handles.
+            # Any error type counts: one escaping here would end this
+            # TaskManager and leave the query to stall.
             # Aborting just this query keeps the worker serving the others and
             # is far more debuggable than a silent stall.
-            execution.abort(
-                ExecutionError(f"task failed on worker {worker.worker_id}: {error}")
-            )
+            failure = ExecutionError(f"task failed on worker {worker.worker_id}: {error}")
+            failure.__cause__ = error
+            execution.abort(failure)
         return progressed
 
     # -- the head-node coordinator ---------------------------------------------------------

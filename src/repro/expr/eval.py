@@ -199,35 +199,15 @@ def _evaluate_case(expr: CaseWhen, batch: Batch) -> np.ndarray:
 
 def expression_columns(expr: Expr) -> Set[str]:
     """Return the set of input column names referenced by ``expr``."""
-    if isinstance(expr, Column):
-        return {expr.name}
-    if isinstance(expr, Alias):
-        return expression_columns(expr.child)
-    if isinstance(expr, Literal):
-        return set()
-    if isinstance(expr, BinaryOp):
-        return expression_columns(expr.left) | expression_columns(expr.right)
-    if isinstance(expr, UnaryOp):
-        return expression_columns(expr.child)
-    if isinstance(expr, FunctionCall):
-        out: Set[str] = set()
-        for arg in expr.args:
-            out |= expression_columns(arg)
-        return out
-    if isinstance(expr, CaseWhen):
-        out = expression_columns(expr.default)
-        for condition, value in expr.branches:
-            out |= expression_columns(condition) | expression_columns(value)
-        return out
-    if isinstance(expr, InList):
-        return expression_columns(expr.child)
-    if isinstance(expr, Between):
-        return (
-            expression_columns(expr.child)
-            | expression_columns(expr.low)
-            | expression_columns(expr.high)
-        )
-    raise ExpressionError(f"cannot inspect expression node {type(expr).__name__}")
+    columns: Set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Column):
+            columns.add(node.name)
+        else:
+            stack.extend(node.children())
+    return columns
 
 
 def infer_dtype(expr: Expr, schema: Schema) -> DataType:

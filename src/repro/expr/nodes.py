@@ -9,11 +9,17 @@ Expressions are built with a small fluent API::
 
 Python's ``and``/``or``/``not`` cannot be overloaded, so boolean combinations
 use ``&``, ``|`` and ``~`` (parenthesise comparisons, as with NumPy).
+
+Every node states its sub-expressions once, in :meth:`Expr.children`, and
+rebuilds itself over new ones with :meth:`Expr.with_children`; structural
+rewrites (:meth:`Expr.transform_up`, the optimizer's constant folding and
+column renaming) are written once over that pair instead of once per node
+type.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExpressionError
 
@@ -41,6 +47,34 @@ class Expr:
     def output_name(self) -> str:
         """Default output column name (overridden by Column and Alias)."""
         return "expr"
+
+    # -- tree structure ----------------------------------------------------------
+
+    def children(self) -> List["Expr"]:
+        """Sub-expressions, in the order :meth:`with_children` takes them."""
+        return []
+
+    def with_children(self, children: Sequence["Expr"]) -> "Expr":
+        """This node over ``children``; ``self`` when every child is unchanged.
+
+        Identity (``is``) decides "unchanged": ``==`` builds a comparison node.
+        """
+        current = self.children()
+        if len(children) != len(current):
+            raise ExpressionError(
+                f"{type(self).__name__} takes {len(current)} children, got {len(children)}"
+            )
+        if all(new is old for new, old in zip(children, current)):
+            return self
+        return self._rebuild(list(children))
+
+    def _rebuild(self, children: List["Expr"]) -> "Expr":
+        raise NotImplementedError(type(self).__name__)
+
+    def transform_up(self, rule: Callable[["Expr"], "Expr"]) -> "Expr":
+        """Apply ``rule`` to every node, children first, rebuilding as needed."""
+        node = self.with_children([child.transform_up(rule) for child in self.children()])
+        return rule(node)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -161,6 +195,12 @@ class Alias(Expr):
     def output_name(self) -> str:
         return self.name
 
+    def children(self) -> List[Expr]:
+        return [self.child]
+
+    def _rebuild(self, children: List[Expr]) -> Expr:
+        return Alias(children[0], self.name)
+
     def __repr__(self) -> str:
         return f"{self.child!r}.alias({self.name!r})"
 
@@ -175,6 +215,12 @@ class BinaryOp(Expr):
         self.left = left
         self.right = right
 
+    def children(self) -> List[Expr]:
+        return [self.left, self.right]
+
+    def _rebuild(self, children: List[Expr]) -> Expr:
+        return BinaryOp(self.op, children[0], children[1])
+
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -187,6 +233,12 @@ class UnaryOp(Expr):
             raise ExpressionError(f"unknown unary operator {op!r}")
         self.op = op
         self.child = child
+
+    def children(self) -> List[Expr]:
+        return [self.child]
+
+    def _rebuild(self, children: List[Expr]) -> Expr:
+        return UnaryOp(self.op, children[0])
 
     def __repr__(self) -> str:
         return f"{self.op}({self.child!r})"
@@ -203,6 +255,12 @@ class FunctionCall(Expr):
 
     def output_name(self) -> str:
         return self.name
+
+    def children(self) -> List[Expr]:
+        return list(self.args)
+
+    def _rebuild(self, children: List[Expr]) -> Expr:
+        return FunctionCall(self.name, children)
 
     def __repr__(self) -> str:
         args = ", ".join(repr(a) for a in self.args)
@@ -221,6 +279,16 @@ class CaseWhen(Expr):
     def output_name(self) -> str:
         return "case"
 
+    def children(self) -> List[Expr]:
+        """Each branch's condition then value, then the default."""
+        out = [part for branch in self.branches for part in branch]
+        out.append(self.default)
+        return out
+
+    def _rebuild(self, children: List[Expr]) -> Expr:
+        pairs = list(zip(children[:-1:2], children[1:-1:2]))
+        return CaseWhen(pairs, children[-1])
+
     def __repr__(self) -> str:
         return f"case_when({self.branches!r}, default={self.default!r})"
 
@@ -237,6 +305,12 @@ class InList(Expr):
     def output_name(self) -> str:
         return "in"
 
+    def children(self) -> List[Expr]:
+        return [self.child]
+
+    def _rebuild(self, children: List[Expr]) -> Expr:
+        return InList(children[0], list(self.values))
+
     def __repr__(self) -> str:
         return f"{self.child!r}.is_in({self.values!r})"
 
@@ -251,6 +325,12 @@ class Between(Expr):
 
     def output_name(self) -> str:
         return "between"
+
+    def children(self) -> List[Expr]:
+        return [self.child, self.low, self.high]
+
+    def _rebuild(self, children: List[Expr]) -> Expr:
+        return Between(*children)
 
     def __repr__(self) -> str:
         return f"{self.child!r}.between({self.low!r}, {self.high!r})"

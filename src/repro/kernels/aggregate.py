@@ -263,7 +263,7 @@ class GroupedAggregationState:
             return
         if self._key_dtypes is None:
             self._key_dtypes = [batch.schema.dtype(k) for k in self.group_keys]
-            self._result_dtypes = self._infer_result_dtypes(batch.schema)
+            self._result_dtypes = result_dtypes(self.aggregates, batch.schema)
 
         reduction = reduce_batch(batch, self.group_keys, self.aggregates)
         num_groups = len(reduction.counts)
@@ -314,13 +314,6 @@ class GroupedAggregationState:
 
     # -- output -----------------------------------------------------------------
 
-    def output_schema(self, input_schema: Schema) -> Schema:
-        """Schema of the finalised aggregation result."""
-        fields = [Field(k, input_schema.dtype(k)) for k in self.group_keys]
-        for spec, dtype in zip(self.aggregates, self._infer_result_dtypes(input_schema)):
-            fields.append(Field(spec.name, dtype))
-        return Schema(fields)
-
     def finalize(self, input_schema: Optional[Schema] = None) -> Batch:
         """Produce the final one-row-per-group result batch."""
         if self._key_dtypes is None:
@@ -329,7 +322,7 @@ class GroupedAggregationState:
                     "cannot finalise an empty aggregation without the input schema"
                 )
             self._key_dtypes = [input_schema.dtype(k) for k in self.group_keys]
-            self._result_dtypes = self._infer_result_dtypes(input_schema)
+            self._result_dtypes = result_dtypes(self.aggregates, input_schema)
 
         # Same output order as the original implementation: sorted by the
         # stringified key tuple, ties broken by first-seen order.
@@ -390,22 +383,8 @@ class GroupedAggregationState:
             return np.empty(0, dtype=np.float64)
         return array[order]
 
-    def _infer_result_dtypes(self, input_schema: Schema) -> List[DataType]:
-        dtypes = []
-        for spec in self.aggregates:
-            if spec.function in (AggregateFunction.COUNT, AggregateFunction.COUNT_DISTINCT):
-                dtypes.append(DataType.INT64)
-            elif spec.function is AggregateFunction.AVG:
-                dtypes.append(DataType.FLOAT64)
-            elif spec.function is AggregateFunction.SUM:
-                dtypes.append(DataType.FLOAT64)
-            else:  # MIN / MAX keep their input type
-                assert spec.expression is not None
-                dtypes.append(infer_dtype(spec.expression, input_schema))
-        return dtypes
 
-
-# -- the engine's final aggregate -------------------------------------------------
+# -- result types (the one rule every aggregation path and the planner use) ------
 
 
 def result_dtypes(
@@ -436,6 +415,9 @@ def aggregate_schema(
     for spec, dtype in zip(specs, result_dtypes(specs, input_schema)):
         fields.append(Field(spec.name, dtype))
     return Schema(fields)
+
+
+# -- the engine's final aggregate -------------------------------------------------
 
 
 def _take(column, rows: np.ndarray):

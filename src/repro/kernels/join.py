@@ -17,6 +17,10 @@ preserved in :mod:`repro.kernels.reference` as the property-test oracle.
 
 Supported join types: inner, left (outer on the probe side), semi and anti
 (both filtering the probe side by existence in the build side).
+
+:func:`join_output_names` is the one naming rule for a join's output: the
+logical ``Join`` node, the optimizer, the estimator, the SQL planner and every
+join kernel call it, so a plan's schema and its executed batches agree.
 """
 
 from __future__ import annotations
@@ -30,6 +34,33 @@ from repro.common.errors import ExecutionError, SchemaError
 from repro.data.batch import Batch, concat_batches
 from repro.data.schema import DataType, Field, Schema
 from repro.kernels.factorize import KeyEncoder, factorize_key, gather_pylist, group_sort
+
+
+#: Appended to a build-side column whose name the output already holds.
+JOIN_SUFFIX = "_right"
+
+
+def join_output_names(
+    probe_names: Sequence[str], build_names: Sequence[str], suffix: str = JOIN_SUFFIX
+) -> List[str]:
+    """Output names of the build columns of a join, in build order.
+
+    The probe columns keep their names.  A build column keeps its own unless
+    a probe column or an earlier build column already holds it; then
+    ``suffix`` is appended until the name is free, so build columns ``a`` and
+    ``a_right`` under a probe ``a`` come out as ``a_right`` and
+    ``a_right_right``.
+    """
+    taken = set(probe_names)
+    names = []
+    for name in build_names:
+        while name in taken:
+            if not suffix:
+                raise SchemaError(f"join output column {name!r} collides and the suffix is empty")
+            name += suffix
+        taken.add(name)
+        names.append(name)
+    return names
 
 
 class JoinType(Enum):
@@ -61,7 +92,7 @@ class HashJoin:
         build_keys: Sequence[str],
         probe_keys: Sequence[str],
         join_type: JoinType = JoinType.INNER,
-        build_suffix: str = "",
+        build_suffix: str = JOIN_SUFFIX,
         build_schema: Optional[Schema] = None,
     ):
         if len(build_keys) != len(probe_keys):
@@ -265,14 +296,8 @@ class HashJoin:
 
     def _rename_conflicts(self, probe_schema: Schema) -> Schema:
         build_schema = self._output_build_schema()
-        suffix = self.build_suffix or "_right"
-        fields = []
-        for field in build_schema:
-            name = field.name
-            if name in probe_schema:
-                name = name + suffix
-            fields.append(Field(name, field.dtype))
-        return Schema(fields)
+        names = join_output_names(probe_schema.names, build_schema.names, self.build_suffix)
+        return Schema(Field(name, field.dtype) for name, field in zip(names, build_schema))
 
     def _combine(self, probe_part: Batch, build_part: Batch) -> Batch:
         build_schema = self._rename_conflicts(probe_part.schema)

@@ -38,7 +38,7 @@ from repro.common.errors import ExecutionError, SchemaError
 from repro.data.batch import Batch, concat_batches
 from repro.data.schema import DataType
 from repro.kernels.aggregate import AggregateFunction, AggregateSpec, result_dtypes
-from repro.kernels.join import JoinType, _merge_columns, _null_batch
+from repro.kernels.join import JOIN_SUFFIX, JoinType, _merge_columns, _null_batch
 from repro.expr.eval import evaluate
 
 
@@ -95,7 +95,7 @@ class NaiveHashJoin:
         build_keys: Sequence[str],
         probe_keys: Sequence[str],
         join_type: JoinType = JoinType.INNER,
-        build_suffix: str = "",
+        build_suffix: str = JOIN_SUFFIX,
     ):
         if len(build_keys) != len(probe_keys):
             raise SchemaError("build and probe key lists must have the same length")

@@ -2,20 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
-from repro.expr.nodes import (
-    Alias,
-    Between,
-    BinaryOp,
-    CaseWhen,
-    Column,
-    Expr,
-    FunctionCall,
-    InList,
-    Literal,
-    UnaryOp,
-)
+from repro.expr.nodes import BinaryOp, Column, Expr, Literal, UnaryOp, column_reference
 
 #: Operators that can be evaluated on two literal operands at plan time.
 _FOLDABLE_BINARY = {
@@ -39,42 +28,24 @@ def fold_constants(expr: Expr) -> Expr:
 
     The rewrite is conservative: division by a literal zero is left untouched
     (so the error surfaces at run time, as it would have without the
-    optimizer), and unknown node types pass through unchanged.
+    optimizer), and subtrees with nothing to fold come back as themselves.
     """
-    if isinstance(expr, Alias):
-        return Alias(fold_constants(expr.child), expr.name)
-    if isinstance(expr, BinaryOp):
-        left = fold_constants(expr.left)
-        right = fold_constants(expr.right)
+    return expr.transform_up(_fold_node)
+
+
+def _fold_node(node: Expr) -> Expr:
+    """One folding step; the node's children are already folded."""
+    if isinstance(node, BinaryOp):
+        left, right = node.left, node.right
         if isinstance(left, Literal) and isinstance(right, Literal):
-            if expr.op == "/" and right.value == 0:
-                return BinaryOp(expr.op, left, right)
-            folder = _FOLDABLE_BINARY.get(expr.op)
-            if folder is not None:
-                return Literal(folder(left.value, right.value))
-        return BinaryOp(expr.op, left, right)
-    if isinstance(expr, UnaryOp):
-        child = fold_constants(expr.child)
-        if isinstance(child, Literal):
-            if expr.op == "neg":
-                return Literal(-child.value)
-            if expr.op == "not":
-                return Literal(not bool(child.value))
-        return UnaryOp(expr.op, child)
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(expr.name, [fold_constants(arg) for arg in expr.args])
-    if isinstance(expr, CaseWhen):
-        branches = [
-            (fold_constants(cond), fold_constants(value)) for cond, value in expr.branches
-        ]
-        return CaseWhen(branches, fold_constants(expr.default))
-    if isinstance(expr, InList):
-        return InList(fold_constants(expr.child), list(expr.values))
-    if isinstance(expr, Between):
-        return Between(
-            fold_constants(expr.child), fold_constants(expr.low), fold_constants(expr.high)
-        )
-    return expr
+            if node.op == "/" and right.value == 0:
+                return node
+            return Literal(_FOLDABLE_BINARY[node.op](left.value, right.value))
+    elif isinstance(node, UnaryOp) and isinstance(node.child, Literal):
+        if node.op == "neg":
+            return Literal(-node.child.value)
+        return Literal(not bool(node.child.value))
+    return node
 
 
 def split_conjunction(predicate: Expr) -> List[Expr]:
@@ -94,63 +65,15 @@ def combine_conjuncts(conjuncts: List[Expr]) -> Optional[Expr]:
     return combined
 
 
-def referenced_columns(expr: Expr) -> Set[str]:
-    """All column names referenced anywhere inside ``expr``."""
-    columns: Set[str] = set()
-    stack: List[Expr] = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Column):
-            columns.add(node.name)
-        elif isinstance(node, Alias):
-            stack.append(node.child)
-        elif isinstance(node, BinaryOp):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, UnaryOp):
-            stack.append(node.child)
-        elif isinstance(node, FunctionCall):
-            stack.extend(node.args)
-        elif isinstance(node, CaseWhen):
-            for condition, value in node.branches:
-                stack.append(condition)
-                stack.append(value)
-            stack.append(node.default)
-        elif isinstance(node, InList):
-            stack.append(node.child)
-        elif isinstance(node, Between):
-            stack.extend((node.child, node.low, node.high))
-    return columns
-
-
 def rename_columns(expr: Expr, mapping: dict) -> Expr:
     """Return ``expr`` with column references renamed through ``mapping``."""
-    if isinstance(expr, Column):
-        return Column(mapping.get(expr.name, expr.name))
-    if isinstance(expr, Alias):
-        return Alias(rename_columns(expr.child, mapping), expr.name)
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op, rename_columns(expr.left, mapping), rename_columns(expr.right, mapping)
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, rename_columns(expr.child, mapping))
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(expr.name, [rename_columns(arg, mapping) for arg in expr.args])
-    if isinstance(expr, CaseWhen):
-        branches: List[Tuple[Expr, Expr]] = [
-            (rename_columns(cond, mapping), rename_columns(value, mapping))
-            for cond, value in expr.branches
-        ]
-        return CaseWhen(branches, rename_columns(expr.default, mapping))
-    if isinstance(expr, InList):
-        return InList(rename_columns(expr.child, mapping), list(expr.values))
-    if isinstance(expr, Between):
-        return Between(
-            rename_columns(expr.child, mapping),
-            rename_columns(expr.low, mapping),
-            rename_columns(expr.high, mapping),
-        )
-    return expr
+
+    def rename(node: Expr) -> Expr:
+        if isinstance(node, Column) and node.name in mapping:
+            return Column(mapping[node.name])
+        return node
+
+    return expr.transform_up(rename)
 
 
 def is_pass_through_projection(projections: List[Tuple[str, Expr]]) -> dict:
@@ -160,7 +83,7 @@ def is_pass_through_projection(projections: List[Tuple[str, Expr]]) -> dict:
     """
     mapping = {}
     for name, expr in projections:
-        inner = expr.child if isinstance(expr, Alias) else expr
-        if isinstance(inner, Column):
-            mapping[name] = inner.name
+        source = column_reference(expr)
+        if source is not None:
+            mapping[name] = source
     return mapping

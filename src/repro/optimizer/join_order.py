@@ -26,16 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.expr.nodes import col
 from repro.kernels.join import JoinType
-from repro.plan.nodes import (
-    Aggregate,
-    Filter,
-    Join,
-    Limit,
-    LogicalPlan,
-    Project,
-    Sort,
-    TableScan,
-)
+from repro.plan.nodes import Join, LogicalPlan, Project
 
 #: Exact DP is used up to this many relations; larger chains fall back to the
 #: greedy heuristic (DP over left-deep orders is exponential in relations).
@@ -44,28 +35,6 @@ MAX_DP_RELATIONS = 8
 #: Relative improvement a reorder must show before it replaces the original
 #: order (guards against churn on cost ties / estimate noise).
 MIN_IMPROVEMENT = 0.999
-
-
-def rebuild_with_children(plan: LogicalPlan, rewrite) -> LogicalPlan:
-    """Rebuild ``plan`` with ``rewrite`` applied to each child."""
-    if isinstance(plan, TableScan):
-        return plan
-    if isinstance(plan, Filter):
-        return Filter(rewrite(plan.child), plan.predicate)
-    if isinstance(plan, Project):
-        return Project(rewrite(plan.child), plan.projections)
-    if isinstance(plan, Join):
-        return Join(
-            rewrite(plan.left), rewrite(plan.right), plan.left_keys, plan.right_keys,
-            plan.join_type, plan.suffix,
-        )
-    if isinstance(plan, Aggregate):
-        return Aggregate(rewrite(plan.child), plan.group_keys, plan.aggregates)
-    if isinstance(plan, Sort):
-        return Sort(rewrite(plan.child), plan.keys, plan.descending)
-    if isinstance(plan, Limit):
-        return Limit(rewrite(plan.child), plan.n)
-    return plan
 
 
 @dataclass
@@ -235,9 +204,7 @@ def reorder_joins(
         # Restore the original output column order so downstream nodes and
         # the user-visible schema are unchanged by the reorder.
         return Project(candidate, [(name, col(name)) for name in original.schema.names])
-    return rebuild_with_children(
-        plan, lambda child: reorder_joins(child, cost_model, max_dp_relations)
-    )
+    return plan.map_children(lambda child: reorder_joins(child, cost_model, max_dp_relations))
 
 
 def _substitute(
@@ -253,10 +220,7 @@ def _substitute(
         if replacement is not None:
             return replacement
         if isinstance(node, Join) and node.join_type is JoinType.INNER:
-            return Join(
-                rebuild(node.left), rebuild(node.right), node.left_keys,
-                node.right_keys, node.join_type, node.suffix,
-            )
+            return node.map_children(rebuild)
         return node
 
     return rebuild(plan)

@@ -1,7 +1,9 @@
 """The plan optimizer: a small rule engine over logical plans.
 
-Rules are applied top-down, each producing a rewritten (new) plan tree —
-logical plans are treated as immutable.  The optimizer runs the rule list to a
+Rules are applied top-down, each producing a rewritten plan tree — logical
+plans are treated as immutable, and a rule that only recurses rebuilds a node
+through :meth:`~repro.plan.nodes.LogicalPlan.map_children`, which hands back
+the node itself when no child changed.  The optimizer runs the rule list to a
 fixpoint (bounded by ``max_passes``) because one rewrite can expose another:
 merging two filters can enable a pushdown, a pushdown can enable pruning.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
+from repro.expr.eval import expression_columns
 from repro.expr.nodes import Expr, col
 from repro.kernels.join import JoinType
 from repro.optimizer.cost import PlanCostModel
@@ -18,15 +21,10 @@ from repro.optimizer.expressions import (
     combine_conjuncts,
     fold_constants,
     is_pass_through_projection,
-    referenced_columns,
     rename_columns,
     split_conjunction,
 )
-from repro.optimizer.join_order import (
-    MAX_DP_RELATIONS,
-    rebuild_with_children as _rebuild_with_children,
-    reorder_joins,
-)
+from repro.optimizer.join_order import MAX_DP_RELATIONS, reorder_joins
 from repro.optimizer.stats import CardinalityEstimator
 from repro.plan.nodes import (
     Aggregate,
@@ -88,7 +86,7 @@ class PlanOptimizer:
         for _pass in range(self.config.max_passes):
             rewritten = plan
             if self.config.fold_constants:
-                rewritten = _rewrite_expressions(rewritten)
+                rewritten = _fold_plan_constants(rewritten)
             if self.config.merge_filters:
                 rewritten = _merge_filters(rewritten)
             if self.config.pushdown_predicates:
@@ -120,31 +118,17 @@ def optimize_plan(
 # -- constant folding -----------------------------------------------------------------
 
 
-def _rewrite_expressions(plan: LogicalPlan) -> LogicalPlan:
-    if isinstance(plan, TableScan):
-        return plan
+def _fold_plan_constants(plan: LogicalPlan) -> LogicalPlan:
+    """Fold the constants of every filter predicate and projection."""
+    plan = plan.map_children(_fold_plan_constants)
     if isinstance(plan, Filter):
-        return Filter(_rewrite_expressions(plan.child), fold_constants(plan.predicate))
-    if isinstance(plan, Project):
-        return Project(
-            _rewrite_expressions(plan.child),
-            [(name, fold_constants(expr)) for name, expr in plan.projections],
-        )
-    if isinstance(plan, Join):
-        return Join(
-            _rewrite_expressions(plan.left),
-            _rewrite_expressions(plan.right),
-            plan.left_keys,
-            plan.right_keys,
-            plan.join_type,
-            plan.suffix,
-        )
-    if isinstance(plan, Aggregate):
-        return Aggregate(_rewrite_expressions(plan.child), plan.group_keys, plan.aggregates)
-    if isinstance(plan, Sort):
-        return Sort(_rewrite_expressions(plan.child), plan.keys, plan.descending)
-    if isinstance(plan, Limit):
-        return Limit(_rewrite_expressions(plan.child), plan.n)
+        predicate = fold_constants(plan.predicate)
+        if predicate is not plan.predicate:
+            return Filter(plan.child, predicate)
+    elif isinstance(plan, Project):
+        projections = [(name, fold_constants(expr)) for name, expr in plan.projections]
+        if any(new is not old for (_, new), (_, old) in zip(projections, plan.projections)):
+            return Project(plan.child, projections)
     return plan
 
 
@@ -159,7 +143,7 @@ def _merge_filters(plan: LogicalPlan) -> LogicalPlan:
             conjuncts.extend(split_conjunction(child.predicate))
             child = child.child
         return Filter(child, combine_conjuncts(conjuncts))
-    return _rebuild_with_children(plan, _merge_filters)
+    return plan.map_children(_merge_filters)
 
 
 # -- predicate pushdown ------------------------------------------------------------------
@@ -178,8 +162,7 @@ def _pushdown(plan: LogicalPlan) -> LogicalPlan:
             merged = Filter(child.child, combine_conjuncts(
                 conjuncts + split_conjunction(child.predicate)))
             return _pushdown(merged)
-        return Filter(_pushdown(child), plan.predicate)
-    return _rebuild_with_children(plan, _pushdown)
+    return plan.map_children(_pushdown)
 
 
 def _pushdown_through_project(conjuncts: List[Expr], project: Project) -> LogicalPlan:
@@ -188,7 +171,7 @@ def _pushdown_through_project(conjuncts: List[Expr], project: Project) -> Logica
     pushed: List[Expr] = []
     kept: List[Expr] = []
     for conjunct in conjuncts:
-        columns = referenced_columns(conjunct)
+        columns = expression_columns(conjunct)
         if columns <= set(pass_through):
             pushed.append(rename_columns(conjunct, pass_through))
         else:
@@ -196,7 +179,7 @@ def _pushdown_through_project(conjuncts: List[Expr], project: Project) -> Logica
     child: LogicalPlan = project.child
     if pushed:
         child = Filter(child, combine_conjuncts(pushed))
-    rebuilt: LogicalPlan = Project(_pushdown(child), project.projections)
+    rebuilt = project.with_children([_pushdown(child)])
     if kept:
         rebuilt = Filter(rebuilt, combine_conjuncts(kept))
     return rebuilt
@@ -205,13 +188,13 @@ def _pushdown_through_project(conjuncts: List[Expr], project: Project) -> Logica
 def _pushdown_into_join(conjuncts: List[Expr], join: Join) -> LogicalPlan:
     """Send single-side conjuncts below the join they apply to."""
     left_names = set(join.left.schema.names)
-    right_mapping = _right_output_mapping(join)
+    right_mapping = join.right_output_names()
 
     left_pushed: List[Expr] = []
     right_pushed: List[Expr] = []
     kept: List[Expr] = []
     for conjunct in conjuncts:
-        columns = referenced_columns(conjunct)
+        columns = expression_columns(conjunct)
         if columns <= left_names:
             left_pushed.append(conjunct)
         elif columns <= set(right_mapping) and join.join_type is JoinType.INNER:
@@ -228,48 +211,26 @@ def _pushdown_into_join(conjuncts: List[Expr], join: Join) -> LogicalPlan:
         left = Filter(left, combine_conjuncts(left_pushed))
     if right_pushed:
         right = Filter(right, combine_conjuncts(right_pushed))
-    rebuilt: LogicalPlan = Join(
-        _pushdown(left), _pushdown(right), join.left_keys, join.right_keys,
-        join.join_type, join.suffix,
-    )
+    rebuilt = join.with_children([_pushdown(left), _pushdown(right)])
     if kept:
         rebuilt = Filter(rebuilt, combine_conjuncts(kept))
     return rebuilt
-
-
-def _right_output_mapping(join: Join) -> dict:
-    """Map join-output name -> right-child column name for right-side columns."""
-    taken = set(join.left.schema.names)
-    if join.join_type in (JoinType.SEMI, JoinType.ANTI):
-        # Semi/anti join output is the probe (left) schema only; build columns
-        # are not visible above the join.
-        return {}
-    mapping = {}
-    for field_ in join.right.schema:
-        output_name = field_.name if field_.name not in taken else field_.name + join.suffix
-        mapping[output_name] = field_.name
-        taken.add(output_name)
-    return mapping
 
 
 # -- join build-side selection ----------------------------------------------------------------
 
 
 def _choose_build_sides(plan: LogicalPlan, estimator: CardinalityEstimator) -> LogicalPlan:
-    if isinstance(plan, Join):
-        left = _choose_build_sides(plan.left, estimator)
-        right = _choose_build_sides(plan.right, estimator)
-        rebuilt = Join(left, right, plan.left_keys, plan.right_keys, plan.join_type, plan.suffix)
-        if _should_swap(rebuilt, estimator):
-            swapped = Join(
-                right, left, plan.right_keys, plan.left_keys, plan.join_type, plan.suffix
-            )
-            # Restore the original output column order so downstream nodes and
-            # the user-visible schema are unchanged by the swap.
-            restore = [(name, col(name)) for name in rebuilt.schema.names]
-            return Project(swapped, restore)
-        return rebuilt
-    return _rebuild_with_children(plan, lambda child: _choose_build_sides(child, estimator))
+    plan = plan.map_children(lambda child: _choose_build_sides(child, estimator))
+    if isinstance(plan, Join) and _should_swap(plan, estimator):
+        swapped = Join(
+            plan.right, plan.left, plan.right_keys, plan.left_keys, plan.join_type, plan.suffix
+        )
+        # Restore the original output column order so downstream nodes and
+        # the user-visible schema are unchanged by the swap.
+        restore = [(name, col(name)) for name in plan.schema.names]
+        return Project(swapped, restore)
+    return plan
 
 
 def _should_swap(join: Join, estimator: CardinalityEstimator) -> bool:
@@ -305,8 +266,8 @@ def _prune(plan: LogicalPlan, required: Optional[Set[str]]) -> LogicalPlan:
     if isinstance(plan, Filter):
         child_required = None
         if required is not None:
-            child_required = required | referenced_columns(plan.predicate)
-        return Filter(_prune(plan.child, child_required), plan.predicate)
+            child_required = required | expression_columns(plan.predicate)
+        return plan.with_children([_prune(plan.child, child_required)])
     if isinstance(plan, Project):
         needed = plan.projections
         if required is not None:
@@ -315,30 +276,31 @@ def _prune(plan: LogicalPlan, required: Optional[Set[str]]) -> LogicalPlan:
                 needed = plan.projections[:1]
         child_required: Set[str] = set()
         for _name, expr in needed:
-            child_required |= referenced_columns(expr)
-        return Project(_prune(plan.child, child_required or None), needed)
+            child_required |= expression_columns(expr)
+        child = _prune(plan.child, child_required or None)
+        if len(needed) == len(plan.projections):
+            return plan.with_children([child])
+        return Project(child, needed)
     if isinstance(plan, Join):
         return _prune_join(plan, required)
     if isinstance(plan, Aggregate):
         child_required = set(plan.group_keys)
         for spec in plan.aggregates:
             if spec.expression is not None:
-                child_required |= referenced_columns(spec.expression)
-        return Aggregate(
-            _prune(plan.child, child_required or None), plan.group_keys, plan.aggregates
-        )
+                child_required |= expression_columns(spec.expression)
+        return plan.with_children([_prune(plan.child, child_required or None)])
     if isinstance(plan, Sort):
         child_required = None
         if required is not None:
             child_required = required | set(plan.keys)
-        return Sort(_prune(plan.child, child_required), plan.keys, plan.descending)
+        return plan.with_children([_prune(plan.child, child_required)])
     if isinstance(plan, Limit):
-        return Limit(_prune(plan.child, required), plan.n)
+        return plan.with_children([_prune(plan.child, required)])
     return plan
 
 
 def _prune_join(join: Join, required: Optional[Set[str]]) -> LogicalPlan:
-    right_mapping = _right_output_mapping(join)
+    right_mapping = join.right_output_names()
     left_required: Optional[Set[str]]
     right_required: Optional[Set[str]]
     if required is None:
@@ -349,9 +311,18 @@ def _prune_join(join: Join, required: Optional[Set[str]]) -> LogicalPlan:
         right_required = {
             right_mapping[name] for name in required if name in right_mapping
         } | set(join.right_keys)
-    left = _prune(join.left, left_required)
-    right = _prune(join.right, right_required)
-    return Join(left, right, join.left_keys, join.right_keys, join.join_type, join.suffix)
+    pruned = join.with_children(
+        [_prune(join.left, left_required), _prune(join.right, right_required)]
+    )
+    # Dropping a column can end a name collision, and so change the name the
+    # join gives a build column: name those columns as the parent saw them.
+    names = {source: name for name, source in right_mapping.items()}
+    renamed = {name: names[source] for name, source in pruned.right_output_names().items()}
+    if all(old == new for old, new in renamed.items()):
+        return pruned
+    restore = [(name, col(name)) for name in pruned.left.schema.names]
+    restore += [(new, col(old)) for old, new in renamed.items()]
+    return Project(pruned, restore)
 
 
 # -- project collapsing ---------------------------------------------------------------------
@@ -364,7 +335,7 @@ def _collapse_projects(plan: LogicalPlan) -> LogicalPlan:
     pass-through/renaming: the outer expressions are rewritten through the
     rename map and applied directly to the inner child.
     """
-    plan = _rebuild_with_children(plan, _collapse_projects)
+    plan = plan.map_children(_collapse_projects)
     while isinstance(plan, Project) and isinstance(plan.child, Project):
         inner = plan.child
         mapping = is_pass_through_projection(inner.projections)
@@ -376,7 +347,3 @@ def _collapse_projects(plan: LogicalPlan) -> LogicalPlan:
         plan = Project(inner.child, projections)
     return plan
 
-
-# The generic child-rebuild helper lives in :mod:`repro.optimizer.join_order`
-# (imported above as ``_rebuild_with_children``) so both modules share it
-# without a circular import.

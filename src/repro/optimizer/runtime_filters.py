@@ -42,6 +42,7 @@ from repro.expr.nodes import (
     column_reference,
 )
 from repro.optimizer.cost import runtime_filter_decision
+from repro.optimizer.expressions import split_conjunction
 from repro.physical.stages import (
     FilterOp,
     PartialAggregateOp,
@@ -153,7 +154,7 @@ def extract_scan_bounds(post_ops) -> Dict[str, Tuple[object, object]]:
     mapping: Optional[Dict[str, str]] = None  # None = identity (no project yet)
     for op in post_ops:
         if isinstance(op, FilterOp):
-            for conjunct in _conjuncts(op.predicate):
+            for conjunct in split_conjunction(op.predicate):
                 constraint = _range_constraint(conjunct)
                 if constraint is None:
                     continue
@@ -182,14 +183,6 @@ def extract_scan_bounds(post_ops) -> Dict[str, Tuple[object, object]]:
         else:
             break
     return bounds
-
-
-def _conjuncts(expr):
-    if isinstance(expr, BinaryOp) and expr.op == "and":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
 
 
 def _range_constraint(expr) -> Optional[Tuple[str, object, object]]:

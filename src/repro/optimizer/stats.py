@@ -219,7 +219,7 @@ class CardinalityEstimator:
         columns = {
             name: stats.scaled_to(rows) for name, stats in left.columns.items()
         }
-        for output_name, source_name in self._right_output_mapping(plan).items():
+        for output_name, source_name in plan.right_output_names().items():
             stats = right.columns.get(source_name)
             if stats is not None:
                 columns[output_name] = stats.scaled_to(rows)
@@ -248,17 +248,6 @@ class CardinalityEstimator:
     def _key_ndv(estimate: PlanEstimate, key: str) -> Optional[int]:
         stats = estimate.columns.get(key)
         return stats.ndv if stats is not None and stats.ndv > 0 else None
-
-    @staticmethod
-    def _right_output_mapping(join: Join) -> Dict[str, str]:
-        """Map join-output name -> right-child column name (with suffixing)."""
-        taken = set(join.left.schema.names)
-        mapping: Dict[str, str] = {}
-        for field_ in join.right.schema:
-            output = field_.name if field_.name not in taken else field_.name + join.suffix
-            mapping[output] = field_.name
-            taken.add(output)
-        return mapping
 
     def _derive_aggregate(self, plan: Aggregate) -> PlanEstimate:
         child = self.estimate(plan.child)

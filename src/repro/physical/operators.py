@@ -44,7 +44,7 @@ from repro.data.schema import Schema
 from repro.expr.nodes import Expr
 from repro.kernels.aggregate import AggregateSpec, ColumnarGroupTable
 from repro.kernels.buffer import RowBuffer
-from repro.kernels.join import HashJoin, JoinType
+from repro.kernels.join import JOIN_SUFFIX, HashJoin, JoinType
 from repro.kernels.outofcore import GraceHashJoin, SpillingAggregation, SpillingRowBuffer
 from repro.kernels.project import project_batch
 from repro.kernels.sort import sort_batch
@@ -98,7 +98,7 @@ class JoinOperator(Operator):
         build_keys: Sequence[str],
         probe_keys: Sequence[str],
         join_type: JoinType = JoinType.INNER,
-        suffix: str = "_right",
+        suffix: str = JOIN_SUFFIX,
         build_schema: Optional[Schema] = None,
         quota: Optional[float] = None,
     ):

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple, Union
 from repro.common.errors import PlanError
 from repro.expr.nodes import Column, Expr, col
 from repro.kernels.aggregate import AggregateFunction, AggregateSpec
-from repro.kernels.join import JoinType
+from repro.kernels.join import JOIN_SUFFIX, JoinType
 from repro.plan.nodes import (
     Aggregate,
     Filter,
@@ -298,7 +298,7 @@ class DataFrame:
         left_on: Union[str, Sequence[str]],
         right_on: Optional[Union[str, Sequence[str]]] = None,
         how: str = "inner",
-        suffix: str = "_right",
+        suffix: str = JOIN_SUFFIX,
     ) -> "DataFrame":
         """Hash-join with ``other`` (this frame is the probe side).
 

@@ -3,18 +3,25 @@
 A logical plan is a tree; each node knows its output :class:`Schema`, which is
 computed eagerly at construction time so schema errors surface where the query
 is written rather than at execution time.
+
+Every node states its children once, in :meth:`LogicalPlan.children`, and
+rebuilds itself over new ones with :meth:`LogicalPlan.with_children`, so an
+optimizer rule that only recurses is one generic rebuild.  The schema rules
+live with the kernels that execute them: a join names its output with
+:func:`repro.kernels.join.join_output_names` and an aggregation types its
+result with :func:`repro.kernels.aggregate.aggregate_schema`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError
 from repro.data.schema import Field, Schema
 from repro.expr.eval import expression_columns, infer_dtype
 from repro.expr.nodes import Expr
-from repro.kernels.aggregate import AggregateFunction, AggregateSpec
-from repro.kernels.join import JoinType
+from repro.kernels.aggregate import AggregateSpec, aggregate_schema
+from repro.kernels.join import JOIN_SUFFIX, JoinType, join_output_names
 from repro.plan.catalog import TableMetadata
 
 
@@ -27,6 +34,24 @@ class LogicalPlan:
     def children(self) -> List["LogicalPlan"]:
         """Child nodes in evaluation order."""
         return []
+
+    def with_children(self, children: Sequence["LogicalPlan"]) -> "LogicalPlan":
+        """This node over ``children``; ``self`` when every child is unchanged."""
+        current = self.children()
+        if len(children) != len(current):
+            raise PlanError(
+                f"{type(self).__name__} takes {len(current)} children, got {len(children)}"
+            )
+        if all(new is old for new, old in zip(children, current)):
+            return self
+        return self._rebuild(list(children))
+
+    def _rebuild(self, children: List["LogicalPlan"]) -> "LogicalPlan":
+        raise NotImplementedError(type(self).__name__)
+
+    def map_children(self, rewrite: Callable[["LogicalPlan"], "LogicalPlan"]) -> "LogicalPlan":
+        """This node with ``rewrite`` applied to each child."""
+        return self.with_children([rewrite(child) for child in self.children()])
 
     def node_name(self) -> str:
         """Short human-readable name used in EXPLAIN output."""
@@ -75,6 +100,9 @@ class Filter(LogicalPlan):
     def children(self) -> List[LogicalPlan]:
         return [self.child]
 
+    def _rebuild(self, children: List[LogicalPlan]) -> LogicalPlan:
+        return Filter(children[0], self.predicate)
+
     def describe(self) -> str:
         return f"Filter({self.predicate!r})"
 
@@ -96,6 +124,9 @@ class Project(LogicalPlan):
     def children(self) -> List[LogicalPlan]:
         return [self.child]
 
+    def _rebuild(self, children: List[LogicalPlan]) -> LogicalPlan:
+        return Project(children[0], self.projections)
+
     def describe(self) -> str:
         return f"Project({[name for name, _ in self.projections]})"
 
@@ -110,7 +141,7 @@ class Join(LogicalPlan):
         left_keys: Sequence[str],
         right_keys: Sequence[str],
         join_type: JoinType = JoinType.INNER,
-        suffix: str = "_right",
+        suffix: str = JOIN_SUFFIX,
     ):
         if len(left_keys) != len(right_keys) or not left_keys:
             raise PlanError("join requires equal, non-empty key lists")
@@ -124,21 +155,32 @@ class Join(LogicalPlan):
         self.right_keys = list(right_keys)
         self.join_type = join_type
         self.suffix = suffix
-        self.schema = self._output_schema()
+        if join_type in (JoinType.SEMI, JoinType.ANTI):
+            # Only probe rows come out: build columns are not visible above.
+            self._right_names: List[str] = []
+            self.schema = left.schema
+        else:
+            self._right_names = join_output_names(
+                left.schema.names, right.schema.names, suffix
+            )
+            self.schema = Schema(
+                list(left.schema.fields)
+                + [Field(name, f.dtype) for name, f in zip(self._right_names, right.schema)]
+            )
 
-    def _output_schema(self) -> Schema:
-        if self.join_type in (JoinType.SEMI, JoinType.ANTI):
-            return self.left.schema
-        fields = list(self.left.schema.fields)
-        taken = set(self.left.schema.names)
-        for field in self.right.schema:
-            name = field.name if field.name not in taken else field.name + self.suffix
-            fields.append(Field(name, field.dtype))
-            taken.add(name)
-        return Schema(fields)
+    def right_output_names(self) -> Dict[str, str]:
+        """Join-output name -> right-child column, for every right column the
+        join outputs (none for semi and anti joins)."""
+        return dict(zip(self._right_names, self.right.schema.names))
 
     def children(self) -> List[LogicalPlan]:
         return [self.left, self.right]
+
+    def _rebuild(self, children: List[LogicalPlan]) -> LogicalPlan:
+        left, right = children
+        return Join(
+            left, right, self.left_keys, self.right_keys, self.join_type, self.suffix
+        )
 
     def describe(self) -> str:
         keys = list(zip(self.left_keys, self.right_keys))
@@ -164,25 +206,13 @@ class Aggregate(LogicalPlan):
         self.child = child
         self.group_keys = list(group_keys)
         self.aggregates = list(aggregates)
-        self.schema = self._output_schema()
-
-    def _output_schema(self) -> Schema:
-        from repro.data.schema import DataType
-
-        fields = [Field(k, self.child.schema.dtype(k)) for k in self.group_keys]
-        for spec in self.aggregates:
-            if spec.function in (AggregateFunction.COUNT, AggregateFunction.COUNT_DISTINCT):
-                dtype = DataType.INT64
-            elif spec.function in (AggregateFunction.SUM, AggregateFunction.AVG):
-                dtype = DataType.FLOAT64
-            else:
-                assert spec.expression is not None
-                dtype = infer_dtype(spec.expression, self.child.schema)
-            fields.append(Field(spec.name, dtype))
-        return Schema(fields)
+        self.schema = aggregate_schema(self.group_keys, self.aggregates, child.schema)
 
     def children(self) -> List[LogicalPlan]:
         return [self.child]
+
+    def _rebuild(self, children: List[LogicalPlan]) -> LogicalPlan:
+        return Aggregate(children[0], self.group_keys, self.aggregates)
 
     def describe(self) -> str:
         aggs = [f"{s.function.value}->{s.name}" for s in self.aggregates]
@@ -212,6 +242,9 @@ class Sort(LogicalPlan):
     def children(self) -> List[LogicalPlan]:
         return [self.child]
 
+    def _rebuild(self, children: List[LogicalPlan]) -> LogicalPlan:
+        return Sort(children[0], self.keys, self.descending)
+
     def describe(self) -> str:
         return f"Sort(by={self.keys}, descending={self.descending})"
 
@@ -228,6 +261,9 @@ class Limit(LogicalPlan):
 
     def children(self) -> List[LogicalPlan]:
         return [self.child]
+
+    def _rebuild(self, children: List[LogicalPlan]) -> LogicalPlan:
+        return Limit(children[0], self.n)
 
     def describe(self) -> str:
         return f"Limit({self.n})"

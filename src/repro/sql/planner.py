@@ -50,7 +50,7 @@ from repro.expr.nodes import (
     year,
 )
 from repro.kernels.aggregate import AggregateFunction, AggregateSpec
-from repro.kernels.join import JoinType
+from repro.kernels.join import JoinType, join_output_names
 from repro.plan.catalog import Catalog
 from repro.plan.dataframe import DataFrame
 from repro.plan.nodes import (
@@ -641,11 +641,12 @@ class _QueryPlanner:
             )
         else:
             joined = _cross_join(witness, inner_plan)
-        witness_names = set(witness_cols)
-        inner_names = {
-            name: (name + "_right" if name in witness_names else name)
-            for name in inner_plan.schema.names
-        }
+        inner_names = dict(
+            zip(
+                inner_plan.schema.names,
+                join_output_names(witness_cols, inner_plan.schema.names),
+            )
+        )
 
         def residual_resolver(ref: ColumnRef) -> str:
             located = inner_scope.locate(ref)

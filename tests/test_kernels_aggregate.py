@@ -8,6 +8,7 @@ from repro.common.errors import SchemaError
 from repro.data import Batch, DataType
 from repro.expr import col
 from repro.kernels import AggregateFunction, AggregateSpec, GroupedAggregationState
+from repro.kernels.aggregate import aggregate_schema
 
 
 def sales_batch():
@@ -122,15 +123,15 @@ class TestScalarAndEdgeCases:
             AggregateSpec("x", AggregateFunction.SUM, None)
 
     def test_output_schema_types(self):
-        state = GroupedAggregationState(
-            ["region"],
-            [
-                AggregateSpec("total", AggregateFunction.SUM, col("amount")),
-                AggregateSpec("n", AggregateFunction.COUNT),
-                AggregateSpec("hi", AggregateFunction.MAX, col("qty")),
-            ],
-        )
-        schema = state.output_schema(sales_batch().schema)
+        specs = [
+            AggregateSpec("total", AggregateFunction.SUM, col("amount")),
+            AggregateSpec("n", AggregateFunction.COUNT),
+            AggregateSpec("hi", AggregateFunction.MAX, col("qty")),
+        ]
+        schema = aggregate_schema(["region"], specs, sales_batch().schema)
+        state = GroupedAggregationState(["region"], specs)
+        state.update(sales_batch())
+        assert state.finalize().schema == schema
         assert schema.dtype("region") is DataType.STRING
         assert schema.dtype("total") is DataType.FLOAT64
         assert schema.dtype("n") is DataType.INT64

@@ -34,6 +34,7 @@ from repro.kernels.aggregate import (
     AggregateSpec,
     ColumnarGroupTable,
     GroupedAggregationState,
+    aggregate_schema,
 )
 from repro.kernels import factorize
 from repro.kernels.factorize import KeyEncoder
@@ -429,7 +430,7 @@ def _partial_by_group_table(batch, group_keys, specs):
     """The group-table partial: one state per batch, updated once, finalized."""
     state = GroupedAggregationState(group_keys, specs)
     if batch.num_rows == 0:
-        return Batch.empty(state.output_schema(batch.schema))
+        return Batch.empty(aggregate_schema(group_keys, specs, batch.schema))
     state.update(batch)
     return state.finalize(input_schema=batch.schema)
 

@@ -7,12 +7,14 @@ Hypothesis runs derandomized (see ``conftest.py``), so the explored trees are
 identical run-to-run.
 """
 
+import copy
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.batch import Batch
-from repro.expr.eval import evaluate
+from repro.expr.eval import evaluate, expression_columns
 from repro.expr.nodes import (
     Alias,
     Between,
@@ -27,7 +29,6 @@ from repro.optimizer.expressions import (
     combine_conjuncts,
     fold_constants,
     is_pass_through_projection,
-    referenced_columns,
     rename_columns,
     split_conjunction,
 )
@@ -113,7 +114,7 @@ def test_rename_columns_is_reversible(expr):
     renamed = rename_columns(expr, {"x": "x_new", "y": "y_new"})
     restored = rename_columns(renamed, {"x_new": "x", "y_new": "y"})
     batch = make_batch(11)
-    assert referenced_columns(renamed) <= {"x_new", "y_new"}
+    assert expression_columns(renamed) <= {"x_new", "y_new"}
     assert np.allclose(
         evaluate(expr, batch), evaluate(restored, batch), rtol=1e-12, equal_nan=True
     )
@@ -162,14 +163,47 @@ def test_fold_constants_preserves_rich_trees(expr, rows):
 @given(rich_expressions())
 @settings(max_examples=80, deadline=None)
 def test_fold_constants_is_idempotent(expr):
+    # ``==`` on expressions builds a comparison node (always truthy): compare
+    # the canonical text, and a second fold must hand back the same object.
     once = fold_constants(expr)
-    assert fold_constants(once) == once
+    twice = fold_constants(once)
+    assert repr(twice) == repr(once)
+    assert twice is once
 
 
 @given(rich_expressions())
 @settings(max_examples=80, deadline=None)
 def test_fold_constants_never_invents_columns(expr):
-    assert referenced_columns(fold_constants(expr)) <= referenced_columns(expr)
+    assert expression_columns(fold_constants(expr)) <= expression_columns(expr)
+
+
+def _subtrees(expr):
+    yield expr
+    for child in expr.children():
+        yield from _subtrees(child)
+
+
+@given(rich_expressions())
+@settings(max_examples=80, deadline=None)
+def test_every_node_rebuilds_from_its_children(expr):
+    """``with_children(children())`` is the node itself; fresh children give
+    a new node with the same text, holding exactly those children."""
+    for node in _subtrees(expr):
+        children = node.children()
+        assert node.with_children(children) is node
+        copies = [copy.copy(child) for child in children]
+        rebuilt = node.with_children(copies)
+        assert repr(rebuilt) == repr(node)
+        assert (rebuilt is node) == (not children)
+        assert all(new is old for new, old in zip(rebuilt.children(), copies))
+
+
+@given(rich_expressions())
+@settings(max_examples=80, deadline=None)
+def test_identity_rewrites_return_the_same_tree(expr):
+    assert expr.transform_up(lambda node: node) is expr
+    assert rename_columns(expr, {"unused": "other"}) is expr
+    assert expression_columns(expr) <= {"x", "y"}
 
 
 @given(boolean_expressions())

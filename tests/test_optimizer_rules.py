@@ -3,13 +3,13 @@
 import pytest
 
 from repro.data.batch import Batch
+from repro.expr.eval import expression_columns
 from repro.expr.nodes import BinaryOp, Literal, col, lit
 from repro.kernels.join import JoinType
 from repro.optimizer import OptimizerConfig, PlanOptimizer, optimize_plan
 from repro.optimizer.expressions import (
     combine_conjuncts,
     fold_constants,
-    referenced_columns,
     rename_columns,
     split_conjunction,
 )
@@ -100,18 +100,18 @@ class TestExpressionHelpers:
         conjuncts = split_conjunction(predicate)
         assert len(conjuncts) == 3
         recombined = combine_conjuncts(conjuncts)
-        assert sorted(referenced_columns(recombined)) == ["a", "b", "c"]
+        assert sorted(expression_columns(recombined)) == ["a", "b", "c"]
 
     def test_combine_empty_returns_none(self):
         assert combine_conjuncts([]) is None
 
-    def test_referenced_columns_nested(self):
+    def test_expression_columns_nested(self):
         expr = (col("a") + col("b")).between(lit(0), col("c"))
-        assert referenced_columns(expr) == {"a", "b", "c"}
+        assert expression_columns(expr) == {"a", "b", "c"}
 
     def test_rename_columns(self):
         renamed = rename_columns(col("old") > lit(1), {"old": "new"})
-        assert referenced_columns(renamed) == {"new"}
+        assert expression_columns(renamed) == {"new"}
 
 
 class TestFilterMerging:

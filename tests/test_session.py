@@ -6,7 +6,7 @@ from repro.api import QuokkaContext
 from repro.api.runners import OneShotRunner
 from repro.cluster.faults import FailurePlan
 from repro.common.config import ClusterConfig, EngineConfig
-from repro.common.errors import ConfigError, ExecutionError
+from repro.common.errors import ConfigError, ExecutionError, SchemaError
 from repro.core import FairShareScheduler, OutputCache, Session
 from repro.core.cache import plan_key
 from repro.gcs.naming import TaskName, namespaced_table
@@ -129,6 +129,32 @@ class TestConcurrentQueries:
         session.close()
         with pytest.raises(ExecutionError):
             build_query(catalog, 6).submit(session)
+
+
+class TestTaskErrors:
+    def test_a_task_error_aborts_its_query_and_the_session_serves_on(
+        self, catalog, monkeypatch
+    ):
+        """Any error a task raises ends its query with that error, at once.
+
+        Only ``ExecutionError`` used to be caught: anything else ended the
+        worker's TaskManager, the query waited out the 1,800 s stall timeout
+        with the real error lost, and the worker served no later query."""
+        from repro.physical.operators import AggregateOperator
+
+        def boom(self, upstream_id, batch):
+            raise SchemaError("boom")
+
+        with make_session(catalog, num_workers=2, task_managers=1) as session:
+            with monkeypatch.context() as patch:
+                patch.setattr(AggregateOperator, "on_input", boom)
+                handle = build_query(catalog, 1).submit(session, query_name="q1")
+                with pytest.raises(ExecutionError, match="boom") as failure:
+                    handle.wait()
+            assert isinstance(failure.value.__cause__, SchemaError)
+            assert session.env.now < 60.0
+            later = build_query(catalog, 6).submit(session, query_name="q6").wait()
+        assert later.batch.equals(reference_answer(catalog, 6))
 
 
 class TestOutputReuse:
