@@ -116,9 +116,9 @@ class ReferenceRunner:
     reference stays an *independent* oracle, so a differential mismatch can
     implicate the optimizer as well as the engine.  ``adaptive`` and
     ``runtime_filters`` are likewise inert here — the interpreter executes
-    the logical plan directly, with no stages to revise and no shuffles a
-    semi-join filter could save — so the reference also serves as the oracle
-    for every adaptive and filter decision the engine makes.
+    the logical plan directly, with no tasks to speculate on and no shuffles
+    a semi-join filter could save — so the reference also serves as the
+    oracle for every speculation and filter decision the engine makes.
     """
 
     def submit(self, query: Query, options: Optional[QueryOptions] = None) -> QueryHandle:
@@ -152,7 +152,8 @@ class ParallelRunner:
     Options that require the simulated cluster (failure injection, chaos,
     tracing, engine presets, memory budgets) are rejected rather than
     silently ignored, mirroring :class:`ReferenceRunner`; ``adaptive=True``
-    is likewise rejected — this backend executes the static physical plan.
+    (speculative copies of straggling tasks) is likewise rejected — this
+    backend runs every task exactly once.
     Runtime semi-join filters *are* supported (they are part of the static
     plan's dataflow, not a runtime re-plan): the driver builds each filter
     from the build side's routed output and ships it to workers through
@@ -219,13 +220,13 @@ class ParallelRunner:
         )
         if options.adaptive:
             raise ConfigError(
-                "the parallel backend executes the static physical plan; "
-                "adaptive=True requires a simulated-cluster runner"
+                "the parallel backend runs every task exactly once; "
+                "adaptive=True (speculation) requires a simulated-cluster runner"
             )
         plan = query.plan if isinstance(query, DataFrame) else query
         # Like the engine runners (and unlike the reference interpreter),
         # planning is cost-based unless explicitly disabled.
-        plan, estimator, _adaptive, runtime_filters = resolve_planning(
+        plan, estimator, _speculation, runtime_filters = resolve_planning(
             plan, options, default_optimize=True
         )
         graph = compile_plan(

@@ -122,11 +122,10 @@ class _SparkDriver:
         self.env.process(self._drive(done), name="spark-driver")
         final = self.env.run(done)
         self.metrics.runtime_seconds = self.env.now
-        self.metrics.network_bytes = self.cluster.network.stats.bytes_sent
-        self.metrics.local_disk_write_bytes = sum(
-            w.disk.stats.bytes_written for w in self.cluster.workers
-        )
-        self.metrics.s3_read_bytes = self.cluster.s3.stats.bytes_read
+        # The cluster is private to this run, so its cumulative counters are
+        # the query's own.
+        for name, value in self.cluster.io_counters().items():
+            setattr(self.metrics, name, value)
         return QueryResult(final, self.metrics)
 
     def _drive(self, done):

@@ -234,8 +234,9 @@ def _add_planner_arguments(parser: argparse.ArgumentParser) -> None:
         "--adaptive",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="force adaptive (runtime-feedback) execution on/off "
-        "(default: on whenever the cost-based planner runs)",
+        help="force speculative copies of straggling input tasks and "
+        "build-first shuffle joins on/off (default: on whenever the "
+        "cost-based planner runs)",
     )
     parser.add_argument(
         "--runtime-filters",

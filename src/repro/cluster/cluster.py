@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.config import ClusterConfig, CostModelConfig
 from repro.common.errors import ConfigError
@@ -86,6 +86,21 @@ class Cluster:
     def num_workers(self) -> int:
         """Total number of workers (live or failed)."""
         return len(self.workers)
+
+    def io_counters(self) -> Dict[str, float]:
+        """Cluster-cumulative I/O byte counters, named as the
+        :class:`~repro.core.metrics.QueryMetrics` fields they fill."""
+        return {
+            "network_bytes": self.network.stats.bytes_sent,
+            "local_disk_write_bytes": sum(
+                w.disk.stats.bytes_written for w in self.workers
+            ),
+            "local_disk_read_bytes": sum(w.disk.stats.bytes_read for w in self.workers),
+            "s3_read_bytes": self.s3.stats.bytes_read,
+            "s3_write_bytes": self.s3.stats.bytes_written,
+            "hdfs_read_bytes": self.hdfs.stats.bytes_read,
+            "hdfs_write_bytes": self.hdfs.stats.bytes_written,
+        }
 
     # -- input data --------------------------------------------------------------
 

@@ -163,20 +163,6 @@ class ObjectStore:
         self._sizes.pop(key, None)
         self._int_sizes.pop(key, None)
 
-    def replace(self, key: Any, payload: Any) -> None:
-        """Rewrite an existing object in place (no time charged, size kept).
-
-        Used by the adaptive controller to re-shape already-persisted task
-        outputs after a runtime plan revision; modelled as a metadata-level
-        swap since the bytes were already paid for when first written (the
-        logical object did not change, only its piece layout).  Reads already
-        in flight deliver the new payload (they resolve the object at
-        completion time), which is exactly what a replay needs.
-        """
-        if key not in self._objects:
-            raise self._missing(key)
-        self._objects[key] = payload
-
     def wipe(self) -> int:
         """Destroy all contents (worker failure).  Returns the object count lost."""
         lost = len(self._objects)

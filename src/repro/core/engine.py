@@ -59,7 +59,6 @@ class ExecutionContext:
         scan_pool: Optional[SharedScanPool] = None,
         memory_budget_bytes: Optional[float] = None,
         adaptive: bool = False,
-        broadcast_threshold_bytes: float = 0.0,
     ):
         from repro.trace.recorder import NullTracer
 
@@ -85,16 +84,33 @@ class ExecutionContext:
         self.runtimes: Dict[int, Dict[Tuple[int, int], ChannelRuntime]] = {
             w.worker_id: {} for w in cluster.workers
         }
-        #: Runtime-feedback controller revising the physical plan mid-query
-        #: (broadcast revisits, channel re-sizing, speculation); None runs the
-        #: static plan exactly as compiled.
-        self.adaptive = None
+        #: Straggler speculation (duplicates of slow input tasks, first
+        #: commit wins); None runs every task exactly once.
+        self.speculation = None
+        #: Shuffle join stage id -> its build-side producer's stage id, for
+        #: each adaptive shuffle join whose build side has not completed yet:
+        #: the join takes no task until then (its probe producers run
+        #: freely).  A join fed build pieces as they trickle in interleaves
+        #: its tasks with the producers' scans on the same TaskManagers, and
+        #: the makespan then hinges on which worker ends its last scan: TPC-H
+        #: Q5 (SF 0.02, 4 workers) moved by about 3 of 145 virtual s between
+        #: data seeds (docs/ADAPTIVE.md).
+        self.build_first: Dict[int, int] = {}
         if adaptive:
-            from repro.core.adaptive import AdaptiveController
+            from repro.core.speculation import SpeculationController
 
-            self.adaptive = AdaptiveController(
-                self, broadcast_threshold_bytes=broadcast_threshold_bytes
-            )
+            self.speculation = SpeculationController(self)
+            for stage in graph:
+                links = {link.role: link for link in stage.upstreams}
+                build, probe = links.get("build"), links.get("probe")
+                if (
+                    build is not None
+                    and probe is not None
+                    and build.mode == probe.mode == "partition"
+                    and build.partition_keys
+                    and probe.partition_keys
+                ):
+                    self.build_first[stage.stage_id] = build.upstream_id
         #: Runtime semi-join filter coordinator; None when the compiled graph
         #: carries neither filter edges nor static scan bounds (the planning
         #: pass did not run or found nothing prunable).  Scan bounds alone are
@@ -152,19 +168,8 @@ class ExecutionContext:
         whenever a query runs alone, which includes every
         :class:`~repro.api.runners.OneShotRunner` submission.
         """
-        cluster = self.cluster
         return {
-            "network_bytes": cluster.network.stats.bytes_sent,
-            "local_disk_write_bytes": sum(
-                w.disk.stats.bytes_written for w in cluster.workers
-            ),
-            "local_disk_read_bytes": sum(
-                w.disk.stats.bytes_read for w in cluster.workers
-            ),
-            "s3_read_bytes": cluster.s3.stats.bytes_read,
-            "s3_write_bytes": cluster.s3.stats.bytes_written,
-            "hdfs_read_bytes": cluster.hdfs.stats.bytes_read,
-            "hdfs_write_bytes": cluster.hdfs.stats.bytes_written,
+            **self.cluster.io_counters(),
             "gcs_transactions": self.gcs.store.stats.transactions,
             "gcs_logged_bytes": self.gcs.store.stats.logged_bytes,
         }
@@ -279,9 +284,9 @@ class ExecutionContext:
             ran = yield from self._run_regen_task(worker, descriptor, stage)
             kind = "regen"
         else:
-            feedback = self.adaptive.feedback if self.adaptive is not None else None
-            if feedback is not None:
-                feedback.task_started(descriptor.name, worker.worker_id, start)
+            speculation = self.speculation
+            if speculation is not None:
+                speculation.task_started(descriptor.name, worker.worker_id, start)
             ran = False
             try:
                 if stage.is_input:
@@ -291,8 +296,8 @@ class ExecutionContext:
                     ran = yield from self._run_channel_task(worker, descriptor, stage)
                     kind = "channel"
             finally:
-                if feedback is not None:
-                    feedback.task_finished(
+                if speculation is not None:
+                    speculation.task_finished(
                         descriptor.name, worker.worker_id, self.env.now, bool(ran)
                     )
         end = self.env.now
@@ -465,8 +470,8 @@ class ExecutionContext:
 
     def _startable_runtime(self, worker: Worker, stage: Stage, channel: int):
         """The channel's runtime if one of its tasks may start now, else None."""
-        if self.adaptive is not None and self.adaptive.gated(stage.stage_id):
-            return None  # held back while a runtime plan revision is pending
+        if stage.stage_id in self.build_first:
+            return None  # a shuffle join waiting for its whole build side
         if self.filters is not None and self.filters.gated(stage.stage_id):
             return None  # held back until every filter aimed here is published
         runtime = self.runtime_for(worker.worker_id, stage, channel)
@@ -512,12 +517,11 @@ class ExecutionContext:
         """True when running ``descriptor`` now is known to find nothing to do.
 
         Input selection (:meth:`_choose_action`) reads only the GCS, the
-        worker's flight buffers, the (adaptively revisable) plan and the
-        channel's own runtime state, which moves only when the channel
-        commits.  So once a selection came up empty, it would again until the
-        GCS version, the flight version or the adaptive epoch moves.  Tasks
-        that retrace committed lineage do not select inputs and never count
-        as idle.
+        worker's flight buffers, the plan and the channel's own runtime
+        state, which moves only when the channel commits.  So once a
+        selection came up empty, it would again until the GCS version or the
+        flight version moves.  Tasks that retrace committed lineage do not
+        select inputs and never count as idle.
         """
         if descriptor.kind != "execute":
             return False
@@ -527,12 +531,8 @@ class ExecutionContext:
             return False
         return not descriptor.prescribed or self.gcs.lineage.get(name) is None
 
-    def _decision_key(self, worker: Worker) -> Tuple:
-        return (
-            self.gcs.store.version,
-            worker.flight.version,
-            self.adaptive.epoch if self.adaptive is not None else None,
-        )
+    def _decision_key(self, worker: Worker) -> Tuple[int, int]:
+        return (self.gcs.store.version, worker.flight.version)
 
     def _choose_action(self, worker: Worker, runtime: ChannelRuntime, stage: Stage):
         if self.engine_config.execution_mode == "stagewise":
@@ -704,58 +704,39 @@ class ExecutionContext:
     ):
         task_name = descriptor.name
         consumer = self.graph.consumer_of(stage.stage_id)
-        adaptive = self.adaptive
-        # The push/persist phase must be consistent with the plan state the
-        # commit happens under.  An adaptive revision can land while this task
-        # is parked at any yield below (it runs inside another task's commit
-        # hook), re-shaping the consumer's links, channel count or placement —
-        # so the whole phase re-runs whenever the controller's epoch moved
-        # (duplicate puts and persists simply overwrite).  Rare in practice:
-        # revisions fire at stage boundaries.
-        while True:
-            epoch = adaptive.epoch if adaptive is not None else None
-            pieces_payload = route_output(self.graph, stage, task_name.channel, out_batch)
-            stale = False
-            if consumer is not None:
-                consumer_stage = consumer[0]
-                for consumer_channel, piece in pieces_payload.items():
-                    destination = self.gcs.placement.worker_for(
-                        consumer_stage.stage_id, consumer_channel
-                    )
-                    destination_worker = self.cluster.worker(destination)
-                    if not destination_worker.alive:
-                        return False
-                    transfer_bytes = (
-                        self.cost_model.scaled(piece.nbytes) + self.PIECE_OVERHEAD
-                    )
-                    yield from self.cluster.network.transfer(
-                        worker.worker_id, destination, transfer_bytes
-                    )
-                    if not destination_worker.alive:
-                        return False
-                    if adaptive is not None and adaptive.epoch != epoch:
-                        stale = True  # don't put: the channel may be gone
-                        break
-                    destination_worker.flight.put(
-                        (consumer_stage.stage_id, consumer_channel), task_name, piece
-                    )
-                if stale:
-                    continue
+        pieces_payload = route_output(self.graph, stage, task_name.channel, out_batch)
+        if consumer is not None:
+            consumer_stage = consumer[0]
+            for consumer_channel, piece in pieces_payload.items():
+                destination = self.gcs.placement.worker_for(
+                    consumer_stage.stage_id, consumer_channel
+                )
+                destination_worker = self.cluster.worker(destination)
+                if not destination_worker.alive:
+                    return False
+                transfer_bytes = self.cost_model.scaled(piece.nbytes) + self.PIECE_OVERHEAD
+                yield from self.cluster.network.transfer(
+                    worker.worker_id, destination, transfer_bytes
+                )
+                if not destination_worker.alive:
+                    return False
+                destination_worker.flight.put(
+                    (consumer_stage.stage_id, consumer_channel), task_name, piece
+                )
 
-            location = yield from self.strategy.persist_output(
-                self, worker, task_name, pieces_payload, float(out_batch.nbytes)
-            )
+        location = yield from self.strategy.persist_output(
+            self, worker, task_name, pieces_payload, float(out_batch.nbytes)
+        )
 
-            yield self.env.timeout(self.cost_model.gcs_txn_seconds())
-            if not worker.alive:
-                return False
-            if adaptive is None or adaptive.epoch == epoch:
-                break
+        yield self.env.timeout(self.cost_model.gcs_txn_seconds())
+        if not worker.alive:
+            return False
 
+        speculation = self.speculation
         if (
-            adaptive is not None
+            speculation is not None
             and not descriptor.prescribed
-            and (descriptor.speculative or adaptive.is_speculated(task_name))
+            and (descriptor.speculative or speculation.is_speculated(task_name))
             and self.gcs.lineage.contains(task_name)
         ):
             # Lost a speculation race: the other copy of this task committed
@@ -792,8 +773,19 @@ class ExecutionContext:
             # sees its values folded into the filter builders.
             self.filters.observe_commit(stage, out_batch)
         yield from self.strategy.after_task_commit(self, worker, runtime)
-        if adaptive is not None:
-            yield from adaptive.after_commit(worker, stage, descriptor, out_batch, is_final)
+        if speculation is not None:
+            speculation.after_commit(worker, descriptor)
+        if (
+            is_final
+            and stage.stage_id in self.build_first.values()
+            and self._stage_fully_done(stage.stage_id)
+        ):
+            # The build side is complete: the joins it feeds may start.
+            self.build_first = {
+                join: build
+                for join, build in self.build_first.items()
+                if build != stage.stage_id
+            }
         if self.filters is not None:
             yield from self.filters.publish_ready(worker)
 
@@ -817,11 +809,7 @@ class ExecutionContext:
                 self.gcs.tasks.remove(descriptor.name)
                 return True
             payload = yield from store.read(descriptor.name)
-
-            def refresh(key=descriptor.name):
-                return store.peek(key) if store.contains(key) else None
-
-            yield from self._push_payload(worker, descriptor, payload, refresh=refresh)
+            yield from self._push_payload(worker, descriptor, payload)
             self.gcs.tasks.remove(descriptor.name)
             self.metrics.replay_tasks += 1
             return True
@@ -838,24 +826,11 @@ class ExecutionContext:
         try:
             yield self.env.timeout(self.cost_model.dispatch_seconds())
             out_batch = yield from self._split_output(stage, lineage.input_split)
-
-            def refresh():
-                # Re-partition under the *current* links, so a regeneration
-                # racing an adaptive revision still produces the canonical
-                # piece layout (identical to the controller's rewrites).
-                return route_output(
-                    self.graph, stage, descriptor.name.channel, out_batch
-                )
-
-            while True:
-                epoch = self.adaptive.epoch if self.adaptive is not None else None
-                payload: Dict[int, Batch] = refresh()
-                yield from self._push_payload(worker, descriptor, payload, refresh=refresh)
-                location = yield from self.strategy.persist_output(
-                    self, worker, descriptor.name, payload, float(out_batch.nbytes)
-                )
-                if self.adaptive is None or self.adaptive.epoch == epoch:
-                    break
+            payload = route_output(self.graph, stage, descriptor.name.channel, out_batch)
+            yield from self._push_payload(worker, descriptor, payload)
+            location = yield from self.strategy.persist_output(
+                self, worker, descriptor.name, payload, float(out_batch.nbytes)
+            )
             with self.gcs.transaction() as txn:
                 self.gcs.tasks.remove(descriptor.name, txn=txn)
                 if location is not None:
@@ -866,49 +841,22 @@ class ExecutionContext:
             worker.cpu.release(request)
 
     def _push_payload(
-        self,
-        worker: Worker,
-        descriptor: TaskDescriptor,
-        payload: Dict[int, Batch],
-        refresh=None,
+        self, worker: Worker, descriptor: TaskDescriptor, payload: Dict[int, Batch]
     ):
-        """Push selected pieces of a stored object to the requesting consumers.
-
-        ``refresh`` re-fetches the payload when an adaptive plan revision
-        lands mid-push (the controller rewrites persisted payloads in place,
-        so a replay must re-read to deliver the revised piece layout);
-        returning None from it aborts the push.
-        """
-        adaptive = self.adaptive
-        while True:
-            epoch = adaptive.epoch if adaptive is not None else None
-            stale = False
-            for consumer_stage_id, consumer_channel in descriptor.replay_consumers:
-                if consumer_channel >= self.graph.stage(consumer_stage_id).num_channels:
-                    continue  # the channel was coalesced away by a revision
-                piece = payload.get(consumer_channel)
-                if piece is None:
-                    continue
-                destination = self.gcs.placement.worker_for(
-                    consumer_stage_id, consumer_channel
+        """Push selected pieces of a stored object to the requesting consumers."""
+        for consumer_stage_id, consumer_channel in descriptor.replay_consumers:
+            piece = payload.get(consumer_channel)
+            if piece is None:
+                continue
+            destination = self.gcs.placement.worker_for(consumer_stage_id, consumer_channel)
+            destination_worker = self.cluster.worker(destination)
+            if not destination_worker.alive:
+                continue
+            transfer_bytes = self.cost_model.scaled(piece.nbytes) + self.PIECE_OVERHEAD
+            yield from self.cluster.network.transfer(
+                worker.worker_id, destination, transfer_bytes
+            )
+            if destination_worker.alive:
+                destination_worker.flight.put(
+                    (consumer_stage_id, consumer_channel), descriptor.name, piece
                 )
-                destination_worker = self.cluster.worker(destination)
-                if not destination_worker.alive:
-                    continue
-                transfer_bytes = self.cost_model.scaled(piece.nbytes) + self.PIECE_OVERHEAD
-                yield from self.cluster.network.transfer(
-                    worker.worker_id, destination, transfer_bytes
-                )
-                if adaptive is not None and adaptive.epoch != epoch:
-                    stale = True  # don't put: the channel/layout may be gone
-                    break
-                if destination_worker.alive:
-                    destination_worker.flight.put(
-                        (consumer_stage_id, consumer_channel), descriptor.name, piece
-                    )
-            if adaptive is None or (adaptive.epoch == epoch and not stale):
-                return
-            if refresh is not None:
-                payload = refresh()
-                if payload is None:
-                    return

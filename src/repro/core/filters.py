@@ -19,9 +19,8 @@ on the compiled graph:
   the committing worker to every worker hosting a target channel.  The gate
   on the target stage lifts only after those transfers complete.
 
-* **Gating (the epoch discipline).**  Tasks of a target stage are held back —
-  exactly like the adaptive controller's pending-decision gate — until every
-  filter aimed at them is published.  A target task therefore always observes
+* **Gating.**  Tasks of a target stage are held back until every filter
+  aimed at them is published.  A target task therefore always observes
   the *final* filter, and a retraced producer re-running arbitrarily later
   observes the very same one: filters never change after publication, which
   is what keeps lineage-driven reconstruction byte-identical.
@@ -63,8 +62,6 @@ class FilterCoordinator:
         self._folds: Dict[int, task.FilterFold] = {}
         #: Finalized filters by filter id (content frozen at source completion).
         self.filters: Dict[int, RuntimeFilter] = {}
-        #: Filter ids whose shipped bytes have been charged (gate lifted).
-        self.published: set = set()
         #: Not-yet-published filters per target stage id: the gate itself,
         #: kept as a count because every task attempt asks.
         self._unpublished = Counter(spec.target_stage_id for spec in self.specs)
@@ -136,7 +133,6 @@ class FilterCoordinator:
                     destination,
                     scaled + execution.PIECE_OVERHEAD,
                 )
-            self.published.add(spec.filter_id)
             self._unpublished[spec.target_stage_id] -= 1
             execution.metrics.filters_published += 1
             execution.metrics.filter_bytes += float(nbytes)
@@ -179,46 +175,6 @@ class FilterCoordinator:
         """True when no row of the split could survive the scan's filters."""
         specs = self.graph.filters_for_target(stage.stage_id)
         return task.split_prunable(stage, split_index, specs, self.filters)
-
-    # -- adaptive feedback ------------------------------------------------------------
-
-    def probe_scale(self, join_stage_id: int) -> float:
-        """Observed shrink factor of a join's probe input from ready filters.
-
-        The product of kept/tested ratios over every published filter whose
-        target lies in the join's probe subtree and has seen traffic.  Feeds
-        the adaptive controller's channel re-sizing: a probe side the filters
-        cut by 10x needs far fewer join channels than its compile-time
-        estimate implied.
-        """
-        subtree = self._probe_subtree(join_stage_id)
-        scale = 1.0
-        for spec in self.specs:
-            if spec.target_stage_id not in subtree:
-                continue
-            if spec.filter_id not in self.published:
-                continue
-            tested, dropped = self._observed[spec.filter_id]
-            if tested:
-                scale *= (tested - dropped) / tested
-        return scale
-
-    def _probe_subtree(self, join_stage_id: int) -> set:
-        graph = self.graph
-        stage = graph.stage(join_stage_id)
-        if not stage.join_info:
-            return set()
-        seen: set = set()
-        pending = [stage.join_info["probe_id"]]
-        while pending:
-            stage_id = pending.pop()
-            if stage_id in seen:
-                continue
-            seen.add(stage_id)
-            pending.extend(
-                link.upstream_id for link in graph.stage(stage_id).upstreams
-            )
-        return seen
 
     # -- introspection (tests / benches) ----------------------------------------------
 

@@ -59,12 +59,12 @@ class QueryMetrics:
     #: (no tasks were admitted at all).
     result_from_cache: bool = False
 
-    #: Adaptive execution: runtime plan revisions made from observed stage
-    #: feedback, and speculative copies launched against stragglers.
+    #: Always 0 (runtime plan revision was removed); benchmarks/e2e still
+    #: reads them.
     adaptive_broadcast_joins: int = 0
     adaptive_channel_resizes: int = 0
-    #: Always 0 (skew splitting was removed); benchmarks/e2e still reads it.
     adaptive_skew_splits: int = 0
+    #: Speculative copies launched against stragglers, and races they won.
     speculative_tasks: int = 0
     speculative_wins: int = 0
 

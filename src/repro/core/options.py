@@ -53,13 +53,13 @@ class QueryOptions:
     #: plan exactly as written so it stays an independent oracle.  Pass
     #: ``False`` to force the seed-era heuristic planning path.
     optimize: Optional[bool] = None
-    #: Adaptive (runtime-feedback) execution: re-run the broadcast-vs-shuffle
-    #: decision and re-size channel counts once per shuffle join, and
-    #: speculate on stragglers, using *observed* stage outputs.  ``None`` means
-    #: "the runner's default": on for the distributed engine whenever the
-    #: cost-based estimator is available (it supplies the compile-time
-    #: estimates the controller revises), off for the reference interpreter,
-    #: which executes the plan directly and has no stages to adapt.
+    #: Speculative execution: an input task in flight far beyond its stage's
+    #: median task duration gets a duplicate on another worker, and the first
+    #: copy to commit wins; and a shuffle join starts only once its build
+    #: side has completed (see ``docs/ADAPTIVE.md``).  ``None`` means "the
+    #: runner's default": on for the distributed engine whenever the plan is
+    #: planned cost-based, off for the reference interpreter, which executes
+    #: the plan directly and has no tasks to speculate on.
     adaptive: Optional[bool] = None
     #: Runtime semi-join filters (sideways information passing): when a hash
     #: join's build side completes, push a compact filter over the build keys
@@ -131,9 +131,9 @@ def resolve_planning(plan, options: QueryOptions, default_optimize: bool):
     that costed it; otherwise the plan comes back untouched with
     ``estimator=None`` — the seed-era heuristic path (no statistics, no
     broadcast joins, fixed channel counts).  ``adaptive`` and
-    ``runtime_filters`` default on exactly when an estimator exists; the
-    adaptive controller revises the estimator's stamped estimates, so
-    without one even an explicit ``adaptive=True`` resolves false.
+    ``runtime_filters`` default on exactly when an estimator exists; without
+    one even an explicit ``adaptive=True`` resolves false, so the
+    heuristic-planning runs keep every task single-copy.
     """
     estimator = None
     if default_optimize if options.optimize is None else options.optimize:

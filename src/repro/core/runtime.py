@@ -93,7 +93,7 @@ class ChannelRuntime:
         self.acked_upstreams: Set[int] = set()
         #: True once the channel has produced its final output.
         self.finalized = False
-        #: (GCS version, flight version, adaptive epoch) at this channel's
+        #: (GCS version, flight version) at this channel's
         #: last fruitless input selection; None after it commits.  See
         #: :meth:`repro.core.engine.ExecutionContext.idle`.
         self.idle_key: Optional[Tuple] = None

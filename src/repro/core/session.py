@@ -300,7 +300,6 @@ class Session:
             scan_pool=self.scan_pool,
             memory_budget_bytes=options.memory_budget_bytes,
             adaptive=adaptive,
-            broadcast_threshold_bytes=options.broadcast_threshold_bytes,
         )
         handle.execution = execution
         handle.done_event = execution.done_event
@@ -552,12 +551,12 @@ class Session:
                     budget -= 1
                     if budget <= 0:
                         break
-            if execution.adaptive is not None:
+            if execution.speculation is not None:
                 # Speculative duplicates of straggler tasks live only in the
                 # controller (never in G.T); serve the ones targeted at this
                 # worker.  First committed copy wins, the loser defers to the
                 # committed lineage inside ``_emit_output``.
-                for descriptor in execution.adaptive.speculative_for(worker.worker_id):
+                for descriptor in execution.speculation.speculative_for(worker.worker_id):
                     if (
                         execution.query_finished
                         or not worker.alive
@@ -632,8 +631,8 @@ class Session:
             for handle in list(self.scheduler.active):
                 if not handle.execution.query_finished:
                     self._check_stall(handle.execution)
-                    if handle.execution.adaptive is not None:
-                        handle.execution.adaptive.maybe_speculate(self.env.now)
+                    if handle.execution.speculation is not None:
+                        handle.execution.speculation.maybe_speculate(self.env.now)
 
     def _unhandled_dead_workers(self) -> List[int]:
         return [

@@ -40,9 +40,9 @@ class TaskDescriptor:
     kind: str = "execute"
     prescribed: bool = False
     replay_consumers: Tuple[Tuple[int, int], ...] = ()
-    #: Speculative duplicate of an in-flight straggler task (adaptive
-    #: execution); lives only in the controller, never in G.T, and defers to
-    #: an already-committed lineage instead of re-committing.
+    #: Speculative duplicate of an in-flight straggler task; lives only in
+    #: the speculation controller, never in G.T, and defers to an
+    #: already-committed lineage instead of re-committing.
     speculative: bool = False
 
 
@@ -198,10 +198,6 @@ class ChannelPlacement:
             self._store.put(self._table, (stage, channel), worker_id)
         else:
             txn.put(self._table, (stage, channel), worker_id)
-
-    def unassign(self, stage: int, channel: int) -> None:
-        """Drop a channel's placement (adaptive channel-count shrink)."""
-        self._store.delete(self._table, (stage, channel))
 
     def worker_for(self, stage: int, channel: int) -> int:
         """The worker hosting a channel."""

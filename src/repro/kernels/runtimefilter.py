@@ -19,7 +19,7 @@ Two finalized representations:
   are impossible.
 
 **Order independence.**  Filters are built incrementally from build-side task
-outputs that may commit in any order (chaos, retrace, adaptive revisions,
+outputs that may commit in any order (chaos, retrace, speculation,
 parallel workers).  Every ingredient is a commutative, idempotent reduction
 over the build *value set*: the distinct-set union, the Bloom bit OR, min/max,
 and the NaN flag.  The exact-vs-bloom decision is order-independent too: the

@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_BROADCAST_THRESHOLD_BYTES",
     "PlanCostModel",
     "broadcast_build_side",
-    "broadcast_decision",
     "explain_with_estimates",
     "memory_strategy",
     "runtime_filter_decision",
@@ -70,30 +69,12 @@ def broadcast_build_side(
     fewer bytes than hash-partitioning both sides would (the probe side stays
     channel-aligned, i.e. local, under a broadcast).
     """
-    return broadcast_decision(
-        estimator.bytes(join.right),
-        estimator.bytes(join.left),
-        threshold_bytes,
-        probe_channels,
-    )
-
-
-def broadcast_decision(
-    build_bytes: float,
-    probe_bytes: float,
-    threshold_bytes: float,
-    probe_channels: int,
-) -> bool:
-    """The pure byte-level broadcast gate behind :func:`broadcast_build_side`.
-
-    Factored out so the adaptive controller can re-run the identical decision
-    at runtime with *observed* instead of estimated build/probe bytes.
-    """
     if threshold_bytes <= 0:
         return False
+    build_bytes = estimator.bytes(join.right)
     if build_bytes > threshold_bytes:
         return False
-    return build_bytes * max(probe_channels - 1, 0) < probe_bytes
+    return build_bytes * max(probe_channels - 1, 0) < estimator.bytes(join.left)
 
 
 def runtime_filter_decision(join_type) -> bool:

@@ -15,6 +15,7 @@ tests that want parallel-path semantics under a debugger.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_module
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence
@@ -23,6 +24,8 @@ from repro.common.errors import ExecutionError
 
 #: Seconds between liveness checks while the driver waits on results.
 _POLL_SECONDS = 0.05
+#: Seconds between a waiting worker's checks that its driver is still alive.
+_ORPHAN_POLL_SECONDS = 0.25
 
 #: The executing worker's id (set inside the child; ``-1`` in the driver
 #: until an inline pool binds it).
@@ -39,11 +42,23 @@ def _bind_worker(worker_id: int) -> None:
     _WORKER_ID = worker_id
 
 
-def _worker_main(worker_id: int, handler, tasks, results) -> None:
-    """Pull loop of one worker process."""
+def _worker_main(worker_id: int, handler, tasks, results, driver_pid: int) -> None:
+    """Pull loop of one worker process.
+
+    A driver killed without closing the pool sends no sentinel, so the wait
+    polls: once the worker has been re-parented away from ``driver_pid``,
+    nobody will ever collect its results and it exits.
+    """
     _bind_worker(worker_id)
     while True:
-        task = tasks.get()
+        try:
+            task = tasks.get(timeout=_ORPHAN_POLL_SECONDS)
+        except queue_module.Empty:
+            if os.getppid() != driver_pid:
+                # Results nobody reads must not hold up the exit.
+                results.cancel_join_thread()
+                break
+            continue
         if task is None:
             break
         try:
@@ -79,7 +94,7 @@ class WorkerPool:
         for worker_id in range(workers):
             proc = ctx.Process(
                 target=_worker_main,
-                args=(worker_id, handler, self._tasks, self._results),
+                args=(worker_id, handler, self._tasks, self._results, os.getpid()),
                 daemon=True,
                 name=f"repro-parallel-{worker_id}",
             )

@@ -56,6 +56,7 @@ from repro.parallel.shm import (
     read_batch,
     read_blob,
     sweep_blocks,
+    sweep_dead_owner_blocks,
     unlink_block,
     write_batch,
     write_blob,
@@ -73,6 +74,8 @@ from repro.plan.catalog import newest_table_token
 
 #: Unique-per-driver-process counter feeding block name prefixes.
 _query_counter = itertools.count()
+#: Every block name starts ``BLOCK_ROOT + <driver pid> + "_"``.
+BLOCK_ROOT = "repro_par_"
 
 
 @dataclass
@@ -207,6 +210,8 @@ class WarmPool:
     graph that scans a table registered after the fork — its token is above
     the fork-time watermark — re-forks the pool first.  A statement that
     fails discards the pool (:meth:`discard`); the next one forks afresh.
+    The first fork also unlinks the blocks of drivers that were killed
+    before their own sweep could run.
     """
 
     def __init__(self, workers: int):
@@ -219,6 +224,7 @@ class WarmPool:
         #: Newest table token the current pool's workers inherited.
         self._watermark = 0
         self._owner_pid = os.getpid()
+        self._swept_dead_drivers = False
 
     def acquire(self, graph: StageGraph) -> WorkerPool:
         """A live pool whose workers can resolve every table ``graph`` scans."""
@@ -226,6 +232,9 @@ class WarmPool:
         if self._pool is not None and newest > self._watermark:
             self.close()
         if self._pool is None:
+            if not self._swept_dead_drivers:
+                sweep_dead_owner_blocks(BLOCK_ROOT)
+                self._swept_dead_drivers = True
             self._watermark = newest_table_token()
             self._pool = WorkerPool(self.workers, self._handler)
         return self._pool
@@ -278,7 +287,7 @@ class ParallelExecutor:
         self.workers = workers
         self.morsel_rows = morsel_rows
         self.pool = pool
-        self.block_prefix = f"repro_par_{os.getpid()}_{next(_query_counter)}_"
+        self.block_prefix = f"{BLOCK_ROOT}{os.getpid()}_{next(_query_counter)}_"
         self.stats = ParallelExecutionStats(workers=workers, morsel_rows=morsel_rows)
         #: Finalized runtime filters by filter id, and their shipped handles.
         self._filters: Dict[int, object] = {}
@@ -295,11 +304,11 @@ class ParallelExecutor:
         with pool.lock:
             try:
                 worker_pool = pool.acquire(self.graph)
+                # Per-statement control, not data: the graph blob is not
+                # counted in ``shm_blocks`` / ``shm_bytes``.
                 self._graph_handle = write_blob(
                     (self.graph, self.morsel_rows), self.block_prefix
                 )
-                self.stats.shm_blocks += 1
-                self.stats.shm_bytes += self._graph_handle.size
                 return self._drive(worker_pool)
             except BaseException:
                 pool.discard()

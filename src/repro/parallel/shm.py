@@ -357,6 +357,34 @@ def sweep_blocks(prefix: str) -> int:
     return removed
 
 
+def sweep_dead_owner_blocks(root: str) -> int:
+    """Unlink every ``<root><pid>_*`` block whose ``<pid>`` is not a live
+    process; returns the count.
+
+    A driver killed outright (SIGKILL, OOM) never runs its own
+    :func:`sweep_blocks`, so its blocks outlive it; the next driver to fork
+    a pool collects them.  Blocks of live drivers are left alone.
+    """
+    removed = 0
+    for path in glob.glob(f"/dev/shm/{glob.escape(root)}*"):
+        name = os.path.basename(path)
+        pid = name[len(root):].split("_", 1)[0]
+        if pid.isdigit() and not _process_alive(int(pid)):
+            unlink_block(name)
+            removed += 1
+    return removed
+
+
+def _process_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # alive, owned by another user
+    return True
+
+
 class BlockRegistry:
     """Per-process cache of mapped shared-memory blocks.
 

@@ -71,9 +71,8 @@ def sized_channel_count(
 ) -> int:
     """Channels needed for ``total_bytes`` at ``target_bytes_per_channel`` each.
 
-    Ceiling division clamped to ``[1, max_channels]``.  This is the single
-    sizing policy shared by the compiler's estimate-driven ``_sized_channels``
-    and the adaptive controller's observed-bytes re-sizing.
+    Ceiling division clamped to ``[1, max_channels]``: the sizing policy of
+    the compiler's estimate-driven ``_sized_channels``.
     """
     target = max(target_bytes_per_channel, 1.0)
     wanted = math.ceil(total_bytes / target)
@@ -299,10 +298,6 @@ class _Compiler:
             "probe_keys": list(node.left_keys),
             "broadcast": upstreams[0].mode == "broadcast",
         }
-        if self.estimator is not None and upstreams[0].mode == "partition":
-            # Compile-time estimates the adaptive controller compares against
-            # observed bytes when it revisits this shuffle join at runtime.
-            stage.adaptive = {"probe_est": float(self.estimator.bytes(node.left))}
         stage.operator_factory = OperatorFactory(
             JoinOperator,
             self._mem,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError
-from repro.data.batch import Batch, concat_batches
+from repro.data.batch import Batch
 from repro.data.partition import hash_partition
 from repro.data.schema import Schema
 from repro.expr.nodes import Expr
@@ -144,19 +144,6 @@ def apply_ops(batch: Batch, ops: Sequence[StatelessOp]) -> Batch:
     return batch
 
 
-def coalesce_pieces(parts: List[Batch], num_channels: int, schema) -> List[Batch]:
-    """Fold ``len(parts)`` hash pieces down to ``num_channels`` pieces.
-
-    Channel ``j`` receives the concatenation of parts ``p ≡ j (mod
-    num_channels)`` in ascending part order.  Rows of one hash partition stay
-    together, so group/join co-location is preserved.
-    """
-    return [
-        concat_batches(parts[j::num_channels], schema=schema)
-        for j in range(num_channels)
-    ]
-
-
 def partition_for_link(
     batch: Batch, link: "UpstreamLink", num_channels: int, producer_channel: int = 0
 ) -> List[Batch]:
@@ -166,19 +153,8 @@ def partition_for_link(
     ``producer_channel`` matters only for ``"aligned"`` links.  The result
     always has exactly ``num_channels`` entries (empty pieces for channels
     that receive nothing), which the push, persist and replay paths rely on.
-
-    When ``link.base_parts`` is set on a partition or broadcast link (an
-    adaptive controller revised it after some outputs were already pushed),
-    partitioning goes through the
-    canonical two-level form: hash into ``base_parts`` pieces first, then
-    coalesce or concatenate exactly like the controller's rewrite of
-    already-buffered pieces — so fresh outputs and rewritten ones are
-    byte-identical.
     """
     if link.mode == "broadcast":
-        if link.base_parts and link.partition_keys:
-            parts = hash_partition(batch, link.partition_keys, link.base_parts)
-            batch = concat_batches(parts, schema=batch.schema)
         return [batch] * num_channels
     if link.mode == "aligned":
         target = producer_channel % num_channels
@@ -187,9 +163,6 @@ def partition_for_link(
             for channel in range(num_channels)
         ]
     if link.partition_keys:
-        if link.base_parts and link.base_parts != num_channels:
-            parts = hash_partition(batch, link.partition_keys, link.base_parts)
-            return coalesce_pieces(parts, num_channels, batch.schema)
         return hash_partition(batch, link.partition_keys, num_channels)
     return [batch] + [batch.slice(0, 0) for _ in range(num_channels - 1)]
 
@@ -250,19 +223,12 @@ class UpstreamLink:
     ``partition_keys`` name columns of the *upstream's output schema* (after
     its post-ops).  ``role`` distinguishes the build and probe inputs of a
     join stage.
-
-    ``base_parts`` is written only by the adaptive controller when it revises
-    a link mid-query (see :mod:`repro.core.adaptive`): hash-partition into
-    this many pieces first, then coalesce or concatenate down to the
-    consumer's channel count (the canonical two-level form shared with the
-    controller's piece rewrites).
     """
 
     upstream_id: int
     partition_keys: Optional[List[str]]
     role: str = "input"
     mode: str = "partition"
-    base_parts: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in LINK_MODES:
@@ -284,9 +250,6 @@ class Stage:
     table: Optional[TableMetadata] = None
     output_schema: Optional[Schema] = None
     stateful: bool = False
-    #: Compile-time adaptive metadata (estimates the runtime controller
-    #: revisits); ``None`` when the stage is not adaptive-eligible.
-    adaptive: Optional[dict] = None
     #: Join-stage metadata for runtime-filter planning: build/probe upstream
     #: ids, the operator's key column names, join type and rename suffix.
     join_info: Optional[dict] = None

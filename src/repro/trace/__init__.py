@@ -18,13 +18,11 @@ by passing a recorder in :class:`~repro.core.options.QueryOptions` or with
 """
 
 from repro.trace.digest import trace_digest
-from repro.trace.feedback import OutputObservation, StageFeedback
 from repro.trace.recorder import (
     AdaptationRecord,
     ChaosRecord,
     FilterRecord,
     NullTracer,
-    ObservationRecord,
     RecoveryEvent,
     SpillRecord,
     TaskSpan,
@@ -42,11 +40,8 @@ __all__ = [
     "ChaosRecord",
     "FilterRecord",
     "NullTracer",
-    "ObservationRecord",
-    "OutputObservation",
     "RecoveryEvent",
     "SpillRecord",
-    "StageFeedback",
     "TaskSpan",
     "TraceRecorder",
     "render_timeline",

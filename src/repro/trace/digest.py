@@ -46,10 +46,6 @@ def _canonical_lines(recorder) -> Iterable[str]:
             f"|{record.seq}|{record.kind}|{record.target}|{record.nbytes}"
         )
     for record in sorted(
-        getattr(recorder, "observations", ()), key=lambda o: (o.time, o.stage)
-    ):
-        yield f"observe|{record.time!r}|{record.stage}|{record.rows}|{record.nbytes!r}"
-    for record in sorted(
         getattr(recorder, "adaptations", ()), key=lambda a: (a.time, a.stage, a.kind)
     ):
         yield f"adapt|{record.time!r}|{record.stage}|{record.kind}|{record.detail}"

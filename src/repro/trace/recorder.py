@@ -58,16 +58,6 @@ class SpillRecord:
 
 
 @dataclass(frozen=True)
-class ObservationRecord:
-    """Observed output of one completed stage (adaptive feedback input)."""
-
-    time: float
-    stage: int
-    rows: int
-    nbytes: float
-
-
-@dataclass(frozen=True)
 class FilterRecord:
     """One runtime semi-join filter published after its build side completed."""
 
@@ -85,11 +75,11 @@ class FilterRecord:
 
 @dataclass(frozen=True)
 class AdaptationRecord:
-    """One runtime plan revision made by the adaptive controller."""
+    """One speculative copy launched by the speculation controller."""
 
     time: float
     stage: int
-    kind: str  # "broadcast", "resize" or "speculate"
+    kind: str  # "speculate"
     detail: str
 
 
@@ -101,7 +91,6 @@ class TraceRecorder:
     recoveries: List[RecoveryEvent] = field(default_factory=list)
     chaos: List[ChaosRecord] = field(default_factory=list)
     spills: List[SpillRecord] = field(default_factory=list)
-    observations: List[ObservationRecord] = field(default_factory=list)
     adaptations: List[AdaptationRecord] = field(default_factory=list)
     filters: List[FilterRecord] = field(default_factory=list)
     enabled: bool = True
@@ -144,14 +133,8 @@ class TraceRecorder:
             SpillRecord(time, stage, channel, label, seq, kind, target, nbytes)
         )
 
-    def record_observation(
-        self, time: float, stage: int, rows: int, nbytes: float
-    ) -> None:
-        """Record the observed output of a completed stage."""
-        self.observations.append(ObservationRecord(time, stage, rows, nbytes))
-
     def record_adaptation(self, time: float, stage: int, kind: str, detail: str) -> None:
-        """Record one runtime plan revision (adaptive controller decision)."""
+        """Record one speculative copy (speculation controller decision)."""
         self.adaptations.append(AdaptationRecord(time, stage, kind, detail))
 
     def record_filter(
@@ -219,9 +202,6 @@ class NullTracer:
         return None
 
     def record_spill(self, *args, **kwargs) -> None:  # noqa: D102 - interface stub
-        return None
-
-    def record_observation(self, *args, **kwargs) -> None:  # noqa: D102 - interface stub
         return None
 
     def record_adaptation(self, *args, **kwargs) -> None:  # noqa: D102 - interface stub

@@ -114,3 +114,22 @@ class TestSparkLikeEngine:
         context = QuokkaContext(num_workers=4, cpus_per_worker=2, cost_config=cost, catalog=catalog)
         quokka = query.bind(context).submit().wait()
         assert spark.runtime > quokka.runtime
+
+    def test_io_counters_include_shuffle_reads(self):
+        """Every reduce task reads its shuffle input from a worker disk, so a
+        join query reports the bytes the workers' disks actually read."""
+        from repro.baselines.spark import _SparkDriver
+        from repro.cluster import Cluster
+        from repro.physical import compile_plan
+        from repro.tpch import build_query, generate_catalog
+
+        catalog = generate_catalog(scale_factor=0.002, seed=1)
+        engine = make_engine()
+        cluster = Cluster(engine.cluster_config, engine.cost_config)
+        cluster.load_catalog(catalog)
+        graph = compile_plan(build_query(catalog, 3).plan, num_channels=cluster.num_workers)
+        metrics = _SparkDriver(cluster, graph).run().metrics
+        read = sum(worker.disk.stats.bytes_read for worker in cluster.workers)
+        assert metrics.local_disk_read_bytes > 0
+        assert metrics.local_disk_read_bytes == read
+        assert metrics.local_disk_write_bytes > 0

@@ -85,20 +85,12 @@ class TestObjectStore:
             drive(env, store.read("nope"))
         with pytest.raises(ExecutionError):
             store.peek("nope")
-        with pytest.raises(ExecutionError):
-            store.replace("nope", 1)
 
     def test_register_charges_no_time(self, env, store):
         store.register("table", "data", 1234.0)
         assert env.now == 0.0
         assert store.contains("table")
         assert store.peek("table") == "data"
-
-    def test_replace_swaps_payload_and_keeps_size(self, env, store):
-        drive(env, store.write("a", "old", 100.0))
-        store.replace("a", "new")
-        assert store.peek("a") == "new"
-        assert store.used_bytes == 100
 
     def test_wipe_reports_lost_objects(self, env, store):
         drive(env, store.write("a", 1, 10.0))

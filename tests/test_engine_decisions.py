@@ -1,15 +1,15 @@
 """Skipping idle channels never changes a scheduling decision.
 
-A TaskManager skips a channel task while the GCS version, the worker's
-flight version and the adaptive epoch are those of the channel's last
-fruitless input selection (``ExecutionContext.idle``); the selection itself
-(``_choose_action``) reads flight pieces per upstream channel and stops
-verifying a run at the static batch size.  The ``decisions`` fixture runs the
-straightforward procedure below — a full selection over a flat copy of the
-consumer's buffer, keyed by task name — next to every selection and every
-skip, and asserts the same action (none, for a skip) and the same pieces
-left buffered.  The scenarios cover dynamic and static scheduling, recovery,
-adaptive revisions and a shared session.
+A TaskManager skips a channel task while the GCS version and the worker's
+flight version are those of the channel's last fruitless input selection
+(``ExecutionContext.idle``); the selection itself (``_choose_action``)
+reads flight pieces per upstream channel and stops verifying a run at the
+static batch size.  The ``decisions`` fixture runs the straightforward
+procedure below — a full selection over a flat copy of the consumer's
+buffer, keyed by task name — next to every selection and every skip, and
+asserts the same action (none, for a skip) and the same pieces left
+buffered.  The scenarios cover dynamic and static scheduling, recovery
+and a shared session.
 """
 
 import dataclasses
@@ -17,8 +17,6 @@ import dataclasses
 import pytest
 
 from repro.api import QuokkaContext
-from repro.api.runners import ReferenceRunner
-from repro.chaos.harness import batches_match
 from repro.cluster.faults import FailurePlan
 from repro.common.config import ClusterConfig, EngineConfig
 from repro.core import Session
@@ -27,7 +25,6 @@ from repro.core.options import QueryOptions
 from repro.data.batch import Batch
 from repro.gcs.naming import Lineage, TaskName
 from repro.tpch import build_query, generate_catalog
-from repro.tpch.adversarial import adversarial_catalog
 from repro.tpch.reference import reference_answer
 
 # -- the reference decision (no memo, no index, no cap) --------------------------------
@@ -175,21 +172,6 @@ class TestDecisionsMatchReference:
 
     def test_static_scheduling_q3_with_a_kill(self, catalog, decisions):
         _killed_run(catalog, 3, "trino", worker_id=1)
-        _assert_exercised(decisions)
-
-    def test_adaptive_revision(self, decisions):
-        skew = adversarial_catalog("skew", scale_factor=0.002, seed=1)
-        ctx = QuokkaContext(num_workers=4, catalog=skew)
-        frame = build_query(skew, 3)
-        result = frame.bind(ctx).submit(
-            options=QueryOptions(adaptive=True, use_table_stats=False, runtime_filters=False)
-        ).wait()
-        revisions = (
-            result.metrics.adaptive_broadcast_joins + result.metrics.adaptive_channel_resizes
-        )
-        assert revisions >= 1
-        expected = ReferenceRunner().submit(frame, QueryOptions()).wait().batch
-        assert batches_match(result.batch, expected)
         _assert_exercised(decisions)
 
     def test_two_query_session_with_a_failure(self, catalog, decisions):

@@ -573,9 +573,10 @@ class TestExactnessLimit:
     runtime filters on (the default) ``revenue`` differs from the resident
     run below the 1e-6 tolerance: the last join's per-task partial sums and
     their arrival order at the final aggregation both follow the timing a
-    budget shifts (docs/MEMORY.md).  The ADAPTIVE cell holds because its four
-    partials sum alike in either arrival order, not by construction.  The
-    strict xfails pin the open limit: closing it (ROADMAP item 7a/7b) turns
+    budget shifts (docs/MEMORY.md).  The ADAPTIVE cell launches no
+    speculative copy and its build-first shuffle join waits for nothing,
+    so it runs the STATIC cell's schedule.  The strict
+    xfails pin the open limit: closing it (ROADMAP item 7a/7b) turns
     them into failures that say the caveat in the docs can go.
     """
 

@@ -14,16 +14,20 @@ Five layers:
   byte-identical results;
 * the warm pool — one fork serves many statements, a table registered
   after the fork re-forks, a failed statement (task error or killed worker)
-  leaves the runner usable, and a worker maps only its last statement's
-  blocks.
+  leaves the runner usable, a worker maps only its last statement's blocks,
+  and a killed driver leaks neither its workers nor its blocks.
 """
 
 import dataclasses
 import glob
 import hashlib
+import json
 import multiprocessing
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -609,6 +613,34 @@ class TestRunnerSurface:
         assert stats.shm_blocks > 0
         assert stats.total_tasks == stats.scan_tasks + stats.channel_tasks
 
+    def test_shm_counters_count_data_blocks_only(self, monkeypatch):
+        """``shm_blocks`` / ``shm_bytes`` count piece blocks and filter
+        blobs; the per-statement graph blob is control, not data."""
+        import repro.parallel.runner as runner_module
+        from repro.core.options import resolve_planning
+
+        written = {}
+        write = runner_module.write_batch
+
+        def recording(batch, name_prefix=None):
+            ref = write(batch, name_prefix)
+            written[ref.block] = ref.size
+            return ref
+
+        monkeypatch.setattr(runner_module, "write_batch", recording)
+        catalog = _catalog("standard")
+        plan, estimator, _, runtime_filters = resolve_planning(
+            build_query(catalog, 3).plan, QueryOptions(), default_optimize=True
+        )
+        graph = compile_plan(
+            plan, num_channels=2, estimator=estimator, runtime_filters=runtime_filters
+        )
+        batch, stats = execute_graph_parallel(graph, workers=0, morsel_rows=2048)
+        assert batches_match(batch, _expected("standard", 3))
+        assert stats.filters_published > 0
+        assert stats.shm_blocks == len(written) + stats.filters_published
+        assert stats.shm_bytes > sum(written.values())
+
     def test_bad_morsel_rows_rejected(self):
         catalog = _catalog("standard")
         graph = compile_plan(build_query(catalog, 6).plan, num_channels=2)
@@ -786,3 +818,76 @@ class TestWarmPool:
         finally:
             pool.close()
         assert _no_blocks()
+
+
+# ---------------------------------------------------------------------------
+# a driver killed outright (SIGKILL) mid-statement
+# ---------------------------------------------------------------------------
+
+#: A driver that runs Q9 on two warm workers and SIGKILLs itself once the
+#: first stage's pieces are in shared memory, after writing its workers' pids
+#: to the file named by ``argv[1]``.
+_DYING_DRIVER = """
+import json, os, signal, sys
+from repro.api import ParallelRunner
+from repro.parallel import ParallelExecutor
+from repro.tpch import build_query, generate_catalog
+
+register = ParallelExecutor._register_pieces
+
+def register_then_die(self, *args):
+    register(self, *args)
+    with open(sys.argv[1], "w") as out:
+        json.dump([proc.pid for proc in self.pool._pool._procs], out)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+ParallelExecutor._register_pieces = register_then_die
+catalog = generate_catalog(scale_factor=0.001, seed=7)
+ParallelRunner(workers=2, morsel_rows=2048).submit(build_query(catalog, 9)).wait()
+"""
+
+
+@pytest.fixture()
+def killed_driver(tmp_path):
+    """``(driver pid, worker pids)`` of a driver SIGKILLed mid-query.
+
+    Reaps the driver; whatever outlives it (workers, blocks) is killed and
+    unlinked at teardown, so a failing check leaks nothing either.
+    """
+    pids_file = tmp_path / "workers.json"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parent.parent / "src"))
+    driver = subprocess.Popen(
+        [sys.executable, "-c", _DYING_DRIVER, str(pids_file)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        assert driver.wait(timeout=120) == -signal.SIGKILL
+        workers = json.loads(pids_file.read_text())
+        assert len(workers) == 2
+        yield driver.pid, workers
+    finally:
+        driver.kill()
+        driver.wait()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        sweep_blocks(f"repro_par_{driver.pid}_")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestDriverDeath:
+    def test_orphaned_workers_exit(self, killed_driver):
+        _, workers = killed_driver
+        for pid in workers:
+            _wait_dead(pid, timeout=2.0)
+
+    def test_next_runner_sweeps_the_dead_drivers_blocks(self, killed_driver):
+        driver_pid, _ = killed_driver
+        pattern = f"/dev/shm/repro_par_{driver_pid}_*"
+        assert glob.glob(pattern), "the killed driver should have left blocks"
+        with ParallelRunner(workers=2, morsel_rows=2048) as runner:
+            _check(runner, 6)
+        assert glob.glob(pattern) == []

@@ -43,8 +43,7 @@ EXPECTED_PARAMETERS = {
     "ExecutionContext.__init__": (
         ExecutionContext.__init__,
         ["self", "cluster", "graph", "engine_config", "strategy", "tracer", "gcs",
-         "query_id", "query_name", "scan_pool", "memory_budget_bytes", "adaptive",
-         "broadcast_threshold_bytes"],
+         "query_id", "query_name", "scan_pool", "memory_budget_bytes", "adaptive"],
     ),
     "Session.__init__": (
         Session.__init__,

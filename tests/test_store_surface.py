@@ -1,10 +1,11 @@
 """One object store, and only the fault-tolerance strategy picks it.
 
 A worker disk, S3 and HDFS are instances of one ``ObjectStore`` class with
-one verb pair (``write`` / ``read``).  Where task backups and spilled
-operator state live is answered by ``FaultToleranceStrategy.store`` alone, so
-no engine or adaptive path may choose between S3 and HDFS again: under
-``repro/core/`` the ``hdfs`` attribute is read only to snapshot I/O metrics.
+one verb pair (``write`` / ``read``); a stored object is never rewritten in
+place.  Where task backups and spilled operator state live is answered by
+``FaultToleranceStrategy.store`` alone, so no engine path may choose between
+S3 and HDFS again: nothing under ``repro/core/`` reads the ``hdfs``
+attribute (I/O metrics come from ``Cluster.io_counters``).
 """
 
 import ast
@@ -16,8 +17,6 @@ STORAGE = SRC / "cluster" / "storage.py"
 
 #: Names of the store model this one replaced; none may come back.
 RETIRED = ("LocalDisk", "DurableObjectStore", "durable_store", "_spill_store_for")
-#: The one ``(class, method)`` under ``repro/core/`` allowed to read ``.hdfs``.
-HDFS_READERS = {("ExecutionContext", "_io_snapshot")}
 
 
 def _parse(path: pathlib.Path) -> ast.Module:
@@ -40,7 +39,7 @@ def test_storage_defines_exactly_one_store_class():
         stmt.name for stmt in classes[0].body if isinstance(stmt, ast.FunctionDef)
     }
     assert {"write", "read"} <= methods
-    assert not {"put", "get"} & methods
+    assert not {"put", "get", "replace"} & methods
 
 
 def test_no_module_names_the_retired_store_model():
@@ -79,11 +78,11 @@ class _HdfsReads(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_core_reads_hdfs_only_for_metrics():
+def test_core_never_reads_hdfs():
     sites = {}
     for path in sorted((SRC / "core").rglob("*.py")):
         visitor = _HdfsReads()
         visitor.visit(_parse(path))
         for site in visitor.sites:
             sites.setdefault(site, []).append(path.name)
-    assert set(sites) == HDFS_READERS, sites
+    assert not sites, sites
