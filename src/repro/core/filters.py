@@ -36,14 +36,14 @@ on the compiled graph:
   intersect a published min/max filter or the static predicate bounds.
 
 The coordinator owns *when* (commit-synchronous folds, publication, the gate)
-and the per-filter counters; *what* a fold, a filter application and a prune
+and the filter counters; *what* a fold, a filter application and a prune
 test compute is :mod:`repro.physical.task`, shared with every executor.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.data.batch import Batch
 from repro.kernels.runtimefilter import RuntimeFilter
@@ -57,20 +57,17 @@ class FilterCoordinator:
     def __init__(self, execution):
         self.execution = execution
         self.graph = execution.graph
-        self.specs: List[RuntimeFilterSpec] = list(self.graph.runtime_filters)
         #: Running builder folds by source stage id, dropped at finalization.
         self._folds: Dict[int, task.FilterFold] = {}
         #: Finalized filters by filter id (content frozen at source completion).
         self.filters: Dict[int, RuntimeFilter] = {}
         #: Not-yet-published filters per target stage id: the gate itself,
         #: kept as a count because every task attempt asks.
-        self._unpublished = Counter(spec.target_stage_id for spec in self.specs)
+        self._unpublished = Counter(
+            spec.target_stage_id for spec in self.graph.runtime_filters
+        )
         #: Finalized but not yet network-charged, in finalization order.
         self._pending_publish: List[RuntimeFilterSpec] = []
-        #: Observed probe traffic per filter id: [rows_tested, rows_dropped].
-        self._observed: Dict[int, List[int]] = {
-            spec.filter_id: [0, 0] for spec in self.specs
-        }
 
     # -- gating -------------------------------------------------------------------
 
@@ -114,7 +111,9 @@ class FilterCoordinator:
         build output to every worker hosting a channel of the target stage
         (the simulated analogue of a coordinator fan-out).  Only after the
         transfers complete does the filter count as published, i.e. does the
-        target's gate lift.
+        target's gate lift.  A fan-out cut short (the publishing worker
+        crashed mid-transfer) puts the filter back at the head of the queue,
+        so the next commit on a live worker publishes it.
         """
         execution = self.execution
         while self._pending_publish:
@@ -127,12 +126,16 @@ class FilterCoordinator:
                 execution.gcs.placement.worker_for(target.stage_id, channel)
                 for channel in range(target.num_channels)
             }
-            for destination in sorted(destinations):
-                yield from execution.cluster.network.transfer(
-                    worker.worker_id,
-                    destination,
-                    scaled + execution.PIECE_OVERHEAD,
-                )
+            try:
+                for destination in sorted(destinations):
+                    yield from execution.cluster.network.transfer(
+                        worker.worker_id,
+                        destination,
+                        scaled + execution.PIECE_OVERHEAD,
+                    )
+            except Exception:
+                self._pending_publish.insert(0, spec)
+                raise
             self._unpublished[spec.target_stage_id] -= 1
             execution.metrics.filters_published += 1
             execution.metrics.filter_bytes += float(nbytes)
@@ -158,30 +161,19 @@ class FilterCoordinator:
         The gate guarantees every filter aimed at ``stage`` is published by
         the time its tasks run, so lookups are plain dict hits.
         """
+        batch, tested, dropped = task.apply_runtime_filters(
+            batch,
+            [
+                (spec.probe_key, self.filters[spec.filter_id])
+                for spec in self.graph.filters_for_target(stage.stage_id)
+            ],
+        )
         metrics = self.execution.metrics
-        for spec in self.graph.filters_for_target(stage.stage_id):
-            # One filter per call keeps the per-filter counters exact.
-            batch, tested, dropped = task.apply_runtime_filters(
-                batch, [(spec.probe_key, self.filters[spec.filter_id])]
-            )
-            metrics.filter_rows_tested += tested
-            metrics.filter_rows_dropped += dropped
-            observed = self._observed[spec.filter_id]
-            observed[0] += tested
-            observed[1] += dropped
+        metrics.filter_rows_tested += tested
+        metrics.filter_rows_dropped += dropped
         return batch
 
     def split_prunable(self, stage: Stage, split_index: int) -> bool:
         """True when no row of the split could survive the scan's filters."""
         specs = self.graph.filters_for_target(stage.stage_id)
         return task.split_prunable(stage, split_index, specs, self.filters)
-
-    # -- introspection (tests / benches) ----------------------------------------------
-
-    def selectivities(self) -> Dict[int, Optional[float]]:
-        """Kept/tested ratio per published filter (``None`` before traffic)."""
-        out: Dict[int, Optional[float]] = {}
-        for spec in self.specs:
-            tested, dropped = self._observed[spec.filter_id]
-            out[spec.filter_id] = (tested - dropped) / tested if tested else None
-        return out

@@ -9,9 +9,16 @@ reconcile each query's GCS namespace to a consistent state, and clears the
 flag.  Because reconciliation is pure metadata work, the barrier is brief and
 recovery of one query never restarts or stalls the others beyond it.
 
+There is one reconciliation per detection, over *every* worker found dead by
+then: all of their objects are dropped before anything is planned, so a pass
+never plans a replay from a backup that died in the same heartbeat window,
+and a single pass leaves every consumer provisioned.  No repair timer runs
+behind it; the only timer is :attr:`RecoveryCoordinator.STALL_TIMEOUT`, which
+turns a query that stops committing into a clean ``ExecutionError``.
+
 Reconciliation follows the paper exactly:
 
-* every channel hosted by the failed worker is *rewound*: reassigned to a live
+* every channel hosted by a failed worker is *rewound*: reassigned to a live
   worker (different stages to different workers — pipeline-parallel recovery)
   and restarted from sequence 0 in *prescribed* mode so it retraces its
   committed lineage;
@@ -19,12 +26,13 @@ Reconciliation follows the paper exactly:
   surviving local-disk backup / durable spool, **regenerated** by re-running
   the corresponding input-reader task on any live node, or — when neither is
   possible — the producing channel is rewound as well (reverse topological
-  traversal).
+  traversal).  :meth:`RecoveryCoordinator._provision` is that rule's one
+  home; it also re-provisions recovery tasks stranded on a failed worker.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.common.errors import FaultToleranceError
 from repro.gcs.naming import TaskName
@@ -36,15 +44,9 @@ class RecoveryCoordinator:
 
     #: Abort a query if no task commits for this many virtual seconds.
     STALL_TIMEOUT = 1800.0
-    #: After this long without progress, run a reconciliation pass that
-    #: re-schedules replays/regenerations for channels stuck waiting on inputs
-    #: (the Kubernetes-style "reconcile to a consistent state" philosophy of
-    #: Section IV-C, applied to gaps left by overlapping failures).
-    REPAIR_TIMEOUT = 30.0
 
     def __init__(self, execution):
         self.execution = execution
-        self._last_repair_at = 0.0
 
     # -- restart (the no-fault-tolerance baseline) --------------------------------------
 
@@ -74,129 +76,61 @@ class RecoveryCoordinator:
 
     # -- Algorithm 2 ----------------------------------------------------------------------
 
-    def recover_from_failure(self, failed_worker_id: int) -> None:
-        """Reconcile the GCS after ``failed_worker_id`` died."""
+    def recover_from_failure(self, failed_worker_ids: Sequence[int]) -> None:
+        """Reconcile the GCS after every worker in ``failed_worker_ids`` died."""
         execution = self.execution
         gcs = execution.gcs
         live = execution.cluster.live_worker_ids()
         if not live:
             raise FaultToleranceError("no live workers remain; cannot recover query")
 
-        gcs.control.record_failed_worker(failed_worker_id)
-        gcs.objects.drop_worker(failed_worker_id)
-
-        lost_channels = set(gcs.placement.channels_on_worker(failed_worker_id))
-        lost_channels |= set(execution.poisoned_channels)
+        lost_channels = set(execution.poisoned_channels)
         execution.poisoned_channels.clear()
+        for worker_id in failed_worker_ids:
+            gcs.control.record_failed_worker(worker_id)
+            gcs.objects.drop_worker(worker_id)
+            lost_channels.update(gcs.placement.channels_on_worker(worker_id))
 
-        # Outstanding tasks of the failed worker are gone.  Ordinary channel
+        # Outstanding tasks of the failed workers are gone.  Ordinary channel
         # tasks are re-created by the rewind below; pending replay/regenerate
-        # tasks from an *earlier* recovery must be re-dispatched explicitly or
-        # their waiting consumers would stall forever.
-        orphaned = [
-            descriptor
-            for descriptor in gcs.tasks.all()
-            if descriptor.worker_id == failed_worker_id
-        ]
-        for descriptor in orphaned:
+        # tasks from an *earlier* recovery must be re-provisioned explicitly
+        # or their waiting consumers would stall forever.
+        orphans: Dict[str, Dict[TaskName, Set]] = {"replay": {}, "regen": {}}
+        for descriptor in gcs.tasks.all():
+            if descriptor.worker_id not in failed_worker_ids:
+                continue
             gcs.tasks.remove(descriptor.name)
-        orphan_replays, orphan_regens, extra_rewinds = self._triage_orphans(orphaned)
-        lost_channels |= extra_rewinds
+            if descriptor.kind == "execute":
+                continue
+            action = self._provision(descriptor.name, live)
+            if action == "rewind":
+                lost_channels.add((descriptor.name.stage, descriptor.name.channel))
+            else:
+                orphans[action].setdefault(descriptor.name, set()).update(
+                    descriptor.replay_consumers
+                )
 
-        rewind, replay_requests, regen_requests = self._plan_recovery(lost_channels)
-
-        for obj, consumers in orphan_replays.items():
-            if not self._producer_will_repush(obj, rewind):
-                replay_requests.setdefault(obj, set()).update(consumers)
-        for obj, consumers in orphan_regens.items():
-            if not self._producer_will_repush(obj, rewind):
-                regen_requests.setdefault(obj, set()).update(consumers)
+        rewind, requests = self._plan_recovery(lost_channels, live)
+        for action, objects in orphans.items():
+            for obj, consumers in objects.items():
+                if not self._producer_will_repush(obj, rewind):
+                    requests[action].setdefault(obj, set()).update(consumers)
 
         self._apply_rewinds(rewind, live)
-        self._schedule_replays(replay_requests, live)
-        self._schedule_regenerations(regen_requests, live)
+        for action, objects in requests.items():
+            self._schedule(action, objects, live)
 
-    def reconcile_stuck_channels(self) -> int:
-        """Re-provision inputs for channels stuck waiting on missing pieces.
+    def _provision(self, obj: TaskName, live: List[int]) -> str:
+        """How a committed object that a consumer lacks comes back.
 
-        Overlapping failures can leave a live channel waiting for an upstream
-        output whose replay task died with another worker.  This pass walks
-        every outstanding channel task, finds committed-but-missing inputs and
-        schedules a replay (backup exists), a regeneration (input split) or a
-        producer rewind for each.  Returns the number of actions scheduled.
+        ``"replay"`` when a backup survives on a live worker or in durable
+        storage, ``"regen"`` when an input reader produced it (re-read the
+        split), otherwise ``"rewind"`` its producing channel.
         """
-        execution = self.execution
-        gcs = execution.gcs
-        graph = execution.graph
-        live = execution.cluster.live_worker_ids()
-        if not live:
-            return 0
-        actions = 0
-        for descriptor in gcs.tasks.all():
-            if descriptor.kind != "execute":
-                continue
-            stage = graph.stage(descriptor.name.stage)
-            if stage.is_input:
-                continue
-            consumer_key = (descriptor.name.stage, descriptor.name.channel)
-            worker = execution.cluster.worker(descriptor.worker_id)
-            runtime = execution.runtimes[descriptor.worker_id].get(consumer_key)
-            for link in stage.upstreams:
-                upstream = graph.stage(link.upstream_id)
-                for upstream_channel in range(upstream.num_channels):
-                    committed = gcs.lineage.committed_count(link.upstream_id, upstream_channel)
-                    watermark = (
-                        runtime.watermark(link.upstream_id, upstream_channel)
-                        if runtime is not None
-                        else 0
-                    )
-                    # Is the producer channel itself still being rewound?  If
-                    # an execute task for it exists at or below the missing
-                    # sequence numbers it will re-push them itself.
-                    producer_tasks = [
-                        d.name.seq
-                        for d in gcs.tasks.for_channel(link.upstream_id, upstream_channel)
-                        if d.kind == "execute"
-                    ]
-                    for seq in range(watermark, committed):
-                        obj = TaskName(link.upstream_id, upstream_channel, seq)
-                        if worker.flight.peek(consumer_key, obj) is not None:
-                            continue
-                        if producer_tasks and min(producer_tasks) <= seq:
-                            continue
-                        existing = gcs.tasks.get(obj)
-                        if existing is not None and existing.kind in ("replay", "regen"):
-                            consumers = set(existing.replay_consumers) | {consumer_key}
-                            gcs.tasks.add(
-                                TaskDescriptor(
-                                    obj, existing.worker_id, kind=existing.kind,
-                                    replay_consumers=tuple(sorted(consumers)),
-                                )
-                            )
-                            actions += 1
-                            continue
-                        location = gcs.objects.get(obj)
-                        if location is not None and (location.durable or location.worker_id in live):
-                            owner = location.worker_id if location.worker_id in live else live[0]
-                            gcs.tasks.add(
-                                TaskDescriptor(
-                                    obj, owner, kind="replay",
-                                    replay_consumers=((consumer_key),),
-                                )
-                            )
-                            actions += 1
-                        elif upstream.is_input:
-                            gcs.tasks.add(
-                                TaskDescriptor(
-                                    obj, live[actions % len(live)], kind="regen",
-                                    replay_consumers=((consumer_key),),
-                                )
-                            )
-                            actions += 1
-                        else:
-                            self._apply_rewinds({(link.upstream_id, upstream_channel)}, live)
-                            actions += 1
-        return actions
+        location = self.execution.gcs.objects.get(obj)
+        if location is not None and (location.durable or location.worker_id in live):
+            return "replay"
+        return "regen" if self.execution.graph.stage(obj.stage).is_input else "rewind"
 
     def _producer_will_repush(self, obj: TaskName, rewind: Set[Tuple[int, int]]) -> bool:
         """True when ``obj``'s producing channel will re-push it by itself.
@@ -225,33 +159,9 @@ class RecoveryCoordinator:
         ]
         return bool(outstanding) and min(outstanding) <= obj.seq
 
-    def _triage_orphans(self, orphaned) -> Tuple[Dict, Dict, Set[Tuple[int, int]]]:
-        """Decide what to do with recovery tasks stranded on the failed worker."""
-        execution = self.execution
-        gcs = execution.gcs
-        graph = execution.graph
-        replays: Dict[TaskName, Set] = {}
-        regens: Dict[TaskName, Set] = {}
-        extra_rewinds: Set[Tuple[int, int]] = set()
-        for descriptor in orphaned:
-            if descriptor.kind not in ("replay", "regen"):
-                continue
-            consumers = set(descriptor.replay_consumers)
-            producer_stage = graph.stage(descriptor.name.stage)
-            if descriptor.kind == "regen":
-                regens.setdefault(descriptor.name, set()).update(consumers)
-            elif gcs.objects.get(descriptor.name) is not None:
-                replays.setdefault(descriptor.name, set()).update(consumers)
-            elif producer_stage.is_input:
-                regens.setdefault(descriptor.name, set()).update(consumers)
-            else:
-                # The backup died with the worker: rewind the producer instead.
-                extra_rewinds.add((descriptor.name.stage, descriptor.name.channel))
-        return replays, regens, extra_rewinds
-
     def _plan_recovery(
-        self, lost_channels: Set[Tuple[int, int]]
-    ) -> Tuple[Set[Tuple[int, int]], Dict[TaskName, Set], Dict[TaskName, Set]]:
+        self, lost_channels: Set[Tuple[int, int]], live: List[int]
+    ) -> Tuple[Set[Tuple[int, int]], Dict[str, Dict[TaskName, Set]]]:
         """Traverse stages in reverse topological order and decide what to rewind,
         replay and regenerate (the loop body of Algorithm 2)."""
         execution = self.execution
@@ -259,43 +169,31 @@ class RecoveryCoordinator:
         graph = execution.graph
 
         rewind: Set[Tuple[int, int]] = set(lost_channels)
-        replay_requests: Dict[TaskName, Set[Tuple[int, int]]] = {}
-        regen_requests: Dict[TaskName, Set[Tuple[int, int]]] = {}
+        requests: Dict[str, Dict[TaskName, Set]] = {"replay": {}, "regen": {}}
 
         for stage_id in graph.reverse_topological_order():
             stage = graph.stage(stage_id)
             if stage.is_input:
                 continue
             for consumer_key in sorted(c for c in rewind if c[0] == stage_id):
-                consumer_stage, consumer_channel = consumer_key
                 for link in stage.upstreams:
                     upstream = graph.stage(link.upstream_id)
                     for upstream_channel in range(upstream.num_channels):
-                        if (link.upstream_id, upstream_channel) in rewind and not upstream.is_input:
+                        producer = (link.upstream_id, upstream_channel)
+                        if producer in rewind and not upstream.is_input:
                             continue  # the producer itself is rewound and will re-push
-                        committed = gcs.lineage.committed_count(
-                            link.upstream_id, upstream_channel
-                        )
-                        if committed == 0:
-                            continue
-                        objects = [
-                            TaskName(link.upstream_id, upstream_channel, seq)
-                            for seq in range(committed)
-                            if not self._producer_will_repush(
-                                TaskName(link.upstream_id, upstream_channel, seq), rewind
-                            )
-                        ]
-                        missing = [o for o in objects if gcs.objects.get(o) is None]
-                        if missing and not upstream.is_input:
+                        actions = {}
+                        for seq in range(gcs.lineage.committed_count(*producer)):
+                            obj = TaskName(link.upstream_id, upstream_channel, seq)
+                            if not self._producer_will_repush(obj, rewind):
+                                actions[obj] = self._provision(obj, live)
+                        if "rewind" in actions.values():
                             # Cannot replay: rewind the producing channel too.
-                            rewind.add((link.upstream_id, upstream_channel))
+                            rewind.add(producer)
                             continue
-                        for obj in objects:
-                            if gcs.objects.get(obj) is not None:
-                                replay_requests.setdefault(obj, set()).add(consumer_key)
-                            else:
-                                regen_requests.setdefault(obj, set()).add(consumer_key)
-        return rewind, replay_requests, regen_requests
+                        for obj, action in actions.items():
+                            requests[action].setdefault(obj, set()).add(consumer_key)
+        return rewind, requests
 
     def _apply_rewinds(self, rewind: Set[Tuple[int, int]], live: List[int]) -> None:
         """Reassign rewound channels (pipeline-parallel) and restart them at seq 0."""
@@ -345,20 +243,20 @@ class RecoveryCoordinator:
                 )
             execution.metrics.rewound_channels += 1
 
-    def _schedule_replays(self, replay_requests: Dict[TaskName, Set], live: List[int]) -> None:
-        """Add replay tasks for objects that still have a backup or durable copy."""
-        execution = self.execution
-        gcs = execution.gcs
-        for index, (obj, consumers) in enumerate(sorted(replay_requests.items())):
-            location = gcs.objects.get(obj)
-            if location is None:
-                continue
-            if location.durable:
-                owner = live[index % len(live)]
-            elif location.worker_id in live:
-                owner = location.worker_id
-            else:
-                continue  # lost after all; the consumer will stall and a later recovery handles it
+    def _schedule(self, action: str, requests: Dict[TaskName, Set], live: List[int]) -> None:
+        """Add one ``action`` task (``"replay"`` or ``"regen"``) per requested object.
+
+        A replay from a local-disk backup runs where the backup lives; a
+        regeneration or a replay from durable storage goes to any live node,
+        round-robin.
+        """
+        gcs = self.execution.gcs
+        for index, (obj, consumers) in enumerate(sorted(requests.items())):
+            owner = live[index % len(live)]
+            if action == "replay":
+                location = gcs.objects.get(obj)
+                if not location.durable:
+                    owner = location.worker_id
             existing = gcs.tasks.get(obj)
             if existing is not None:
                 if existing.kind == "execute":
@@ -370,26 +268,7 @@ class RecoveryCoordinator:
                 TaskDescriptor(
                     obj,
                     owner,
-                    kind="replay",
-                    replay_consumers=tuple(sorted(consumers)),
-                )
-            )
-
-    def _schedule_regenerations(self, regen_requests: Dict[TaskName, Set], live: List[int]) -> None:
-        """Add regeneration tasks for lost input-reader outputs (any live node)."""
-        execution = self.execution
-        gcs = execution.gcs
-        for index, (obj, consumers) in enumerate(sorted(regen_requests.items())):
-            existing = gcs.tasks.get(obj)
-            if existing is not None:
-                if existing.kind == "execute":
-                    continue  # never clobber the producing channel's own task
-                consumers = set(consumers) | set(existing.replay_consumers)
-            gcs.tasks.add(
-                TaskDescriptor(
-                    obj,
-                    live[index % len(live)],
-                    kind="regen",
+                    kind=action,
                     replay_consumers=tuple(sorted(consumers)),
                 )
             )

@@ -179,7 +179,6 @@ class Session:
         self.handles: Dict[int, QueryHandle] = {}
         #: In-flight queries by plan key, for coalescing duplicate submissions.
         self._inflight_plans: Dict = {}
-        self._recovery: Dict[int, RecoveryCoordinator] = {}
         self._progress: Dict[int, tuple] = {}
         self._next_query_id = 0
         self._stage_base = 0
@@ -484,7 +483,6 @@ class Session:
             )
         self.scheduler.retire(handle)
         self._progress.pop(handle.query_id, None)
-        self._recovery.pop(handle.query_id, None)
         if self._inflight_plans.get(handle._plan_key) is handle:
             del self._inflight_plans[handle._plan_key]
         self._admit()
@@ -590,13 +588,6 @@ class Session:
 
     # -- the head-node coordinator ---------------------------------------------------------
 
-    def _recovery_for(self, execution: ExecutionContext) -> RecoveryCoordinator:
-        coordinator = self._recovery.get(execution.query_id)
-        if coordinator is None:
-            coordinator = RecoveryCoordinator(execution)
-            self._recovery[execution.query_id] = coordinator
-        return coordinator
-
     def _coordinator(self):
         """Head-node process: liveness checks, recovery and stall detection.
 
@@ -616,10 +607,10 @@ class Session:
                 self.gcs.control.set_recovery_in_progress(True)
                 yield from self._wait_for_barrier()
                 yield self.env.timeout(self.cost_model.gcs_txn_seconds() * 5)
-                # Re-scan after the detection delay and barrier so that every
-                # worker that has died by now is handled in the same recovery
-                # pass — otherwise the first pass could schedule replays
-                # against a worker that is already gone.
+                # Re-scan after the detection delay and barrier: every worker
+                # that has died by now is reconciled in one Algorithm 2 pass
+                # per query, so no pass plans a replay from a backup on a
+                # worker that is already gone.
                 dead = self._unhandled_dead_workers()
                 try:
                     for handle in list(self.scheduler.active):
@@ -658,18 +649,17 @@ class Session:
         """Reconcile one query's GCS namespace after ``dead`` workers failed."""
         if not dead:
             return
-        coordinator = self._recovery_for(execution)
+        coordinator = RecoveryCoordinator(execution)
         execution.metrics.failures_injected += len(dead)
         rewound_before = execution.metrics.rewound_channels
         try:
             if execution.strategy.supports_intra_query_recovery:
-                for worker_id in dead:
-                    coordinator.recover_from_failure(worker_id)
+                coordinator.recover_from_failure(dead)
                 execution.metrics.recovery_events += 1
             else:
                 coordinator.restart_query()
         finally:
-            if execution.tracer.enabled and dead:
+            if execution.tracer.enabled:
                 execution.tracer.record_recovery(
                     self.env.now,
                     tuple(dead),
@@ -677,24 +667,16 @@ class Session:
                 )
 
     def _check_stall(self, execution: ExecutionContext) -> None:
-        """Repair or abort a query that has stopped committing tasks."""
-        coordinator = self._recovery_for(execution)
+        """Abort a query that has stopped committing tasks."""
         tasks_before, since = self._progress[execution.query_id]
         now = self.env.now
         if execution.metrics.tasks_executed != tasks_before:
             self._progress[execution.query_id] = (execution.metrics.tasks_executed, now)
             return
-        stalled_for = now - since
-        if (
-            stalled_for > coordinator.REPAIR_TIMEOUT
-            and now - coordinator._last_repair_at > coordinator.REPAIR_TIMEOUT
-        ):
-            coordinator._last_repair_at = now
-            coordinator.reconcile_stuck_channels()
-        if stalled_for > coordinator.STALL_TIMEOUT:
+        if now - since > RecoveryCoordinator.STALL_TIMEOUT:
             execution.abort(
                 ExecutionError(
                     "engine stalled: no task committed for "
-                    f"{coordinator.STALL_TIMEOUT} virtual seconds"
+                    f"{RecoveryCoordinator.STALL_TIMEOUT} virtual seconds"
                 )
             )

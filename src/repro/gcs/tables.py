@@ -29,10 +29,11 @@ CHANNEL_DONE_TABLE = "channel_done"
 class TaskDescriptor:
     """An outstanding task assigned to a worker (one row of G.T).
 
-    ``kind`` is ``"execute"`` for ordinary channel tasks, or ``"replay"`` for
-    recovery tasks that re-push an already-produced object from a surviving
-    worker's local backup.  ``prescribed`` marks rewound tasks that must follow
-    the committed lineage exactly instead of choosing inputs dynamically.
+    ``kind`` is ``"execute"`` for ordinary channel tasks; the recovery tasks
+    are ``"replay"`` (re-push an already-produced object from a surviving
+    backup or durable copy) and ``"regen"`` (re-read a lost input split).
+    ``prescribed`` marks rewound tasks that must follow the committed lineage
+    exactly instead of choosing inputs dynamically.
     """
 
     name: TaskName

@@ -183,6 +183,21 @@ class TestChaosOptionsPlumbing:
         assert outcome.metrics.runtime_seconds > baseline
 
 
+class TestFilterPublicationUnderCrash:
+    def test_crash_during_filter_fan_out_does_not_lose_the_filter(self, monkeypatch):
+        """Q5's worker 0 dies while it fans out a finalized runtime filter.
+
+        The filter must be published again from a live worker; a lost one
+        would hold its target stage's gate shut until the stall abort (kept
+        small here so a regression fails in seconds, not half an hour).
+        """
+        monkeypatch.setattr(RecoveryCoordinator, "STALL_TIMEOUT", 20.0)
+        outcome = DifferentialHarness().run_case(5, "checkpoint", seed=1)
+        assert outcome.plan.crashes()
+        assert outcome.passed, outcome.describe()
+        assert outcome.metrics.filters_published == 5
+
+
 class AmnesiacWalStrategy(WriteAheadLineageStrategy):
     """Planted bug: records backup locations in the GCS but never writes the
     bytes, so every post-crash replay finds nothing and the query stalls."""
@@ -197,10 +212,9 @@ class AmnesiacWalStrategy(WriteAheadLineageStrategy):
 class TestShrinking:
     @pytest.fixture()
     def buggy_harness(self, monkeypatch):
-        # Small timeouts so each stalled (failing) candidate aborts quickly in
-        # virtual time; monkeypatch restores the production values afterwards.
+        # A small stall timeout so each stalled (failing) candidate aborts
+        # quickly in virtual time; monkeypatch restores the production value.
         monkeypatch.setattr(RecoveryCoordinator, "STALL_TIMEOUT", 20.0)
-        monkeypatch.setattr(RecoveryCoordinator, "REPAIR_TIMEOUT", 5.0)
         # The planted bug only bites when a crash forces a *replay* of a
         # multi-channel stateful stage; the heuristic plan shape guarantees
         # that topology (the cost-based planner would collapse Q1's tiny

@@ -83,6 +83,12 @@ def run(query, catalog, failure_plans=None, options=None, num_workers=4, **overr
 HEURISTIC = QueryOptions(optimize=False)
 
 
+#: Virtual seconds two failures may add to a failure-free run.  Recovery
+#: itself costs well under one second here; a consumer left without an
+#: input instead idles until the stall abort.
+TWO_FAILURE_SLACK = 5.0
+
+
 def run_with_failure(query, catalog, worker_id, fraction, num_workers=4, **overrides):
     """Run failure-free to get a baseline, then re-run killing one worker."""
     baseline = run(query, catalog, options=HEURISTIC, num_workers=num_workers, **overrides)
@@ -151,6 +157,9 @@ class TestWriteAheadLineageRecovery:
         failed = run(query, catalog, failure_plans=plans)
         assert failed.batch.equals(expected, sort_keys=["c_nation"])
         assert failed.metrics.failures_injected == 2
+        # Both workers are found dead in one detection; one reconciliation
+        # provisions every consumer, so nothing waits on a repair timer.
+        assert failed.runtime < baseline.runtime + TWO_FAILURE_SLACK
 
     def test_failure_before_any_work_is_done(self):
         catalog = make_catalog()
@@ -222,3 +231,27 @@ def test_property_any_single_failure_preserves_the_answer(worker_id, fraction):
     plan = FailurePlan.at_fraction(worker_id, fraction, baseline.runtime)
     failed = run(query, catalog, failure_plans=[plan])
     assert failed.batch.equals(expected, sort_keys=["c_nation"])
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    workers=st.lists(
+        st.integers(min_value=0, max_value=3), min_size=2, max_size=2, unique=True
+    ),
+    fractions=st.lists(
+        st.floats(min_value=0.1, max_value=0.9), min_size=2, max_size=2
+    ),
+)
+def test_property_any_two_failures_preserve_the_answer(workers, fractions):
+    """Two workers at any two points: same answer, and no stall on the way."""
+    catalog = make_catalog(rows=200)
+    query = join_query(catalog)
+    expected = execute_plan(query.plan)
+    baseline = run(query, catalog)
+    plans = [
+        FailurePlan.at_fraction(worker_id, fraction, baseline.runtime)
+        for worker_id, fraction in zip(workers, fractions)
+    ]
+    failed = run(query, catalog, failure_plans=plans)
+    assert failed.batch.equals(expected, sort_keys=["c_nation"])
+    assert failed.runtime < baseline.runtime + TWO_FAILURE_SLACK
